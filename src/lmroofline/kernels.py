@@ -17,6 +17,8 @@ All counts are exact Python integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -57,6 +59,70 @@ class KernelCost:
         if count < 1:
             raise ValidationError(f"count must be >= 1 (got {count})")
         return KernelCost(self.flops * count, self.bytes * count, self.label)
+
+
+class KernelRun(NamedTuple):
+    """`count` consecutive invocations whose cost is a polynomial of degree <= 2
+    in the invocation index.
+
+    Stored in exact-integer Newton form: invocation i (0 <= i < count) costs
+    flops[0] + i * flops[1] + C(i, 2) * flops[2] FLOPs, and likewise for
+    bytes. `flops` and `bytes` of the run itself are the exact totals, so a
+    run stands wherever a KernelCost's totals are summed. (A NamedTuple
+    rather than a dataclass: it is as immutable and much cheaper to import.)
+
+    Attributes:
+        count: number of invocations, at least 2 (see kernel_run).
+        newton_flops: (value at 0, first difference, second difference).
+        newton_bytes: likewise for bytes moved.
+    """
+
+    count: int
+    newton_flops: tuple[int, int, int]
+    newton_bytes: tuple[int, int, int]
+
+    def at(self, i: int) -> tuple[int, int]:
+        """(flops, bytes) of invocation i."""
+        pairs = comb(i, 2)
+        f0, f1, f2 = self.newton_flops
+        b0, b1, b2 = self.newton_bytes
+        return f0 + i * f1 + pairs * f2, b0 + i * b1 + pairs * b2
+
+    def prefix(self, k: int) -> tuple[int, int]:
+        """(flops, bytes) summed over invocations 0 .. k-1."""
+        c2, c3 = comb(k, 2), comb(k, 3)
+        f0, f1, f2 = self.newton_flops
+        b0, b1, b2 = self.newton_bytes
+        return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
+
+    @property
+    def flops(self) -> int:
+        return self.prefix(self.count)[0]
+
+    @property
+    def bytes(self) -> int:
+        return self.prefix(self.count)[1]
+
+
+def kernel_run(count: int, samples: list[KernelCost]) -> KernelCost | KernelRun:
+    """The run of `count` invocations whose first min(count, 3) are `samples`.
+
+    Exact whenever the cost is a polynomial of degree <= 2 in the index: the
+    samples fix its Newton form. A run of identical invocations is returned
+    as `samples[0].scaled(count)`, so it is timed exactly as that aggregate.
+    """
+    first = samples[0]
+    if all(s.flops == first.flops and s.bytes == first.bytes for s in samples):
+        return first.scaled(count)
+    return KernelRun(
+        count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])
+    )
+
+
+def _newton(values: list[int]) -> tuple[int, int, int]:
+    """Newton form through 3 samples, or the line through 2."""
+    v0, v1, v2 = values if len(values) == 3 else (*values, 2 * values[1] - values[0])
+    return v0, v1 - v0, v2 - 2 * v1 + v0
 
 
 def _require_at_least_one(**values: int) -> None:

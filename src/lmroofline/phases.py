@@ -1,21 +1,36 @@
 """Per-phase cost assembly for the three decoding strategies.
 
-A phase is a bag of kernel invocations. Identical invocations (the same
-kernel repeated across layers or steps) are aggregated into one breakdown
+A phase is a bag of kernel invocations, kept as breakdown entries whose
+number does not grow with gen_len or the block count. Identical invocations
+(the same kernel repeated across layers or steps) are aggregated into one
 entry via `KernelCost.scaled`, which is exact for both totals and roofline
-time because per-kernel time is homogeneous in (flops, bytes). Kernels with
-different shapes -- e.g. decode attention, whose KV length grows every
-step -- are kept as separate entries.
+time because per-kernel time is homogeneous in (flops, bytes). Kernels whose
+shape changes from step to step -- decode attention, whose KV length grows
+every step, and the cache-refresh passes, whose extent grows every block --
+form one `KernelRun` per kernel kind over a range of consecutive steps or
+blocks, labelled with that range (`attention[kv=2049..6144]`,
+`refresh0..14:attention`). Their cost is a polynomial of degree <= 2 in the
+index, fixed exactly by sampling the kernel functions at up to three
+indices; along every run the arithmetic intensity is non-decreasing, which
+`roofline.kernel_time` relies on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import ceil
 
 from .configs import CountingOptions, ModelConfig
 from .errors import ValidationError
-from .kernels import KernelCost, attention_cost, elementwise_bytes, linear_cost
+from .kernels import (
+    KernelCost,
+    KernelRun,
+    attention_cost,
+    elementwise_bytes,
+    kernel_run,
+    linear_cost,
+)
 
 PHASES = ("arm_prefill", "arm_decode", "dlm_naive", "dlm_block")
 
@@ -23,7 +38,7 @@ PHASES = ("arm_prefill", "arm_decode", "dlm_naive", "dlm_block")
 # count_elementwise_bytes is on: two norms and two residual adds.
 ELEMENTWISE_PASSES_PER_LAYER = 4
 
-Breakdown = tuple[tuple[str, KernelCost], ...]
+Breakdown = tuple[tuple[str, KernelCost | KernelRun], ...]
 
 
 @dataclass(frozen=True)
@@ -34,8 +49,8 @@ class PhaseCost:
         phase: one of PHASES.
         flops: total FLOPs, always the exact sum over the breakdown.
         bytes: total bytes moved, likewise.
-        breakdown: (label, KernelCost) entries; an entry may aggregate many
-            identical invocations.
+        breakdown: (label, KernelCost | KernelRun) entries; an entry may
+            aggregate many invocations.
         steps: number of model forward passes the phase represents.
     """
 
@@ -59,7 +74,9 @@ class PhaseCost:
             )
 
 
-def _make_phase(phase: str, entries: list[tuple[str, KernelCost]], steps: int) -> PhaseCost:
+def _make_phase(
+    phase: str, entries: list[tuple[str, KernelCost | KernelRun]], steps: int
+) -> PhaseCost:
     return PhaseCost(
         phase=phase,
         flops=sum(k.flops for _, k in entries),
@@ -158,6 +175,32 @@ def layer_forward_cost(
     return entries
 
 
+def _span(first: int, last: int) -> str:
+    """Label of the index range first..last, or of the single index."""
+    return str(first) if first == last else f"{first}..{last}"
+
+
+def _ranges(cuts: Iterable[int]) -> list[tuple[int, int]]:
+    """Consecutive [start, end) ranges between the sorted cut points."""
+    points = sorted(cuts)
+    return list(zip(points, points[1:]))
+
+
+def _runs(
+    count: int, step: Callable[[int], list[tuple[str, KernelCost]]]
+) -> list[tuple[str, KernelCost | KernelRun]]:
+    """One entry per kernel kind over `count` consecutive steps.
+
+    step(i) gives the entries of step i; every kernel's cost must be a
+    polynomial of degree <= 2 in i, so min(count, 3) sampled steps fix it.
+    """
+    samples = [step(i) for i in range(min(count, 3))]
+    return [
+        (label, kernel_run(count, [entries[n][1] for entries in samples]))
+        for n, (label, _) in enumerate(samples[0])
+    ]
+
+
 def _require_causal_capable(model: ModelConfig, phase: str) -> None:
     if model.attention_kind == "bidirectional_only":
         raise ValidationError(
@@ -197,7 +240,7 @@ def arm_decode_cost(
     Step t processes one query token against prompt_len + t cached
     positions (the new token's KV entry is written during the step).
     Weights are re-read every step, so the per-step linear traffic never
-    amortizes.
+    amortizes. Attention over all steps is one run, affine in the KV length.
     """
     opts = opts or CountingOptions()
     _require_causal_capable(model, "arm_decode")
@@ -209,11 +252,17 @@ def arm_decode_cost(
         (label, kernel.scaled(model.num_layers * gen_len))
         for label, kernel in _per_layer_core(model, batch, 1, dtype_bytes, opts)
     ]
-    for t in range(1, gen_len + 1):
-        attn = _attention_kernel(
-            model, batch, 1, prompt_len + t, dtype_bytes, causal=False, write_new_kv=True, opts=opts
-        )
-        entries.append((f"attention[kv={prompt_len + t}]", attn.scaled(model.num_layers)))
+    attn = kernel_run(
+        gen_len,
+        [
+            _attention_kernel(
+                model, batch, 1, prompt_len + t, dtype_bytes,
+                causal=False, write_new_kv=True, opts=opts,
+            ).scaled(model.num_layers)
+            for t in range(1, min(gen_len, 3) + 1)
+        ],
+    )
+    entries.append((f"attention[kv={_span(prompt_len + 1, prompt_len + gen_len)}]", attn))
     if opts.include_lm_head:
         head = linear_cost(batch, 1, model.d_model, model.vocab_size, dtype_bytes)
         entries.append(("lm_head", head.scaled(gen_len)))
@@ -274,6 +323,10 @@ def blockwise_dlm_cost(
     With opts.include_cache_refresh, one full bidirectional pass over
     everything decoded so far is added after each block to rebuild the
     cache; that pass is the only KV write in this mode.
+
+    Consecutive blocks with the same width and step count share one entry
+    per kernel kind (`block0..14:q_proj`), as do consecutive refresh passes
+    (`refresh0..14:attention`).
     """
     opts = opts or CountingOptions()
     if gen_len < 1:
@@ -293,30 +346,53 @@ def blockwise_dlm_cost(
             "every block needs at least one refinement step"
         )
     steps_per_block, extra = divmod(steps, num_blocks)
-    entries: list[tuple[str, KernelCost]] = []
-    for j in range(num_blocks):
-        width = min(block_size, gen_len - j * block_size)
-        block_steps = steps_per_block + (1 if j < extra else 0)
-        kv_len = prompt_len + gen_len if full_kv else prompt_len + j * block_size + width
+    # Only the last block can be narrower than block_size, and blocks before
+    # `extra` take one step more: so the blocks fall into at most three runs
+    # that share width and step count, and the refresh passes into at most
+    # two whose extent grows by block_size per block.
+    width_cuts = {0, num_blocks}
+    if gen_len % block_size:
+        width_cuts.add(num_blocks - 1)
+    entries: list[tuple[str, KernelCost | KernelRun]] = []
+    for first, end in _ranges(width_cuts | {extra}):
+        count = end - first
+        width = min(block_size, gen_len - first * block_size)
+        block_steps = steps_per_block + (1 if first < extra else 0)
+        tag = f"block{_span(first, end - 1)}"
+
+        def kv_len(j: int) -> int:
+            return prompt_len + gen_len if full_kv else prompt_len + j * block_size + width
+
         for label, kernel in _per_layer_core(model, batch, width, dtype_bytes, opts):
-            entries.append((f"block{j}:{label}", kernel.scaled(model.num_layers * block_steps)))
-        attn = _attention_kernel(
-            model, batch, width, kv_len, dtype_bytes, causal=False, write_new_kv=False, opts=opts
+            entries.append(
+                (f"{tag}:{label}", kernel.scaled(model.num_layers * block_steps * count))
+            )
+        attn = kernel_run(
+            count,
+            [
+                _attention_kernel(
+                    model, batch, width, kv_len(j), dtype_bytes,
+                    causal=False, write_new_kv=False, opts=opts,
+                ).scaled(model.num_layers * block_steps)
+                for j in range(first, min(end, first + 3))
+            ],
         )
-        entries.append(
-            (f"block{j}:attention[kv={kv_len}]", attn.scaled(model.num_layers * block_steps))
-        )
+        entries.append((f"{tag}:attention[kv={_span(kv_len(first), kv_len(end - 1))}]", attn))
         if opts.include_lm_head:
             head = linear_cost(batch, width, model.d_model, model.vocab_size, dtype_bytes)
-            entries.append((f"block{j}:lm_head", head.scaled(block_steps)))
+            entries.append((f"{tag}:lm_head", head.scaled(block_steps * count)))
     total_steps = steps
     if opts.include_cache_refresh:
-        for j in range(num_blocks):
-            covered = prompt_len + min((j + 1) * block_size, gen_len)
-            refresh = layer_forward_cost(
-                model, batch, covered, covered, dtype_bytes,
-                causal=False, write_new_kv=True, opts=opts,
-            )
-            entries.extend((f"refresh{j}:{label}", kernel) for label, kernel in refresh)
+        for first, end in _ranges(width_cuts):
+
+            def refresh(i: int) -> list[tuple[str, KernelCost]]:
+                covered = prompt_len + min((first + i + 1) * block_size, gen_len)
+                return layer_forward_cost(
+                    model, batch, covered, covered, dtype_bytes,
+                    causal=False, write_new_kv=True, opts=opts,
+                )
+
+            tag = f"refresh{_span(first, end - 1)}"
+            entries.extend((f"{tag}:{label}", run) for label, run in _runs(end - first, refresh))
         total_steps += num_blocks
     return _make_phase("dlm_block", entries, steps=total_steps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .configs import HardwareSpec, Scenario, validate_workload
 from .errors import ValidationError
-from .kernels import KernelCost
+from .kernels import KernelCost, KernelRun
 from .phases import (
     PhaseCost,
     arithmetic_intensity,
@@ -51,9 +51,30 @@ def classify(ai: float, hw: HardwareSpec) -> str:
     return "compute_bound" if ai >= ridge_point(hw) else "memory_bound"
 
 
-def kernel_time(cost: KernelCost | PhaseCost, hw: HardwareSpec) -> float:
-    """Seconds for one kernel: the binding side of the roofline."""
-    return max(cost.flops / hw.peak_flops, cost.bytes / hw.mem_bandwidth)
+def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> float:
+    """Seconds for one kernel, or for a run of them: the binding side of the roofline.
+
+    A KernelCost takes max(F/P, B/W). Along a KernelRun the arithmetic
+    intensity must be non-decreasing in the index, which holds for every run
+    phases.py builds (attention FLOPs grow at least as fast as its bytes in
+    the KV length or extent; a linear layer's intensity grows with its token
+    count). Then the invocations before the first compute-bound one, found
+    by bisection on the same test F(i)/P >= B(i)/W, are memory-bound, and
+    the run takes prefix_bytes/W + suffix_flops/P.
+    """
+    peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
+    if not isinstance(cost, KernelRun):
+        return max(cost.flops / peak, cost.bytes / bandwidth)
+    lo, hi = 0, cost.count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        flops, moved = cost.at(mid)
+        if flops / peak >= moved / bandwidth:
+            hi = mid
+        else:
+            lo = mid + 1
+    prefix_flops, prefix_bytes = cost.prefix(lo)
+    return prefix_bytes / bandwidth + (cost.flops - prefix_flops) / peak
 
 
 def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
@@ -109,7 +130,8 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
     w, hw = scenario.workload, scenario.hardware
     phases = scenario_phases(scenario)
-    latency = sum(phase_latency(p, hw) for p in phases)
+    latencies = [phase_latency(p, hw) for p in phases]
+    latency = sum(latencies)
     if latency <= 0:
         raise ValidationError("scenario has no work; latency is zero")
     throughput = w.batch * w.gen_len / latency
@@ -117,11 +139,11 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     points = tuple(
         RooflinePoint(
             ai=arithmetic_intensity(p),
-            perf_attained=p.flops / phase_latency(p, hw),
+            perf_attained=p.flops / phase_latency_s,
             bound=classify(arithmetic_intensity(p), hw),
             label=f"{p.phase} {prefix}",
         )
-        for p in phases
+        for p, phase_latency_s in zip(phases, latencies)
     )
     return ScenarioResult(
         latency_s=latency, throughput_tok_s=throughput, points=points, phases=phases

@@ -3,11 +3,17 @@
 Everything in this module recomputes counts the slow, obvious way: explicit
 loops over tensor elements, or sums over enumerated matrix shapes.  Nothing
 here calls into lmroofline's arithmetic, so agreement between the two is
-evidence rather than tautology.  These oracles are only meant for the small
-shapes used in the tests; they make no attempt to be fast.
+evidence rather than tautology -- except the phase loops at the end, which
+assemble a phase one model forward at a time from `layer_forward_cost`
+(itself pinned down by the loop oracles above) and are the reference for the
+closed-form run assembly in phases.py.  These oracles are only meant for the
+small shapes used in the tests; they make no attempt to be fast.
 """
 
 from __future__ import annotations
+
+from lmroofline import CountingOptions, ModelConfig, layer_forward_cost
+from lmroofline.kernels import KernelCost
 
 
 def linear_flops_loops(batch: int, seq_len: int, d_in: int, d_out: int) -> int:
@@ -249,3 +255,61 @@ def max_fitting_batch_scan(footprint_fits) -> int:
         best = batch
         batch += 1
     return best
+
+
+def arm_decode_loop(
+    model: ModelConfig,
+    batch: int,
+    prompt_len: int,
+    gen_len: int,
+    dtype_bytes: int,
+    opts: CountingOptions,
+) -> list[tuple[str, KernelCost]]:
+    """arm_decode as gen_len separate one-token forwards, step t attending
+    to prompt_len + t cached positions and writing its own KV entry."""
+    entries = []
+    for t in range(1, gen_len + 1):
+        step = layer_forward_cost(
+            model, batch, 1, prompt_len + t, dtype_bytes,
+            causal=False, write_new_kv=True, opts=opts,
+        )
+        entries.extend((f"step{t}:{label}", kernel) for label, kernel in step)
+    return entries
+
+
+def blockwise_dlm_loop(
+    model: ModelConfig,
+    batch: int,
+    prompt_len: int,
+    gen_len: int,
+    steps: int,
+    block_size: int,
+    dtype_bytes: int,
+    opts: CountingOptions,
+    full_kv: bool = False,
+) -> list[tuple[str, KernelCost]]:
+    """dlm_block as one forward per refinement step of every block, then
+    (with include_cache_refresh) one full pass per block over the prompt
+    and every block decoded so far."""
+    num_blocks = -(-gen_len // block_size)
+    entries = []
+    for j in range(num_blocks):
+        start = j * block_size
+        width = min(block_size, gen_len - start)
+        block_steps = steps // num_blocks + (1 if j < steps % num_blocks else 0)
+        kv_len = prompt_len + gen_len if full_kv else prompt_len + start + width
+        for s in range(block_steps):
+            step = layer_forward_cost(
+                model, batch, width, kv_len, dtype_bytes,
+                causal=False, write_new_kv=False, opts=opts,
+            )
+            entries.extend((f"block{j}.{s}:{label}", kernel) for label, kernel in step)
+    if opts.include_cache_refresh:
+        for j in range(num_blocks):
+            covered = prompt_len + min((j + 1) * block_size, gen_len)
+            refresh = layer_forward_cost(
+                model, batch, covered, covered, dtype_bytes,
+                causal=False, write_new_kv=True, opts=opts,
+            )
+            entries.extend((f"refresh{j}:{label}", kernel) for label, kernel in refresh)
+    return entries

@@ -9,6 +9,7 @@ from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
     CountingOptions,
+    HardwareSpec,
     ModelConfig,
     PhaseCost,
     ValidationError,
@@ -18,9 +19,11 @@ from lmroofline import (
     blockwise_dlm_cost,
     layer_forward_cost,
     naive_dlm_cost,
+    phase_latency,
     ridge_point,
 )
-from lmroofline.kernels import KernelCost
+from lmroofline.kernels import KernelCost, KernelRun, kernel_run
+from lmroofline.roofline import kernel_time
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -189,6 +192,110 @@ def test_decode_aggregate_equals_sum_of_single_steps(
     assert whole.bytes == nbytes
 
 
+all_options = st.builds(
+    CountingOptions,
+    include_lm_head=st.booleans(),
+    include_cache_refresh=st.booleans(),
+    count_elementwise_bytes=st.booleans(),
+    causal_exact=st.booleans(),
+)
+
+
+def hardware_switching_inside_a_run(phase, data):
+    """Hardware whose ridge lies between the intensities of the first and
+    last step of one of the phase's runs, so kernel_time's bisection lands
+    inside it; any ridge when the phase has no run doing GEMM work."""
+    runs = [k for _, k in phase.breakdown if isinstance(k, KernelRun) and k.at(0)[0] > 0]
+    if runs:
+        run = data.draw(st.sampled_from(runs))
+        (f0, b0), (f1, b1) = run.at(0), run.at(run.count - 1)
+        ridge = f0 / b0 + data.draw(st.floats(0.0, 1.0)) * (f1 / b1 - f0 / b0)
+    else:
+        ridge = data.draw(st.floats(0.01, 100.0))
+    bandwidth = data.draw(st.sampled_from([1.0, 768e9, 2.039e12]))
+    return HardwareSpec("prop-hw", ridge * bandwidth, bandwidth, 0)
+
+
+def assert_matches_loop(phase, loop, hw):
+    assert phase.flops == sum(k.flops for _, k in loop)
+    assert phase.bytes == sum(k.bytes for _, k in loop)
+    expected = sum(kernel_time(k, hw) for _, k in loop)
+    assert phase_latency(phase, hw) == pytest.approx(expected, rel=1e-12, abs=0)
+    for _, run in phase.breakdown:
+        if isinstance(run, KernelRun):  # kernel_time needs non-decreasing intensity
+            for i in range(run.count - 1):
+                (f, b), (f_next, b_next) = run.at(i), run.at(i + 1)
+                assert f * b_next <= f_next * b
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=small_models,
+    batch=st.integers(min_value=1, max_value=3),
+    prompt_len=st.integers(min_value=0, max_value=8),
+    gen_len=st.integers(min_value=1, max_value=12),
+    dtype_bytes=st.sampled_from([1, 2, 4]),
+    opts=all_options,
+    data=st.data(),
+)
+def test_decode_runs_match_per_step_loop(
+    model, batch, prompt_len, gen_len, dtype_bytes, opts, data
+):
+    phase = arm_decode_cost(model, batch, prompt_len, gen_len, dtype_bytes, opts)
+    loop = oracles.arm_decode_loop(model, batch, prompt_len, gen_len, dtype_bytes, opts)
+    assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=small_models,
+    batch=st.integers(min_value=1, max_value=3),
+    prompt_len=st.integers(min_value=0, max_value=8),
+    gen_len=st.integers(min_value=1, max_value=12),
+    block_size=st.integers(min_value=1, max_value=12),
+    steps_extra=st.integers(min_value=0, max_value=8),
+    opts=all_options,
+    full_kv=st.booleans(),
+    data=st.data(),
+)
+def test_blockwise_runs_match_per_step_loop(
+    model, batch, prompt_len, gen_len, block_size, steps_extra, opts, full_kv, data
+):
+    block_size = min(block_size, gen_len)
+    steps = -(-gen_len // block_size) + steps_extra
+    phase = blockwise_dlm_cost(
+        model, batch, prompt_len, gen_len, steps, block_size, 2, opts, full_kv=full_kv
+    )
+    loop = oracles.blockwise_dlm_loop(
+        model, batch, prompt_len, gen_len, steps, block_size, 2, opts, full_kv=full_kv
+    )
+    assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
+
+
+@settings(max_examples=40)
+@given(
+    flops=st.integers(min_value=0, max_value=10**12),
+    nbytes=st.integers(min_value=1, max_value=10**12),
+    count=st.integers(min_value=1, max_value=10**6),
+)
+def test_constant_run_is_the_scaled_kernel(flops, nbytes, count):
+    kernel = KernelCost(flops, nbytes, "k")
+    run = kernel_run(count, [kernel] * min(count, 3))
+    assert run == kernel.scaled(count)
+    assert kernel_time(run, A6000) == max(flops * count / A6000.peak_flops,
+                                          nbytes * count / A6000.mem_bandwidth)
+
+
+def test_entry_count_does_not_grow_with_gen_len_or_blocks():
+    short = arm_decode_cost(LLAMA, 1, 2048, 2, 2)
+    long = arm_decode_cost(LLAMA, 1, 2048, 10**6, 2)
+    assert len(long.breakdown) == len(short.breakdown) == 8  # 7 linears + attention
+    refresh = CountingOptions(include_cache_refresh=True, include_lm_head=True)
+    one_block = blockwise_dlm_cost(LLADA, 1, 16, 4, 4, 4, 2, refresh)
+    many_blocks = blockwise_dlm_cost(LLADA, 1, 16, 4 * 4096, 4 * 4096, 4, 2, refresh)
+    assert len(many_blocks.breakdown) == len(one_block.breakdown)
+
+
 @settings(max_examples=60)
 @given(
     model=small_models,
@@ -238,8 +345,10 @@ def test_refresh_extent_clamps_to_generation_end():
     refreshed = blockwise_dlm_cost(
         TINY, 1, 2, 3, 2, 2, 2, CountingOptions(include_cache_refresh=True)
     )
-    labels = [label for label, _ in refreshed.breakdown]
-    assert any(label.startswith("refresh1:") for label in labels)
+    last_refresh = dict(refreshed.breakdown)["refresh1:attention"]
+    assert last_refresh.flops == TINY.num_layers * oracles.attention_flops_loops(
+        1, TINY.num_heads, TINY.head_dim, 5, 5, causal=False
+    )
     plain = blockwise_dlm_cost(TINY, 1, 2, 3, 2, 2, 2)
     refresh_flops = tiny_layer_flops(4, 4, causal=False) + tiny_layer_flops(5, 5, causal=False)
     assert refreshed.flops == plain.flops + refresh_flops
