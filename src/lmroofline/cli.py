@@ -12,19 +12,11 @@ import itertools
 import json
 import sys
 
-from .configs import (
-    HW_REGISTRY,
-    MODEL_REGISTRY,
-    Scenario,
-    list_hardware,
-    list_models,
-    load_scenario,
-    validate_workload,
-)
+from .configs import HW_REGISTRY, MODEL_REGISTRY, list_hardware, list_models, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
-from .roofline import end_to_end, ridge_point
-from .sweep import SweepRow, _resolve_point, emit_csv, evaluate_point, load_grid, run_sweep
+from .roofline import _end_to_end, ridge_point
+from .sweep import SweepRow, emit_csv, evaluate_point, load_grid, map_grid, run_sweep
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 
@@ -73,19 +65,23 @@ def _build_parser() -> _Parser:
 
 
 def _row_json(row: SweepRow) -> str:
-    return json.dumps(dataclasses.asdict(row))
+    try:
+        return json.dumps(dataclasses.asdict(row), allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"result has a non-finite number: {row}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
     row = evaluate_point(scenario)
+    payload = _row_json(row)
     width = max(len(f.name) for f in dataclasses.fields(row))
     for f in dataclasses.fields(row):
         value = getattr(row, f.name)
         if isinstance(value, float):
             value = f"{value:.6g}"
         print(f"{f.name:<{width}}  {value}")
-    print(_row_json(row))
+    print(payload)
     return 0
 
 
@@ -98,16 +94,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
     grid = load_grid(args.config)
-    points = []
-    for combo in itertools.product(*(values for _, values in grid.axes)):
-        w = _resolve_point(grid, combo)
-        point = dict(zip((name for name, _ in grid.axes), combo))
-        try:
-            validate_workload(w, grid.model)
-        except ValidationError as exc:
-            raise ValidationError(f"grid point {point}: {exc}") from exc
-        result = end_to_end(Scenario(grid.model, grid.hardware, w))
-        points.extend(result.points)
+    per_point = map_grid(grid, lambda scenario: _end_to_end(scenario).points)
+    points = [point for scenario_points in per_point for point in scenario_points]
     emit_roofline_svg(points, grid.hardware, args.output)
     print(f"wrote {len(points)} points to {args.output}")
     return 0

@@ -1,5 +1,9 @@
 """Model, hardware, and workload definitions plus the built-in registries.
 
+Inputs are checked here: the dataclasses check their own fields, and
+`validate_workload` holds every workload invariant. The JSON loaders call
+both, so a scenario or grid point that reaches the cost model is valid.
+
 Registry constants are transcribed from the models' published configuration
 files and from vendor datasheets for the GPUs; see the README for the exact
 provenance of each entry.
@@ -8,6 +12,7 @@ provenance of each entry.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from math import ceil
@@ -20,6 +25,25 @@ ATTENTION_KINDS = ("causal_capable", "bidirectional_only")
 MODES = ("arm", "dlm_naive", "dlm_block")
 DLM_MODES = ("dlm_naive", "dlm_block")
 DTYPE_BYTES_ALLOWED = (1, 2, 4)
+
+
+def require_int(name: str, value: Any, minimum: int) -> int:
+    """Return value if it is an int >= minimum, else raise naming `name`.
+
+    A bool is not accepted as an int, and neither is an integral float.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum} (got {value!r})")
+    return value
+
+
+def _is_finite_number(value: Any) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,9 +73,7 @@ class ModelConfig:
             "ffn_dim",
             "vocab_size",
         ):
-            value = getattr(self, fname)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(f"{fname} must be a positive integer (got {value!r})")
+            require_int(fname, getattr(self, fname), 1)
         if self.mlp_kind not in MLP_KINDS:
             raise ValidationError(
                 f"mlp_kind must be one of {MLP_KINDS} (got {self.mlp_kind!r})"
@@ -86,11 +108,11 @@ class HardwareSpec:
             raise ValidationError(f"name must be a nonempty string (got {self.name!r})")
         for fname in ("peak_flops", "mem_bandwidth"):
             value = getattr(self, fname)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-                raise ValidationError(f"{fname} must be positive (got {value!r})")
+            if not _is_finite_number(value) or value <= 0:
+                raise ValidationError(f"{fname} must be a positive finite number (got {value!r})")
         cap = self.mem_capacity
-        if not isinstance(cap, (int, float)) or isinstance(cap, bool) or cap < 0:
-            raise ValidationError(f"mem_capacity must be >= 0 (got {cap!r})")
+        if not _is_finite_number(cap) or cap < 0:
+            raise ValidationError(f"mem_capacity must be a finite number >= 0 (got {cap!r})")
 
 
 @dataclass(frozen=True)
@@ -147,11 +169,10 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
     w = workload
     if w.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES} (got {w.mode!r})")
-    for fname, minimum in (("batch", 1), ("prompt_len", 0), ("gen_len", 1)):
-        value = getattr(w, fname)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise ValidationError(f"{fname} must be an integer >= {minimum} (got {value!r})")
-    if w.dtype_bytes not in DTYPE_BYTES_ALLOWED:
+    require_int("batch", w.batch, 1)
+    require_int("prompt_len", w.prompt_len, 0)
+    require_int("gen_len", w.gen_len, 1)
+    if require_int("dtype_bytes", w.dtype_bytes, 1) not in DTYPE_BYTES_ALLOWED:
         raise ValidationError(
             f"dtype_bytes must be one of {DTYPE_BYTES_ALLOWED} (got {w.dtype_bytes!r})"
         )
@@ -172,8 +193,7 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
 
     if w.steps is None:
         raise ValidationError(f"steps is required for mode '{w.mode}'")
-    if not isinstance(w.steps, int) or isinstance(w.steps, bool) or w.steps < 1:
-        raise ValidationError(f"steps must be a positive integer (got {w.steps!r})")
+    require_int("steps", w.steps, 1)
 
     if w.mode == "dlm_naive":
         if w.block_size is not None:
@@ -182,8 +202,7 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
 
     if w.block_size is None:
         raise ValidationError("block_size is required for mode 'dlm_block'")
-    if not isinstance(w.block_size, int) or isinstance(w.block_size, bool) or w.block_size < 1:
-        raise ValidationError(f"block_size must be a positive integer (got {w.block_size!r})")
+    require_int("block_size", w.block_size, 1)
     if w.block_size > w.gen_len:
         raise ValidationError(
             f"block size exceeds generation length (block_size {w.block_size} > gen_len {w.gen_len})"

@@ -12,6 +12,14 @@ Counting conventions, applied uniformly everywhere:
   no q_len x kv_len byte term appears.
 
 All counts are exact Python integers.
+
+Inputs are checked at two places only: the JSON boundary (`configs`) and the
+public functions. `linear_cost`, `attention_cost`, `elementwise_bytes` and
+`attention_pair_count` check their arguments and then call the private,
+unchecked `_linear`, `_attention`, `_elementwise` and `_pair_count`. Phase
+assembly calls the private ones directly, and only with the shapes of a
+validated model and workload; their `count` argument builds the aggregate
+of that many identical invocations in one step.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
+from .configs import require_int
 from .errors import ValidationError
 
 
@@ -125,10 +134,16 @@ def _newton(values: list[int]) -> tuple[int, int, int]:
     return v0, v1 - v0, v2 - 2 * v1 + v0
 
 
-def _require_at_least_one(**values: int) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer (got {value!r})")
+def _linear(
+    batch: int, seq_len: int, d_in: int, d_out: int, dtype_bytes: int, count: int = 1
+) -> KernelCost:
+    """Unchecked linear_cost of `count` identical invocations."""
+    tokens = batch * seq_len
+    return KernelCost(
+        2 * tokens * d_in * d_out * count,
+        dtype_bytes * (d_in * d_out + tokens * d_in + tokens * d_out) * count,
+        f"linear[{d_in}x{d_out}]",
+    )
 
 
 def linear_cost(
@@ -137,19 +152,28 @@ def linear_cost(
     d_in: int,
     d_out: int,
     dtype_bytes: int,
-    label: str | None = None,
 ) -> KernelCost:
     """Cost of the GEMM x[batch*seq_len, d_in] @ W[d_in, d_out].
 
     The weight matrix is charged once per invocation, which is what makes a
     one-token decode step weight-traffic dominated.
     """
-    _require_at_least_one(
-        batch=batch, seq_len=seq_len, d_in=d_in, d_out=d_out, dtype_bytes=dtype_bytes
-    )
-    flops = 2 * batch * seq_len * d_in * d_out
-    moved = dtype_bytes * (d_in * d_out + batch * seq_len * d_in + batch * seq_len * d_out)
-    return KernelCost(flops, moved, label or f"linear[{d_in}x{d_out}]")
+    for name, value in (
+        ("batch", batch),
+        ("seq_len", seq_len),
+        ("d_in", d_in),
+        ("d_out", d_out),
+        ("dtype_bytes", dtype_bytes),
+    ):
+        require_int(name, value, 1)
+    return _linear(batch, seq_len, d_in, d_out, dtype_bytes)
+
+
+def _pair_count(q_len: int, kv_len: int, causal: bool) -> int:
+    """Unchecked attention_pair_count."""
+    if not causal:
+        return q_len * kv_len
+    return q_len * (kv_len - q_len) + q_len * (q_len + 1) // 2
 
 
 def attention_pair_count(q_len: int, kv_len: int, causal: bool) -> int:
@@ -158,14 +182,35 @@ def attention_pair_count(q_len: int, kv_len: int, causal: bool) -> int:
     Causal counting places the q_len queries at the end of the kv_len key
     range: query i (0-based) sees the first kv_len - q_len + i + 1 keys.
     """
-    _require_at_least_one(q_len=q_len, kv_len=kv_len)
-    if not causal:
-        return q_len * kv_len
-    if kv_len < q_len:
+    require_int("q_len", q_len, 1)
+    require_int("kv_len", kv_len, 1)
+    if causal and kv_len < q_len:
         raise ValidationError(
             f"kv_len must be >= q_len for causal attention ({kv_len} < {q_len})"
         )
-    return q_len * (kv_len - q_len) + q_len * (q_len + 1) // 2
+    return _pair_count(q_len, kv_len, causal)
+
+
+def _attention(
+    batch: int,
+    num_heads: int,
+    num_kv_heads: int,
+    head_dim: int,
+    q_len: int,
+    kv_len: int,
+    dtype_bytes: int,
+    causal: bool,
+    write_new_kv: bool,
+    count: int = 1,
+) -> KernelCost:
+    """Unchecked attention_cost of `count` identical invocations."""
+    flops = 2 * batch * num_heads * head_dim * _pair_count(q_len, kv_len, causal) * 2
+    kv_read = 2 * batch * num_kv_heads * kv_len * head_dim
+    q_read = batch * num_heads * q_len * head_dim
+    out_write = batch * num_heads * q_len * head_dim
+    kv_write = 2 * batch * num_kv_heads * q_len * head_dim if write_new_kv else 0
+    moved = dtype_bytes * (kv_read + q_read + out_write + kv_write)
+    return KernelCost(flops * count, moved * count, f"attention[q={q_len},kv={kv_len}]")
 
 
 def attention_cost(
@@ -178,7 +223,6 @@ def attention_cost(
     dtype_bytes: int,
     causal: bool,
     write_new_kv: bool,
-    label: str | None = None,
 ) -> KernelCost:
     """Cost of one fused attention invocation.
 
@@ -187,25 +231,29 @@ def attention_cost(
     attention), reading Q, writing the output, and optionally appending the
     q_len new positions to the KV cache.
     """
-    _require_at_least_one(
-        batch=batch,
-        num_heads=num_heads,
-        num_kv_heads=num_kv_heads,
-        head_dim=head_dim,
-        dtype_bytes=dtype_bytes,
-    )
+    for name, value in (
+        ("batch", batch),
+        ("num_heads", num_heads),
+        ("num_kv_heads", num_kv_heads),
+        ("head_dim", head_dim),
+        ("dtype_bytes", dtype_bytes),
+    ):
+        require_int(name, value, 1)
     if num_kv_heads > num_heads:
         raise ValidationError(
             f"num_kv_heads must be <= num_heads ({num_kv_heads} > {num_heads})"
         )
-    pairs = attention_pair_count(q_len, kv_len, causal)
-    flops = 2 * batch * num_heads * head_dim * pairs * 2
-    kv_read = 2 * batch * num_kv_heads * kv_len * head_dim
-    q_read = batch * num_heads * q_len * head_dim
-    out_write = batch * num_heads * q_len * head_dim
-    kv_write = 2 * batch * num_kv_heads * q_len * head_dim if write_new_kv else 0
-    moved = dtype_bytes * (kv_read + q_read + out_write + kv_write)
-    return KernelCost(flops, moved, label or f"attention[q={q_len},kv={kv_len}]")
+    attention_pair_count(q_len, kv_len, causal)
+    return _attention(
+        batch, num_heads, num_kv_heads, head_dim, q_len, kv_len, dtype_bytes, causal, write_new_kv
+    )
+
+
+def _elementwise(
+    batch: int, seq_len: int, width: int, passes: int, dtype_bytes: int, count: int = 1
+) -> KernelCost:
+    """Unchecked elementwise_bytes of `count` identical invocations."""
+    return KernelCost(0, passes * 2 * batch * seq_len * width * dtype_bytes * count, "elementwise")
 
 
 def elementwise_bytes(
@@ -224,7 +272,5 @@ def elementwise_bytes(
         ("passes", passes),
         ("dtype_bytes", dtype_bytes),
     ):
-        if not isinstance(value, int) or value < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer (got {value!r})")
-    moved = passes * 2 * batch * seq_len * width * dtype_bytes
-    return KernelCost(0, moved, "elementwise")
+        require_int(name, value, 0)
+    return _elementwise(batch, seq_len, width, passes, dtype_bytes)

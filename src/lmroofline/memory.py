@@ -93,8 +93,13 @@ def peak_footprint(scenario: Scenario) -> MemoryFootprint:
     ARM and block-wise diffusion both hold the full-sequence KV cache;
     naive diffusion holds none but streams full-sequence activations.
     """
+    validate_workload(scenario.workload, scenario.model)
+    return _footprint(scenario)
+
+
+def _footprint(scenario: Scenario) -> MemoryFootprint:
+    """peak_footprint of a scenario whose workload is already validated."""
     m, hw, w = scenario.model, scenario.hardware, scenario.workload
-    validate_workload(w, m)
     weights = weight_bytes(m, w.dtype_bytes)
     if w.mode == "dlm_naive":
         kv = 0
@@ -115,12 +120,14 @@ def max_fitting_batch(model: ModelConfig, hw: HardwareSpec, workload: WorkloadSp
     """Largest batch at which the workload still fits; 0 if none does.
 
     Footprint is strictly increasing in batch, so a doubling scan followed
-    by bisection is exact.
+    by bisection is exact. The workload is validated once, at batch 1; the
+    batch is the only field the probes change.
     """
+    validate_workload(replace(workload, batch=1), model)
 
     def fits(b: int) -> bool:
         probe = Scenario(model=model, hardware=hw, workload=replace(workload, batch=b))
-        return peak_footprint(probe).fits
+        return _footprint(probe).fits
 
     if not fits(1):
         return 0

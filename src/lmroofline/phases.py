@@ -3,8 +3,9 @@
 A phase is a bag of kernel invocations, kept as breakdown entries whose
 number does not grow with gen_len or the block count. Identical invocations
 (the same kernel repeated across layers or steps) are aggregated into one
-entry via `KernelCost.scaled`, which is exact for both totals and roofline
-time because per-kernel time is homogeneous in (flops, bytes). Kernels whose
+entry, built already scaled by the private kernels' `count` argument; this
+is exact for both totals and roofline time because per-kernel time is
+homogeneous in (flops, bytes). Kernels whose
 shape changes from step to step -- decode attention, whose KV length grows
 every step, and the cache-refresh passes, whose extent grows every block --
 form one `KernelRun` per kernel kind over a range of consecutive steps or
@@ -13,6 +14,13 @@ blocks, labelled with that range (`attention[kv=2049..6144]`,
 index, fixed exactly by sampling the kernel functions at up to three
 indices; along every run the arithmetic intensity is non-decreasing, which
 `roofline.kernel_time` relies on.
+
+Inputs are checked at the JSON boundary (`configs`) and by the public
+functions. The public phase functions check their own scalar arguments
+(with `configs.require_int`, plus the invariants that involve the model or
+several arguments) and then build entries from the unchecked private
+kernels of `kernels.py`, so those kernels only ever see the shapes of a
+validated model and workload.
 """
 
 from __future__ import annotations
@@ -21,16 +29,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import ceil
 
-from .configs import CountingOptions, ModelConfig
+from .configs import CountingOptions, ModelConfig, require_int
 from .errors import ValidationError
-from .kernels import (
-    KernelCost,
-    KernelRun,
-    attention_cost,
-    elementwise_bytes,
-    kernel_run,
-    linear_cost,
-)
+from .kernels import KernelCost, KernelRun, _attention, _elementwise, _linear, kernel_run
 
 PHASES = ("arm_prefill", "arm_decode", "dlm_naive", "dlm_block")
 
@@ -65,8 +66,10 @@ class PhaseCost:
             raise ValidationError(f"phase must be one of {PHASES} (got {self.phase!r})")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1 (got {self.steps})")
-        flops = sum(k.flops for _, k in self.breakdown)
-        moved = sum(k.bytes for _, k in self.breakdown)
+        flops = moved = 0
+        for _, kernel in self.breakdown:
+            flops += kernel.flops
+            moved += kernel.bytes
         if flops != self.flops or moved != self.bytes:
             raise ValidationError(
                 f"phase totals disagree with breakdown "
@@ -77,13 +80,11 @@ class PhaseCost:
 def _make_phase(
     phase: str, entries: list[tuple[str, KernelCost | KernelRun]], steps: int
 ) -> PhaseCost:
-    return PhaseCost(
-        phase=phase,
-        flops=sum(k.flops for _, k in entries),
-        bytes=sum(k.bytes for _, k in entries),
-        breakdown=tuple(entries),
-        steps=steps,
-    )
+    flops = moved = 0
+    for _, kernel in entries:
+        flops += kernel.flops
+        moved += kernel.bytes
+    return PhaseCost(phase=phase, flops=flops, bytes=moved, breakdown=tuple(entries), steps=steps)
 
 
 def arithmetic_intensity(cost: PhaseCost | KernelCost) -> float:
@@ -94,28 +95,32 @@ def arithmetic_intensity(cost: PhaseCost | KernelCost) -> float:
 
 
 def _per_layer_core(
-    model: ModelConfig, batch: int, q_len: int, dtype_bytes: int, opts: CountingOptions
+    model: ModelConfig,
+    batch: int,
+    q_len: int,
+    dtype_bytes: int,
+    opts: CountingOptions,
+    count: int,
 ) -> list[tuple[str, KernelCost]]:
-    """Single-layer kernels except attention, for one forward of q_len tokens."""
+    """Single-layer kernels except attention, for `count` forwards of q_len tokens.
+
+    Projections of the same shape share one KernelCost.
+    """
     d = model.d_model
     kv_dim = model.num_kv_heads * model.head_dim
-    entries = [
-        ("q_proj", linear_cost(batch, q_len, d, d, dtype_bytes)),
-        ("k_proj", linear_cost(batch, q_len, d, kv_dim, dtype_bytes)),
-        ("v_proj", linear_cost(batch, q_len, d, kv_dim, dtype_bytes)),
-        ("out_proj", linear_cost(batch, q_len, d, d, dtype_bytes)),
-    ]
+    square = _linear(batch, q_len, d, d, dtype_bytes, count)
+    narrow = _linear(batch, q_len, d, kv_dim, dtype_bytes, count)
+    up = _linear(batch, q_len, d, model.ffn_dim, dtype_bytes, count)
+    entries = [("q_proj", square), ("k_proj", narrow), ("v_proj", narrow), ("out_proj", square)]
     if model.mlp_kind == "swiglu":
-        entries.append(("mlp_gate", linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes)))
-        entries.append(("mlp_up", linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes)))
-    else:
-        entries.append(("mlp_up", linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes)))
-    entries.append(("mlp_down", linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes)))
+        entries.append(("mlp_gate", up))
+    entries.append(("mlp_up", up))
+    entries.append(("mlp_down", _linear(batch, q_len, model.ffn_dim, d, dtype_bytes, count)))
     if opts.count_elementwise_bytes:
         entries.append(
             (
                 "elementwise",
-                elementwise_bytes(batch, q_len, d, ELEMENTWISE_PASSES_PER_LAYER, dtype_bytes),
+                _elementwise(batch, q_len, d, ELEMENTWISE_PASSES_PER_LAYER, dtype_bytes, count),
             )
         )
     return entries
@@ -130,11 +135,12 @@ def _attention_kernel(
     causal: bool,
     write_new_kv: bool,
     opts: CountingOptions,
+    count: int,
 ) -> KernelCost:
     # With causal_exact off, causal passes fall back to the full q_len x
     # kv_len rectangle, which is the same pair count as non-causal.
     effective_causal = causal and opts.causal_exact
-    return attention_cost(
+    return _attention(
         batch,
         model.num_heads,
         model.num_kv_heads,
@@ -144,7 +150,33 @@ def _attention_kernel(
         dtype_bytes,
         effective_causal,
         write_new_kv,
+        count,
     )
+
+
+def _forward(
+    model: ModelConfig,
+    batch: int,
+    q_len: int,
+    kv_len: int,
+    dtype_bytes: int,
+    causal: bool,
+    write_new_kv: bool,
+    opts: CountingOptions,
+    count: int,
+) -> list[tuple[str, KernelCost]]:
+    """Unchecked layer_forward_cost of `count` identical full-model forwards."""
+    layers = model.num_layers * count
+    entries = _per_layer_core(model, batch, q_len, dtype_bytes, opts, layers)
+    attn = _attention_kernel(
+        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, layers
+    )
+    entries.insert(4, ("attention", attn))
+    if opts.include_lm_head:
+        entries.append(
+            ("lm_head", _linear(batch, q_len, model.d_model, model.vocab_size, dtype_bytes, count))
+        )
+    return entries
 
 
 def layer_forward_cost(
@@ -162,17 +194,15 @@ def layer_forward_cost(
     Returns breakdown entries already scaled by num_layers, plus the LM head
     once when opts.include_lm_head is set.
     """
-    entries = [
-        (label, kernel.scaled(model.num_layers))
-        for label, kernel in _per_layer_core(model, batch, q_len, dtype_bytes, opts)
-    ]
-    attn = _attention_kernel(model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts)
-    entries.insert(4, ("attention", attn.scaled(model.num_layers)))
-    if opts.include_lm_head:
-        entries.append(
-            ("lm_head", linear_cost(batch, q_len, model.d_model, model.vocab_size, dtype_bytes))
+    require_int("batch", batch, 1)
+    require_int("q_len", q_len, 1)
+    require_int("kv_len", kv_len, 1)
+    require_int("dtype_bytes", dtype_bytes, 1)
+    if causal and opts.causal_exact and kv_len < q_len:
+        raise ValidationError(
+            f"kv_len must be >= q_len for causal attention ({kv_len} < {q_len})"
         )
-    return entries
+    return _forward(model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, 1)
 
 
 def _span(first: int, last: int) -> str:
@@ -209,6 +239,14 @@ def _require_causal_capable(model: ModelConfig, phase: str) -> None:
         )
 
 
+def _require_request(batch: int, prompt_len: int, gen_len: int, dtype_bytes: int) -> None:
+    """Check the arguments the generating phases share."""
+    require_int("batch", batch, 1)
+    require_int("prompt_len", prompt_len, 0)
+    require_int("gen_len", gen_len, 1)
+    require_int("dtype_bytes", dtype_bytes, 1)
+
+
 def arm_prefill_cost(
     model: ModelConfig,
     batch: int,
@@ -219,10 +257,12 @@ def arm_prefill_cost(
     """One causal pass over the prompt, writing the KV cache."""
     opts = opts or CountingOptions()
     _require_causal_capable(model, "arm_prefill")
-    if prompt_len < 1:
-        raise ValidationError(f"prompt_len must be >= 1 for prefill (got {prompt_len})")
-    entries = layer_forward_cost(
-        model, batch, prompt_len, prompt_len, dtype_bytes, causal=True, write_new_kv=True, opts=opts
+    require_int("batch", batch, 1)
+    require_int("prompt_len", prompt_len, 1)
+    require_int("dtype_bytes", dtype_bytes, 1)
+    entries = _forward(
+        model, batch, prompt_len, prompt_len, dtype_bytes,
+        causal=True, write_new_kv=True, opts=opts, count=1,
     )
     return _make_phase("arm_prefill", entries, steps=1)
 
@@ -244,28 +284,23 @@ def arm_decode_cost(
     """
     opts = opts or CountingOptions()
     _require_causal_capable(model, "arm_decode")
-    if gen_len < 1:
-        raise ValidationError(f"gen_len must be >= 1 (got {gen_len})")
-    if prompt_len < 0:
-        raise ValidationError(f"prompt_len must be >= 0 (got {prompt_len})")
-    entries = [
-        (label, kernel.scaled(model.num_layers * gen_len))
-        for label, kernel in _per_layer_core(model, batch, 1, dtype_bytes, opts)
-    ]
+    _require_request(batch, prompt_len, gen_len, dtype_bytes)
+    layers = model.num_layers
+    entries = _per_layer_core(model, batch, 1, dtype_bytes, opts, layers * gen_len)
     attn = kernel_run(
         gen_len,
         [
             _attention_kernel(
                 model, batch, 1, prompt_len + t, dtype_bytes,
-                causal=False, write_new_kv=True, opts=opts,
-            ).scaled(model.num_layers)
+                causal=False, write_new_kv=True, opts=opts, count=layers,
+            )
             for t in range(1, min(gen_len, 3) + 1)
         ],
     )
     entries.append((f"attention[kv={_span(prompt_len + 1, prompt_len + gen_len)}]", attn))
     if opts.include_lm_head:
-        head = linear_cost(batch, 1, model.d_model, model.vocab_size, dtype_bytes)
-        entries.append(("lm_head", head.scaled(gen_len)))
+        head = _linear(batch, 1, model.d_model, model.vocab_size, dtype_bytes, gen_len)
+        entries.append(("lm_head", head))
     return _make_phase("arm_decode", entries, steps=gen_len)
 
 
@@ -284,17 +319,13 @@ def naive_dlm_cost(
     all prompt_len + gen_len positions and writes nothing back.
     """
     opts = opts or CountingOptions()
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1 (got {steps})")
-    if gen_len < 1:
-        raise ValidationError(f"gen_len must be >= 1 (got {gen_len})")
-    if prompt_len < 0:
-        raise ValidationError(f"prompt_len must be >= 0 (got {prompt_len})")
+    require_int("steps", steps, 1)
+    _require_request(batch, prompt_len, gen_len, dtype_bytes)
     total = prompt_len + gen_len
-    one_pass = layer_forward_cost(
-        model, batch, total, total, dtype_bytes, causal=False, write_new_kv=False, opts=opts
+    entries = _forward(
+        model, batch, total, total, dtype_bytes,
+        causal=False, write_new_kv=False, opts=opts, count=steps,
     )
-    entries = [(label, kernel.scaled(steps)) for label, kernel in one_pass]
     return _make_phase("dlm_naive", entries, steps=steps)
 
 
@@ -329,12 +360,9 @@ def blockwise_dlm_cost(
     (`refresh0..14:attention`).
     """
     opts = opts or CountingOptions()
-    if gen_len < 1:
-        raise ValidationError(f"gen_len must be >= 1 (got {gen_len})")
-    if prompt_len < 0:
-        raise ValidationError(f"prompt_len must be >= 0 (got {prompt_len})")
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1 (got {block_size})")
+    _require_request(batch, prompt_len, gen_len, dtype_bytes)
+    require_int("block_size", block_size, 1)
+    require_int("steps", steps, 1)
     if block_size > gen_len:
         raise ValidationError(
             f"block size exceeds generation length (block_size {block_size} > gen_len {gen_len})"
@@ -353,6 +381,7 @@ def blockwise_dlm_cost(
     width_cuts = {0, num_blocks}
     if gen_len % block_size:
         width_cuts.add(num_blocks - 1)
+    layers = model.num_layers
     entries: list[tuple[str, KernelCost | KernelRun]] = []
     for first, end in _ranges(width_cuts | {extra}):
         count = end - first
@@ -363,33 +392,35 @@ def blockwise_dlm_cost(
         def kv_len(j: int) -> int:
             return prompt_len + gen_len if full_kv else prompt_len + j * block_size + width
 
-        for label, kernel in _per_layer_core(model, batch, width, dtype_bytes, opts):
-            entries.append(
-                (f"{tag}:{label}", kernel.scaled(model.num_layers * block_steps * count))
-            )
+        for label, kernel in _per_layer_core(
+            model, batch, width, dtype_bytes, opts, layers * block_steps * count
+        ):
+            entries.append((f"{tag}:{label}", kernel))
         attn = kernel_run(
             count,
             [
                 _attention_kernel(
                     model, batch, width, kv_len(j), dtype_bytes,
-                    causal=False, write_new_kv=False, opts=opts,
-                ).scaled(model.num_layers * block_steps)
+                    causal=False, write_new_kv=False, opts=opts, count=layers * block_steps,
+                )
                 for j in range(first, min(end, first + 3))
             ],
         )
         entries.append((f"{tag}:attention[kv={_span(kv_len(first), kv_len(end - 1))}]", attn))
         if opts.include_lm_head:
-            head = linear_cost(batch, width, model.d_model, model.vocab_size, dtype_bytes)
-            entries.append((f"{tag}:lm_head", head.scaled(block_steps * count)))
+            head = _linear(
+                batch, width, model.d_model, model.vocab_size, dtype_bytes, block_steps * count
+            )
+            entries.append((f"{tag}:lm_head", head))
     total_steps = steps
     if opts.include_cache_refresh:
         for first, end in _ranges(width_cuts):
 
             def refresh(i: int) -> list[tuple[str, KernelCost]]:
                 covered = prompt_len + min((first + i + 1) * block_size, gen_len)
-                return layer_forward_cost(
+                return _forward(
                     model, batch, covered, covered, dtype_bytes,
-                    causal=False, write_new_kv=True, opts=opts,
+                    causal=False, write_new_kv=True, opts=opts, count=1,
                 )
 
             tag = f"refresh{_span(first, end - 1)}"

@@ -84,8 +84,13 @@ def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
     """The phase costs a scenario's workload consists of, in execution order."""
+    validate_workload(scenario.workload, scenario.model)
+    return _phases(scenario)
+
+
+def _phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
+    """scenario_phases of a scenario whose workload is already validated."""
     m, w = scenario.model, scenario.workload
-    validate_workload(w, m)
     if w.mode == "arm":
         phases = []
         if w.prompt_len >= 1:
@@ -128,8 +133,14 @@ class ScenarioResult:
 
 def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
+    validate_workload(scenario.workload, scenario.model)
+    return _end_to_end(scenario)
+
+
+def _end_to_end(scenario: Scenario) -> ScenarioResult:
+    """end_to_end of a scenario whose workload is already validated."""
     w, hw = scenario.workload, scenario.hardware
-    phases = scenario_phases(scenario)
+    phases = _phases(scenario)
     latencies = [phase_latency(p, hw) for p in phases]
     latency = sum(latencies)
     if latency <= 0:

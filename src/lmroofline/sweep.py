@@ -3,14 +3,26 @@
 Grid points are enumerated in lexicographic order of the axes as listed:
 the first axis varies slowest. Evaluation is pure, so re-running a sweep
 reproduces the output byte for byte.
+
+Inputs are checked at the JSON boundary and by the public functions.
+`map_grid` is the one loop over a grid's points, used by `run_sweep` and by
+the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
+and validates it once, with `configs.validate_workload`, naming the point in
+any error; the per-point callback then evaluates it on the unchecked paths
+(`roofline._end_to_end`, `memory._footprint`), whose phase assembly calls
+the private kernels only on this validated workload. The public
+`evaluate_point`, like the other public entry points, validates its
+scenario itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from math import log
+from typing import TypeVar
 
 from .configs import (
     DLM_MODES,
@@ -26,8 +38,8 @@ from .configs import (
     workload_from_dict,
 )
 from .errors import ValidationError
-from .memory import peak_footprint
-from .roofline import classify, end_to_end
+from .memory import _footprint
+from .roofline import _end_to_end, classify
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
@@ -128,18 +140,45 @@ def load_grid(path: str) -> SweepGrid:
     return grid_from_dict(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _resolve_point(grid: SweepGrid, combo: tuple[int, ...]) -> WorkloadSpec:
-    updates = dict(zip((name for name, _ in grid.axes), combo))
-    w = replace(grid.base, **updates)
-    if w.steps is None and w.mode in DLM_MODES:
-        w = replace(w, steps=w.gen_len)
-    return w
+def _resolve_point(grid: SweepGrid, point: dict[str, int]) -> WorkloadSpec:
+    """The workload at one grid point; unset dlm steps track the point's gen_len."""
+    base = grid.base
+    if point.get("steps", base.steps) is None and base.mode in DLM_MODES:
+        point = {**point, "steps": point.get("gen_len", base.gen_len)}
+    return replace(base, **point)
+
+
+T = TypeVar("T")
+
+
+def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], T]) -> list[T]:
+    """evaluate(scenario) at every grid point, first listed axis varying slowest.
+
+    Each point's workload is validated once, here, so `evaluate` may take
+    the unchecked paths. A ValidationError from either step names the point.
+    """
+    names = [name for name, _ in grid.axes]
+    results = []
+    for combo in itertools.product(*(values for _, values in grid.axes)):
+        point = dict(zip(names, combo))
+        try:
+            workload = validate_workload(_resolve_point(grid, point), grid.model)
+            results.append(evaluate(Scenario(grid.model, grid.hardware, workload)))
+        except ValidationError as exc:
+            raise ValidationError(f"grid point {point}: {exc}") from exc
+    return results
 
 
 def evaluate_point(scenario: Scenario) -> SweepRow:
     """Evaluate one scenario into a report row."""
-    result = end_to_end(scenario)
-    footprint = peak_footprint(scenario)
+    validate_workload(scenario.workload, scenario.model)
+    return _evaluate_point(scenario)
+
+
+def _evaluate_point(scenario: Scenario) -> SweepRow:
+    """evaluate_point of a scenario whose workload is already validated."""
+    result = _end_to_end(scenario)
+    footprint = _footprint(scenario)
     w = scenario.workload
     flops = result.flops
     moved = result.bytes
@@ -164,16 +203,7 @@ def evaluate_point(scenario: Scenario) -> SweepRow:
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every grid point, first listed axis varying slowest."""
-    rows = []
-    for combo in itertools.product(*(values for _, values in grid.axes)):
-        w = _resolve_point(grid, combo)
-        point = dict(zip((name for name, _ in grid.axes), combo))
-        try:
-            validate_workload(w, grid.model)
-            rows.append(evaluate_point(Scenario(grid.model, grid.hardware, w)))
-        except ValidationError as exc:
-            raise ValidationError(f"grid point {point}: {exc}") from exc
-    return rows
+    return map_grid(grid, _evaluate_point)
 
 
 def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:

@@ -99,6 +99,71 @@ def test_sweep_invalid_point_exits_1_naming_it(tmp_path, capsys):
     assert "256" in err
 
 
+@pytest.mark.parametrize("command", [["roofline"], ["plot", "--kind", "ai"]])
+def test_grid_command_invalid_point_exits_1_naming_it(tmp_path, capsys, command):
+    doc = {
+        "model": "llada-8b",
+        "hardware": "rtx-a6000",
+        "mode": "dlm_block",
+        "batch": 1,
+        "prompt_len": 64,
+        "gen_len": 128,
+        "steps": 128,
+        "axes": {"block_size": [32, 256]},
+    }
+    config = write_json(tmp_path, "grid.json", doc)
+    out_svg = tmp_path / "out.svg"
+    assert main([*command, "-c", config, "-o", str(out_svg)]) == 1
+    err = capsys.readouterr().err
+    assert "grid point {'block_size': 256}" in err
+    assert not out_svg.exists()
+
+
+def hardware_doc(**overrides):
+    doc = {"name": "gpu", "peak_flops": 1e14, "mem_bandwidth": 1e12, "mem_capacity": 4e10}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("field", ["peak_flops", "mem_bandwidth", "mem_capacity"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_hardware_exits_1(tmp_path, capsys, field, bad):
+    # json.dumps writes NaN and Infinity literals, which json.load reads back.
+    write_json(tmp_path, "hw.json", hardware_doc(**{field: bad}))
+    config = write_json(tmp_path, "scenario.json", arm_scenario_doc(hardware="hw.json"))
+    assert main(["analyze", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_non_finite_result_exits_1_without_printing_a_row(tmp_path, capsys):
+    # A positive, finite but subnormal bandwidth makes the latency overflow to inf.
+    write_json(tmp_path, "hw.json", hardware_doc(mem_bandwidth=1e-310))
+    config = write_json(tmp_path, "scenario.json", arm_scenario_doc(hardware="hw.json"))
+    assert main(["analyze", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_bool_dtype_bytes_exits_1(tmp_path, capsys):
+    config = write_json(tmp_path, "scenario.json", arm_scenario_doc(dtype_bytes=True))
+    assert main(["analyze", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dtype_bytes" in captured.err
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_non_int_dtype_bytes_on_a_sweep_axis_exits_1(tmp_path, capsys, bad):
+    # `True in (1, 2, 4)` and `2.0 in (1, 2, 4)` both hold.
+    config = write_json(tmp_path, "grid.json", arm_grid_doc({"dtype_bytes": [2, bad]}))
+    assert main(["sweep", "-c", config, "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"grid point {{'dtype_bytes': {bad!r}}}" in err
+
+
 def test_roofline_writes_svg(tmp_path, capsys):
     config = write_json(tmp_path, "grid.json", arm_grid_doc({"prompt_len": [512, 2048]}))
     out_svg = tmp_path / "roofline.svg"

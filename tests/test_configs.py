@@ -144,6 +144,39 @@ def test_hardware_rejects_nonpositive_rates():
         HardwareSpec(name="hw", peak_flops=1e12, mem_bandwidth=-1, mem_capacity=1e9)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize("field", ["peak_flops", "mem_bandwidth", "mem_capacity"])
+def test_hardware_rejects_non_finite_numbers(field, bad):
+    # `bad <= 0` is false for NaN and +inf, so a sign check alone lets them through.
+    kwargs = dict(name="hw", peak_flops=1e12, mem_bandwidth=1e9, mem_capacity=1e9)
+    kwargs[field] = bad
+    with pytest.raises(ValidationError, match=field):
+        HardwareSpec(**kwargs)
+
+
+def test_hardware_from_json_rejects_nan(tmp_path):
+    # json.load reads the non-standard NaN literal as float("nan").
+    path = tmp_path / "hw.json"
+    path.write_text(
+        '{"name": "hw", "peak_flops": NaN, "mem_bandwidth": 1e9, "mem_capacity": 1e9}'
+    )
+    with pytest.raises(ValidationError, match="peak_flops"):
+        load_hardware_spec(str(path))
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
+@pytest.mark.parametrize("field", ["batch", "prompt_len", "gen_len", "steps", "block_size",
+                                   "dtype_bytes"])
+def test_workload_rejects_non_int_values(field, bad):
+    # `True in (1, 2, 4)` and `2.0 in (1, 2, 4)` hold, so a membership test
+    # alone would take a bool or a float for an int.
+    doc = dict(mode="dlm_block", batch=1, prompt_len=4, gen_len=8, steps=8, block_size=2,
+               dtype_bytes=2)
+    doc[field] = bad
+    with pytest.raises(ValidationError, match=field):
+        validate_workload(WorkloadSpec(**doc), LLADA)
+
+
 def test_hardware_allows_zero_capacity():
     hw = HardwareSpec(name="hw", peak_flops=1e12, mem_bandwidth=1e9, mem_capacity=0)
     assert hw.mem_capacity == 0

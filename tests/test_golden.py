@@ -1,10 +1,14 @@
-"""Golden corpus: the experiment scripts' CSV/SVG files and `analyze` output.
+"""Golden corpus: the experiment scripts' CSV/SVG files and the CLI's output.
 
 tests/golden/ holds the files the four scripts/*.py experiments write and
 the stdout of `lmroofline analyze` on one scenario per mode
-(analyze_<mode>.json -> analyze_<mode>.txt). A refactor must reproduce the
-CSV, SVG and the analyze table byte for byte; the analyze JSON line prints
-floats at full precision, so those may move within GOLDEN_REL_TOL.
+(analyze_<mode>.json -> analyze_<mode>.txt). tests/golden/cli/ holds one
+small grid per mode (grid_<mode>.json) and what the grid commands make of
+it: `sweep` (sweep_<mode>.csv), `roofline` (roofline_<mode>.svg) and
+`plot --kind <kind>` (plot_<kind>_<mode>.svg), with the stdout of each
+command in stdout.txt. A refactor must reproduce the CSV, SVG, the grid
+commands' stdout and the analyze table byte for byte; the analyze JSON line
+prints floats at full precision, so those may move within GOLDEN_REL_TOL.
 
 Re-record (only when an output is meant to change) with
 
@@ -27,9 +31,11 @@ from lmroofline.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CLI = GOLDEN / "cli"
 SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
 MODES = ("arm", "dlm_naive", "dlm_block")
 GOLDEN_REL_TOL = 1e-12
+PLOT_KINDS = ("latency", "throughput", "ai")
 
 
 def run_script(script: Path, out_dir: Path) -> None:
@@ -51,6 +57,43 @@ def analyze_stdout(mode: str) -> str:
     return out.getvalue()
 
 
+def grid_commands(mode: str) -> list[tuple[str, list[str]]]:
+    """(output file name, argv without `-o`) of every grid command on mode's grid."""
+    grid = str(GOLDEN_CLI / f"grid_{mode}.json")
+    commands = [
+        (f"sweep_{mode}.csv", ["sweep", "-c", grid]),
+        (f"roofline_{mode}.svg", ["roofline", "-c", grid]),
+    ]
+    commands.extend(
+        (f"plot_{kind}_{mode}.svg", ["plot", "--kind", kind, "-c", grid]) for kind in PLOT_KINDS
+    )
+    return commands
+
+
+GRID_OUTPUTS = [name for mode in MODES for name, _ in grid_commands(mode)]
+
+
+def run_grid_command(argv: list[str], output: Path) -> str:
+    """Run one grid command into `output`; its stdout, with the path replaced by the file name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main([*argv, "-o", str(output)])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return out.getvalue().replace(str(output), output.name)
+
+
+def produce_grid_outputs(out_dir: Path) -> None:
+    """Write every grid command's output, and their stdout as stdout.txt, into out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stdout = [
+        run_grid_command(argv, out_dir / name)
+        for mode in MODES
+        for name, argv in grid_commands(mode)
+    ]
+    (out_dir / "stdout.txt").write_text("".join(stdout), encoding="utf-8")
+
+
 def produce(out_dir: Path) -> None:
     """Write every golden file into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -58,6 +101,7 @@ def produce(out_dir: Path) -> None:
         run_script(script, out_dir)
     for mode in MODES:
         (out_dir / f"analyze_{mode}.txt").write_text(analyze_stdout(mode), encoding="utf-8")
+    produce_grid_outputs(out_dir / "cli")
 
 
 def artifact_names() -> list[str]:
@@ -80,6 +124,23 @@ def test_golden_corpus_lists_every_script_output(produced):
 @pytest.mark.parametrize("name", artifact_names())
 def test_script_output_is_byte_identical(produced, name):
     assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def produced_grid(tmp_path_factory) -> Path:
+    out_dir = tmp_path_factory.mktemp("golden_cli")
+    produce_grid_outputs(out_dir)
+    return out_dir
+
+
+def test_golden_cli_corpus_lists_every_grid_output():
+    recorded = sorted(p.name for p in GOLDEN_CLI.iterdir() if p.suffix in (".csv", ".svg"))
+    assert recorded == sorted(GRID_OUTPUTS)
+
+
+@pytest.mark.parametrize("name", [*GRID_OUTPUTS, "stdout.txt"])
+def test_grid_command_output_is_byte_identical(produced_grid, name):
+    assert (produced_grid / name).read_bytes() == (GOLDEN_CLI / name).read_bytes()
 
 
 def assert_close(got, want, where: str) -> None:

@@ -50,7 +50,7 @@ def test_linear_flops_doubles_with_each_dimension(batch, seq_len, d_in, d_out):
     assert linear_cost(batch, seq_len, d_in, 2 * d_out, 2).flops == 2 * base
 
 
-@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0])
 @pytest.mark.parametrize("field", ["batch", "seq_len", "d_in", "d_out", "dtype_bytes"])
 def test_linear_rejects_nonpositive_arguments(field, bad):
     kwargs = dict(batch=1, seq_len=2, d_in=4, d_out=4, dtype_bytes=2)

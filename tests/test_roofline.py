@@ -24,7 +24,9 @@ from lmroofline import (
     ridge_point,
 )
 from lmroofline.kernels import KernelCost
+from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
+from lmroofline.sweep import evaluate_point
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -250,3 +252,30 @@ def test_end_to_end_rejects_bidirectional_model_in_arm_mode():
     w = WorkloadSpec(mode="arm", batch=1, prompt_len=8, gen_len=8)
     with pytest.raises(ValidationError, match="bidirectional_only"):
         end_to_end(Scenario(model=LLADA, hardware=A6000, workload=w))
+
+
+INVALID_WORKLOADS = {
+    "zero-batch": (LLAMA, WorkloadSpec(mode="arm", batch=0, prompt_len=8, gen_len=8)),
+    "bool-dtype-bytes": (
+        LLAMA, WorkloadSpec(mode="arm", batch=1, prompt_len=8, gen_len=8, dtype_bytes=True)
+    ),
+    "arm-on-bidirectional": (LLADA, WorkloadSpec(mode="arm", batch=1, prompt_len=8, gen_len=8)),
+    "fewer-steps-than-blocks": (
+        LLADA,
+        WorkloadSpec(mode="dlm_block", batch=1, prompt_len=8, gen_len=64, steps=2, block_size=8),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_WORKLOADS))
+@pytest.mark.parametrize(
+    "evaluate",
+    [end_to_end, scenario_phases, peak_footprint, evaluate_point],
+    ids=lambda f: f.__name__,
+)
+def test_public_entry_points_validate_the_workload(evaluate, case):
+    # Grid evaluation skips these checks on points it has validated; the
+    # public functions must still make them.
+    model, workload = INVALID_WORKLOADS[case]
+    with pytest.raises(ValidationError):
+        evaluate(Scenario(model=model, hardware=A6000, workload=workload))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from lmroofline import (
     parse_csv,
     run_sweep,
 )
+from lmroofline import kernels
+from lmroofline.cli import main as cli_main
+from lmroofline.configs import Scenario, validate_workload
 from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict
-from lmroofline.configs import Scenario
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -248,3 +251,96 @@ def test_evaluate_point_matches_run_sweep_row():
     w = WorkloadSpec(mode="arm", batch=3, prompt_len=64, gen_len=32)
     direct = evaluate_point(Scenario(LLAMA, A6000, w))
     assert direct == row
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` under every name any lmroofline module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name == "lmroofline" or name.startswith("lmroofline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+# One grid per mode, with every counting option that adds a kernel kind on.
+GRID_DOCS = {
+    "arm": {
+        "model": "llama3-8b",
+        "hardware": "rtx-a6000",
+        "mode": "arm",
+        "gen_len": 16,
+        "options": {"include_lm_head": True, "count_elementwise_bytes": True},
+        "axes": {"prompt_len": [0, 64], "batch": [1, 2, 4]},
+    },
+    "dlm_naive": {
+        "model": "llada-8b",
+        "hardware": "rtx-a6000",
+        "mode": "dlm_naive",
+        "prompt_len": 32,
+        "options": {"include_lm_head": True, "count_elementwise_bytes": True},
+        "axes": {"batch": [1, 2], "gen_len": [16, 64, 96]},
+    },
+    "dlm_block": {
+        "model": "llada-8b",
+        "hardware": "rtx-a6000",
+        "mode": "dlm_block",
+        "batch": 1,
+        "prompt_len": 32,
+        "options": {
+            "include_lm_head": True,
+            "count_elementwise_bytes": True,
+            "include_cache_refresh": True,
+        },
+        "axes": {"block_size": [4, 16], "gen_len": [16, 40, 64]},
+    },
+}
+GRID_POINTS = 6
+
+
+def run_grid(command, tmp_path, doc):
+    """Evaluate grid `doc` through run_sweep or through one of the grid CLI commands."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    if command == "run_sweep":
+        assert len(run_sweep(load_grid(str(path)))) == GRID_POINTS
+        return
+    argv = {
+        "sweep": ["sweep"],
+        "roofline": ["roofline"],
+        "plot": ["plot", "--kind", "latency"],
+    }[command]
+    assert cli_main([*argv, "-c", str(path), "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+@pytest.mark.parametrize("command", ["run_sweep", "sweep", "roofline", "plot"])
+def test_grid_validates_each_point_once(monkeypatch, tmp_path, command, mode):
+    calls = []
+
+    def counting(workload, model):
+        calls.append(workload)
+        return validate_workload(workload, model)
+
+    patch_everywhere(monkeypatch, validate_workload, counting)
+    run_grid(command, tmp_path, GRID_DOCS[mode])
+    assert len(calls) == GRID_POINTS
+    assert len({(w.batch, w.prompt_len, w.gen_len, w.block_size) for w in calls}) == GRID_POINTS
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+@pytest.mark.parametrize("command", ["run_sweep", "roofline"])
+def test_grid_never_calls_the_checked_public_kernels(monkeypatch, tmp_path, command, mode):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid evaluation called a public kernel function")
+
+    for public in (kernels.linear_cost, kernels.attention_cost, kernels.elementwise_bytes):
+        patch_everywhere(monkeypatch, public, forbidden)
+    run_grid(command, tmp_path, GRID_DOCS[mode])
+
+
+def test_steps_axis_of_none_resolves_to_gen_len():
+    base = WorkloadSpec(mode="dlm_naive", batch=1, prompt_len=8, gen_len=32, steps=4)
+    grid = SweepGrid(
+        model=LLADA, hardware=A6000, base=base, axes=(("steps", (None, 8)),)
+    )
+    assert [r.K for r in run_sweep(grid)] == [32, 8]
