@@ -15,8 +15,8 @@ import sys
 from .configs import HW_REGISTRY, MODEL_REGISTRY, list_hardware, list_models, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
-from .roofline import _end_to_end, ridge_point
-from .sweep import SweepRow, emit_csv, evaluate_point, load_grid, map_grid, run_sweep
+from .roofline import end_to_end, ridge_point
+from .sweep import emit_csv, evaluate_point, load_grid, map_grid, run_sweep
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 
@@ -64,17 +64,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _row_json(row: SweepRow) -> str:
-    try:
-        return json.dumps(dataclasses.asdict(row), allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"result has a non-finite number: {row}") from exc
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.config)
-    row = evaluate_point(scenario)
-    payload = _row_json(row)
+    row = evaluate_point(load_scenario(args.config))
+    payload = json.dumps(dataclasses.asdict(row), allow_nan=False)
     width = max(len(f.name) for f in dataclasses.fields(row))
     for f in dataclasses.fields(row):
         value = getattr(row, f.name)
@@ -94,7 +86,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
     grid = load_grid(args.config)
-    per_point = map_grid(grid, lambda scenario: _end_to_end(scenario).points)
+    per_point = map_grid(grid, lambda scenario: end_to_end(scenario).points)
     points = [point for scenario_points in per_point for point in scenario_points]
     emit_roofline_svg(points, grid.hardware, args.output)
     print(f"wrote {len(points)} points to {args.output}")

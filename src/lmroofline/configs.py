@@ -1,8 +1,10 @@
 """Model, hardware, and workload definitions plus the built-in registries.
 
-Inputs are checked here: the dataclasses check their own fields, and
-`validate_workload` holds every workload invariant. The JSON loaders call
-both, so a scenario or grid point that reaches the cost model is valid.
+Inputs are checked here. The dataclasses check their own fields, and
+`validate_workload` holds every workload invariant, written once each in
+`require_int`, `require_causal_capable` and `require_blocks`. A `Scenario`
+calls `validate_workload` when it is built, so every Scenario is valid and
+nothing downstream checks it again.
 
 Registry constants are transcribed from the models' published configuration
 files and from vendor datasheets for the GPUs; see the README for the exact
@@ -14,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
-from math import ceil
 from typing import Any
 
 from .errors import ValidationError
@@ -25,15 +27,20 @@ ATTENTION_KINDS = ("causal_capable", "bidirectional_only")
 MODES = ("arm", "dlm_naive", "dlm_block")
 DLM_MODES = ("dlm_naive", "dlm_block")
 DTYPE_BYTES_ALLOWED = (1, 2, 4)
+MAX_FLOAT = sys.float_info.max
 
 
 def require_int(name: str, value: Any, minimum: int) -> int:
     """Return value if it is an int >= minimum, else raise naming `name`.
 
-    A bool is not accepted as an int, and neither is an integral float.
+    A bool is not accepted as an int, and neither is an integral float. An
+    int beyond the float range is rejected too: every count ends up in a
+    float result, which could not hold it.
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum} (got {value!r})")
+    if value > MAX_FLOAT:
+        raise ValidationError(f"{name} is beyond the float range (> {MAX_FLOAT:.4g})")
     return value
 
 
@@ -121,13 +128,16 @@ class CountingOptions:
 
     Defaults reproduce the bare counting conventions: no LM head, no
     cache-refresh passes, no elementwise traffic, exact triangular causal
-    pair counting.
+    pair counting, and dlm_block refinement attending only to the prompt and
+    the blocks decoded so far (`full_kv_each_step` charges the whole
+    prompt+generation length instead).
     """
 
     include_lm_head: bool = False
     include_cache_refresh: bool = False
     count_elementwise_bytes: bool = False
     causal_exact: bool = True
+    full_kv_each_step: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,31 @@ class WorkloadSpec:
         """Number of generation blocks for dlm_block, else None."""
         if self.block_size is None or self.block_size < 1:
             return None
-        return ceil(self.gen_len / self.block_size)
+        return -(-self.gen_len // self.block_size)
+
+
+def require_causal_capable(model: ModelConfig, what: str) -> None:
+    """Reject running `what`, which needs causal attention, on `model`."""
+    if model.attention_kind == "bidirectional_only":
+        raise ValidationError(
+            f"model '{model.name}' has attention_kind bidirectional_only and cannot run {what}"
+        )
+
+
+def require_blocks(gen_len: int, steps: int, block_size: int) -> int:
+    """Number of dlm_block blocks, after checking that each block fits the
+    generation and gets at least one refinement step."""
+    if block_size > gen_len:
+        raise ValidationError(
+            f"block size exceeds generation length (block_size {block_size} > gen_len {gen_len})"
+        )
+    num_blocks = -(-gen_len // block_size)
+    if steps < num_blocks:
+        raise ValidationError(
+            f"fewer steps than blocks ({steps} < {num_blocks}); "
+            "every block needs at least one refinement step"
+        )
+    return num_blocks
 
 
 def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpec:
@@ -180,11 +214,7 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
         raise ValidationError(f"options must be CountingOptions (got {type(w.options)})")
 
     if w.mode == "arm":
-        if model.attention_kind == "bidirectional_only":
-            raise ValidationError(
-                f"model '{model.name}' has attention_kind bidirectional_only "
-                "and cannot run mode 'arm'"
-            )
+        require_causal_capable(model, "mode 'arm'")
         if w.steps is not None:
             raise ValidationError("steps is only meaningful for dlm modes (mode 'arm')")
         if w.block_size is not None:
@@ -203,34 +233,30 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
     if w.block_size is None:
         raise ValidationError("block_size is required for mode 'dlm_block'")
     require_int("block_size", w.block_size, 1)
-    if w.block_size > w.gen_len:
-        raise ValidationError(
-            f"block size exceeds generation length (block_size {w.block_size} > gen_len {w.gen_len})"
-        )
-    num_blocks = w.num_blocks
-    assert num_blocks is not None
-    if w.steps < num_blocks:
-        raise ValidationError(
-            f"fewer steps than blocks ({w.steps} < {num_blocks}); "
-            "every block needs at least one refinement step"
-        )
+    require_blocks(w.gen_len, w.steps, w.block_size)
     return w
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved analysis request: model + hardware + workload."""
+    """A fully resolved analysis request: model + hardware + workload.
+
+    Building one validates the workload against the model, so a Scenario
+    that exists is valid.
+    """
 
     model: ModelConfig
     hardware: HardwareSpec
     workload: WorkloadSpec
+
+    def __post_init__(self) -> None:
+        validate_workload(self.workload, self.model)
 
 
 # Shape constants from the published model configs:
 #   llama3-8b : meta-llama/Meta-Llama-3-8B config.json
 #   llada-8b  : GSAI-ML/LLaDA-8B-Base config.json (bidirectional denoiser,
 #               full multi-head attention, no KV grouping)
-#   tiny-test : synthetic shape small enough for brute-force oracles
 MODEL_REGISTRY: dict[str, ModelConfig] = {
     "llama3-8b": ModelConfig(
         name="llama3-8b",
@@ -255,18 +281,6 @@ MODEL_REGISTRY: dict[str, ModelConfig] = {
         vocab_size=126464,
         mlp_kind="swiglu",
         attention_kind="bidirectional_only",
-    ),
-    "tiny-test": ModelConfig(
-        name="tiny-test",
-        num_layers=1,
-        d_model=4,
-        num_heads=1,
-        num_kv_heads=1,
-        head_dim=4,
-        ffn_dim=8,
-        vocab_size=16,
-        mlp_kind="swiglu",
-        attention_kind="causal_capable",
     ),
 }
 
@@ -301,7 +315,7 @@ def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an int beyond Python's digit limit
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -379,14 +393,24 @@ def load_hardware_spec(source: str, base_dir: str | None = None) -> HardwareSpec
 
 
 _OPTION_FIELDS = {f.name for f in fields(CountingOptions)}
+# The README's names for two options; the field names stay accepted too.
+_OPTION_ALIASES = {
+    "count_lm_head": "include_lm_head",
+    "include_elementwise": "count_elementwise_bytes",
+}
 
 
 def options_from_dict(doc: dict) -> CountingOptions:
-    _check_keys(doc, set(), _OPTION_FIELDS, "options")
+    _check_keys(doc, set(), _OPTION_FIELDS | set(_OPTION_ALIASES), "options")
+    values = {}
     for key, value in doc.items():
         if not isinstance(value, bool):
             raise ValidationError(f"options.{key} must be a boolean (got {value!r})")
-    return CountingOptions(**doc)
+        name = _OPTION_ALIASES.get(key, key)
+        if name in values:
+            raise ValidationError(f"options give {name} twice, under two names")
+        values[name] = value
+    return CountingOptions(**values)
 
 
 def options_to_dict(opts: CountingOptions) -> dict:
@@ -442,9 +466,7 @@ def scenario_from_dict(doc: dict, base_dir: str | None = None) -> Scenario:
     model = load_model_config(doc["model"], base_dir)
     hardware = load_hardware_spec(doc["hardware"], base_dir)
     workload_doc = {k: v for k, v in doc.items() if k not in ("model", "hardware")}
-    workload = workload_from_dict(workload_doc)
-    validate_workload(workload, model)
-    return Scenario(model=model, hardware=hardware, workload=workload)
+    return Scenario(model=model, hardware=hardware, workload=workload_from_dict(workload_doc))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

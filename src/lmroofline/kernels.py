@@ -54,15 +54,6 @@ class KernelCost:
         if self.flops > 0 and self.bytes == 0:
             raise ValidationError(f"kernel '{self.label}' computes but moves no data")
 
-    @property
-    def ai(self) -> float:
-        """Arithmetic intensity in FLOP/byte."""
-        if self.bytes == 0:
-            raise ValidationError(
-                f"arithmetic intensity undefined for zero bytes (kernel '{self.label}')"
-            )
-        return self.flops / self.bytes
-
     def scaled(self, count: int) -> "KernelCost":
         """Aggregate cost of `count` back-to-back invocations of this exact kernel."""
         if count < 1:

@@ -2,7 +2,8 @@
 
 The footprint of a scenario is weights + KV cache + transient activations.
 Fitting is a prediction, never an error: a scenario that exceeds capacity
-still evaluates, it just carries fits=False.
+still evaluates, it just carries fits=False. The footprint is linear in the
+batch, which makes `max_fitting_batch` a closed form.
 
 Activation working set: ACTIVATION_BUFFER_FACTOR * batch * E * max(d_model,
 ffn_dim) * dtype_bytes, where E is the largest single-forward query extent
@@ -15,8 +16,9 @@ inputs/outputs; norm and score buffers are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import floor
 
-from .configs import HardwareSpec, ModelConfig, Scenario, WorkloadSpec, validate_workload
+from .configs import HardwareSpec, ModelConfig, Scenario, WorkloadSpec
 from .errors import ValidationError
 
 ACTIVATION_BUFFER_FACTOR = 2
@@ -93,12 +95,6 @@ def peak_footprint(scenario: Scenario) -> MemoryFootprint:
     ARM and block-wise diffusion both hold the full-sequence KV cache;
     naive diffusion holds none but streams full-sequence activations.
     """
-    validate_workload(scenario.workload, scenario.model)
-    return _footprint(scenario)
-
-
-def _footprint(scenario: Scenario) -> MemoryFootprint:
-    """peak_footprint of a scenario whose workload is already validated."""
     m, hw, w = scenario.model, scenario.hardware, scenario.workload
     weights = weight_bytes(m, w.dtype_bytes)
     if w.mode == "dlm_naive":
@@ -119,26 +115,10 @@ def _footprint(scenario: Scenario) -> MemoryFootprint:
 def max_fitting_batch(model: ModelConfig, hw: HardwareSpec, workload: WorkloadSpec) -> int:
     """Largest batch at which the workload still fits; 0 if none does.
 
-    Footprint is strictly increasing in batch, so a doubling scan followed
-    by bisection is exact. The workload is validated once, at batch 1; the
-    batch is the only field the probes change.
+    The footprint is weights + batch x (KV cache + activations of one
+    sequence), and an integer total fits iff it is <= floor(mem_capacity),
+    so the answer is read off the footprint at batch 1.
     """
-    validate_workload(replace(workload, batch=1), model)
-
-    def fits(b: int) -> bool:
-        probe = Scenario(model=model, hardware=hw, workload=replace(workload, batch=b))
-        return _footprint(probe).fits
-
-    if not fits(1):
-        return 0
-    lo = 1
-    while fits(lo * 2):
-        lo *= 2
-    hi = lo * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    one = peak_footprint(Scenario(model, hw, replace(workload, batch=1)))
+    per_sequence = one.kv_cache_bytes + one.activation_bytes
+    return max(0, (floor(hw.mem_capacity) - one.weight_bytes) // per_sequence)

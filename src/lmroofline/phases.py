@@ -15,21 +15,24 @@ index, fixed exactly by sampling the kernel functions at up to three
 indices; along every run the arithmetic intensity is non-decreasing, which
 `roofline.kernel_time` relies on.
 
-Inputs are checked at the JSON boundary (`configs`) and by the public
-functions. The public phase functions check their own scalar arguments
-(with `configs.require_int`, plus the invariants that involve the model or
-several arguments) and then build entries from the unchecked private
-kernels of `kernels.py`, so those kernels only ever see the shapes of a
-validated model and workload.
+The public phase functions take loose ints, so they check their own scalar
+arguments with the checks `configs.validate_workload` uses (`require_int`,
+`require_causal_capable`, `require_blocks`), and then build entries from
+the unchecked private kernels of `kernels.py`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from math import ceil
 
-from .configs import CountingOptions, ModelConfig, require_int
+from .configs import (
+    CountingOptions,
+    ModelConfig,
+    require_blocks,
+    require_causal_capable,
+    require_int,
+)
 from .errors import ValidationError
 from .kernels import KernelCost, KernelRun, _attention, _elementwise, _linear, kernel_run
 
@@ -87,11 +90,13 @@ def _make_phase(
     return PhaseCost(phase=phase, flops=flops, bytes=moved, breakdown=tuple(entries), steps=steps)
 
 
-def arithmetic_intensity(cost: PhaseCost | KernelCost) -> float:
-    """FLOP/byte ratio of a phase or kernel."""
-    if cost.bytes == 0:
+def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:
+    """FLOP/byte ratio of anything with `flops` and `bytes` totals: a kernel,
+    a run, a phase, or a roofline.ScenarioResult."""
+    moved = cost.bytes
+    if moved == 0:
         raise ValidationError("arithmetic intensity undefined for zero bytes")
-    return cost.flops / cost.bytes
+    return cost.flops / moved
 
 
 def _per_layer_core(
@@ -231,14 +236,6 @@ def _runs(
     ]
 
 
-def _require_causal_capable(model: ModelConfig, phase: str) -> None:
-    if model.attention_kind == "bidirectional_only":
-        raise ValidationError(
-            f"model '{model.name}' has attention_kind bidirectional_only "
-            f"and cannot run {phase}"
-        )
-
-
 def _require_request(batch: int, prompt_len: int, gen_len: int, dtype_bytes: int) -> None:
     """Check the arguments the generating phases share."""
     require_int("batch", batch, 1)
@@ -256,7 +253,7 @@ def arm_prefill_cost(
 ) -> PhaseCost:
     """One causal pass over the prompt, writing the KV cache."""
     opts = opts or CountingOptions()
-    _require_causal_capable(model, "arm_prefill")
+    require_causal_capable(model, "arm_prefill")
     require_int("batch", batch, 1)
     require_int("prompt_len", prompt_len, 1)
     require_int("dtype_bytes", dtype_bytes, 1)
@@ -283,7 +280,7 @@ def arm_decode_cost(
     amortizes. Attention over all steps is one run, affine in the KV length.
     """
     opts = opts or CountingOptions()
-    _require_causal_capable(model, "arm_decode")
+    require_causal_capable(model, "arm_decode")
     _require_request(batch, prompt_len, gen_len, dtype_bytes)
     layers = model.num_layers
     entries = _per_layer_core(model, batch, 1, dtype_bytes, opts, layers * gen_len)
@@ -338,7 +335,6 @@ def blockwise_dlm_cost(
     block_size: int,
     dtype_bytes: int,
     opts: CountingOptions | None = None,
-    full_kv: bool = False,
 ) -> PhaseCost:
     """Semi-autoregressive diffusion decoding over cached earlier blocks.
 
@@ -346,10 +342,10 @@ def blockwise_dlm_cost(
     left to right; the step budget is spread as evenly as possible, with the
     first (steps mod blocks) blocks taking one extra step. A refinement step
     of block j processes its tokens as queries against the prompt, the
-    finished blocks, and the block itself. `full_kv=True` instead charges
-    attention against the full prompt+generation length every step (the
-    suffix of still-masked blocks is treated as cached too), which is the
-    convention the asymptotic counts assume.
+    finished blocks, and the block itself. opts.full_kv_each_step instead
+    charges attention against the full prompt+generation length every step
+    (the suffix of still-masked blocks is treated as cached too), which is
+    the convention the asymptotic counts assume.
 
     With opts.include_cache_refresh, one full bidirectional pass over
     everything decoded so far is added after each block to rebuild the
@@ -363,16 +359,7 @@ def blockwise_dlm_cost(
     _require_request(batch, prompt_len, gen_len, dtype_bytes)
     require_int("block_size", block_size, 1)
     require_int("steps", steps, 1)
-    if block_size > gen_len:
-        raise ValidationError(
-            f"block size exceeds generation length (block_size {block_size} > gen_len {gen_len})"
-        )
-    num_blocks = ceil(gen_len / block_size)
-    if steps < num_blocks:
-        raise ValidationError(
-            f"fewer steps than blocks ({steps} < {num_blocks}); "
-            "every block needs at least one refinement step"
-        )
+    num_blocks = require_blocks(gen_len, steps, block_size)
     steps_per_block, extra = divmod(steps, num_blocks)
     # Only the last block can be narrower than block_size, and blocks before
     # `extra` take one step more: so the blocks fall into at most three runs
@@ -382,6 +369,7 @@ def blockwise_dlm_cost(
     if gen_len % block_size:
         width_cuts.add(num_blocks - 1)
     layers = model.num_layers
+    full_kv = opts.full_kv_each_step
     entries: list[tuple[str, KernelCost | KernelRun]] = []
     for first, end in _ranges(width_cuts | {extra}):
         count = end - first

@@ -5,13 +5,18 @@ whichever of the compute or bandwidth limits binds it (perfect overlap
 inside a kernel, no overlap between kernels, no launch overhead). Attained
 performance of a phase is therefore total FLOPs over that summed time and
 can never exceed the hardware peak.
+
+A Scenario is valid once built, so the functions here take it as it is. A
+count too large for a float, or a latency that overflows, is rejected with a
+ValidationError rather than returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .configs import HardwareSpec, Scenario, validate_workload
+from .configs import HardwareSpec, Scenario
 from .errors import ValidationError
 from .kernels import KernelCost, KernelRun
 from .phases import (
@@ -84,12 +89,6 @@ def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
     """The phase costs a scenario's workload consists of, in execution order."""
-    validate_workload(scenario.workload, scenario.model)
-    return _phases(scenario)
-
-
-def _phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
-    """scenario_phases of a scenario whose workload is already validated."""
     m, w = scenario.model, scenario.workload
     if w.mode == "arm":
         phases = []
@@ -133,29 +132,23 @@ class ScenarioResult:
 
 def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
-    validate_workload(scenario.workload, scenario.model)
-    return _end_to_end(scenario)
-
-
-def _end_to_end(scenario: Scenario) -> ScenarioResult:
-    """end_to_end of a scenario whose workload is already validated."""
     w, hw = scenario.workload, scenario.hardware
-    phases = _phases(scenario)
-    latencies = [phase_latency(p, hw) for p in phases]
-    latency = sum(latencies)
-    if latency <= 0:
-        raise ValidationError("scenario has no work; latency is zero")
-    throughput = w.batch * w.gen_len / latency
+    phases = scenario_phases(scenario)
     prefix = f"{scenario.model.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
-    points = tuple(
-        RooflinePoint(
-            ai=arithmetic_intensity(p),
-            perf_attained=p.flops / phase_latency_s,
-            bound=classify(arithmetic_intensity(p), hw),
-            label=f"{p.phase} {prefix}",
+    try:
+        latencies = [phase_latency(p, hw) for p in phases]
+        latency = sum(latencies)
+        throughput = w.batch * w.gen_len / latency
+        points = tuple(
+            RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
+            for p, t, ai in zip(phases, latencies, map(arithmetic_intensity, phases))
         )
-        for p, phase_latency_s in zip(phases, latencies)
-    )
+    except OverflowError as exc:  # an int count beyond the float range
+        raise ValidationError(f"result has a non-finite number: {exc}") from exc
+    if not (math.isfinite(latency) and math.isfinite(throughput)):
+        raise ValidationError(
+            f"result has a non-finite number: latency {latency}, throughput {throughput}"
+        )
     return ScenarioResult(
         latency_s=latency, throughput_tok_s=throughput, points=points, phases=phases
     )

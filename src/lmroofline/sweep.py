@@ -4,15 +4,10 @@ Grid points are enumerated in lexicographic order of the axes as listed:
 the first axis varies slowest. Evaluation is pure, so re-running a sweep
 reproduces the output byte for byte.
 
-Inputs are checked at the JSON boundary and by the public functions.
 `map_grid` is the one loop over a grid's points, used by `run_sweep` and by
-the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
-and validates it once, with `configs.validate_workload`, naming the point in
-any error; the per-point callback then evaluates it on the unchecked paths
-(`roofline._end_to_end`, `memory._footprint`), whose phase assembly calls
-the private kernels only on this validated workload. The public
-`evaluate_point`, like the other public entry points, validates its
-scenario itself.
+the CLI's `sweep`, `roofline` and `plot`. It builds each point's Scenario,
+which validates the point's workload once, and names the point in any error,
+from building or from evaluating it.
 """
 
 from __future__ import annotations
@@ -26,6 +21,7 @@ from typing import TypeVar
 
 from .configs import (
     DLM_MODES,
+    MAX_FLOAT,
     HardwareSpec,
     ModelConfig,
     Scenario,
@@ -34,12 +30,12 @@ from .configs import (
     _load_json,
     load_hardware_spec,
     load_model_config,
-    validate_workload,
     workload_from_dict,
 )
 from .errors import ValidationError
-from .memory import _footprint
-from .roofline import _end_to_end, classify
+from .memory import peak_footprint
+from .phases import arithmetic_intensity
+from .roofline import classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
@@ -154,35 +150,31 @@ T = TypeVar("T")
 def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], T]) -> list[T]:
     """evaluate(scenario) at every grid point, first listed axis varying slowest.
 
-    Each point's workload is validated once, here, so `evaluate` may take
-    the unchecked paths. A ValidationError from either step names the point.
+    A ValidationError from building the point's Scenario, or from
+    evaluating it, names the point.
     """
     names = [name for name, _ in grid.axes]
     results = []
     for combo in itertools.product(*(values for _, values in grid.axes)):
         point = dict(zip(names, combo))
         try:
-            workload = validate_workload(_resolve_point(grid, point), grid.model)
-            results.append(evaluate(Scenario(grid.model, grid.hardware, workload)))
+            scenario = Scenario(grid.model, grid.hardware, _resolve_point(grid, point))
+            results.append(evaluate(scenario))
         except ValidationError as exc:
             raise ValidationError(f"grid point {point}: {exc}") from exc
     return results
 
 
 def evaluate_point(scenario: Scenario) -> SweepRow:
-    """Evaluate one scenario into a report row."""
-    validate_workload(scenario.workload, scenario.model)
-    return _evaluate_point(scenario)
-
-
-def _evaluate_point(scenario: Scenario) -> SweepRow:
-    """evaluate_point of a scenario whose workload is already validated."""
-    result = _end_to_end(scenario)
-    footprint = _footprint(scenario)
+    """Evaluate one scenario into a report row; every number in it is finite as a float."""
+    result = end_to_end(scenario)
+    footprint = peak_footprint(scenario)
     w = scenario.workload
     flops = result.flops
     moved = result.bytes
-    ai = flops / moved
+    if max(flops, moved, footprint.total) > MAX_FLOAT:
+        raise ValidationError("result has a non-finite number: a total beyond the float range")
+    ai = arithmetic_intensity(result)
     return SweepRow(
         mode=w.mode,
         B=w.batch,
@@ -203,7 +195,7 @@ def _evaluate_point(scenario: Scenario) -> SweepRow:
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every grid point, first listed axis varying slowest."""
-    return map_grid(grid, _evaluate_point)
+    return map_grid(grid, evaluate_point)
 
 
 def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:

@@ -15,6 +15,20 @@ from __future__ import annotations
 from lmroofline import CountingOptions, ModelConfig, layer_forward_cost
 from lmroofline.kernels import KernelCost
 
+# A synthetic shape small enough for the brute-force loops below.
+TINY = ModelConfig(
+    name="tiny-test",
+    num_layers=1,
+    d_model=4,
+    num_heads=1,
+    num_kv_heads=1,
+    head_dim=4,
+    ffn_dim=8,
+    vocab_size=16,
+    mlp_kind="swiglu",
+    attention_kind="causal_capable",
+)
+
 
 def linear_flops_loops(batch: int, seq_len: int, d_in: int, d_out: int) -> int:
     """Count FLOPs of y = x @ W by simulating the matmul loop nest.
@@ -286,7 +300,6 @@ def blockwise_dlm_loop(
     block_size: int,
     dtype_bytes: int,
     opts: CountingOptions,
-    full_kv: bool = False,
 ) -> list[tuple[str, KernelCost]]:
     """dlm_block as one forward per refinement step of every block, then
     (with include_cache_refresh) one full pass per block over the prompt
@@ -297,7 +310,7 @@ def blockwise_dlm_loop(
         start = j * block_size
         width = min(block_size, gen_len - start)
         block_steps = steps // num_blocks + (1 if j < steps % num_blocks else 0)
-        kv_len = prompt_len + gen_len if full_kv else prompt_len + start + width
+        kv_len = prompt_len + gen_len if opts.full_kv_each_step else prompt_len + start + width
         for s in range(block_steps):
             step = layer_forward_cost(
                 model, batch, width, kv_len, dtype_bytes,

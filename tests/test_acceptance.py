@@ -10,6 +10,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import oracles
+from oracles import TINY
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -37,7 +38,6 @@ from lmroofline.sweep import SweepGrid, csv_text, run_sweep
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
-TINY = MODEL_REGISTRY["tiny-test"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 A100 = HW_REGISTRY["a100-80g"]
 

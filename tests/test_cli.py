@@ -147,6 +147,74 @@ def test_non_finite_result_exits_1_without_printing_a_row(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "documented, field_name",
+    [("count_lm_head", "include_lm_head"), ("include_elementwise", "count_elementwise_bytes")],
+)
+def test_documented_option_names_give_the_field_names_row(tmp_path, capsys, documented,
+                                                          field_name):
+    rows = []
+    for name in (documented, field_name):
+        config = write_json(tmp_path, f"{name}.json", arm_scenario_doc(options={name: True}))
+        assert main(["analyze", "-c", config]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    config = write_json(tmp_path, "plain.json", arm_scenario_doc())
+    assert main(["analyze", "-c", config]) == 0
+    assert capsys.readouterr().out != rows[0]
+
+
+def test_full_kv_each_step_option_reaches_dlm_block(tmp_path, capsys):
+    doc = arm_scenario_doc(model="llada-8b", mode="dlm_block", gen_len=64, block_size=16)
+    flops = []
+    for options in ({}, {"full_kv_each_step": True}):
+        config = write_json(tmp_path, "scenario.json", {**doc, "options": options})
+        assert main(["analyze", "-c", config]) == 0
+        flops.append(json.loads(capsys.readouterr().out.splitlines()[-1])["flops"])
+    assert flops[1] > flops[0]
+
+
+HUGE = 10**320  # beyond the float range
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["analyze"], arm_scenario_doc(batch=HUGE)),
+        # in the float range, but its FLOPs are not
+        (["analyze"], arm_scenario_doc(batch=10**300)),
+        (["sweep", "-o", "out.csv"], arm_grid_doc({"gen_len": [8, HUGE]})),
+        (["roofline", "-o", "out.svg"], arm_grid_doc({"gen_len": [8, 10**300]})),
+        # FLOPs and bytes stay in the float range, the peak footprint does not
+        (
+            ["sweep", "-o", "out.csv"],
+            arm_grid_doc({"prompt_len": [33 * 10**301]}, model="llada-8b", mode="dlm_block",
+                         gen_len=1, steps=1, block_size=1),
+        ),
+    ],
+    ids=["analyze-batch", "analyze-batch-overflows-flops", "sweep-axis", "roofline-axis",
+         "sweep-footprint-overflows"],
+)
+def test_huge_integers_exit_1_without_output(tmp_path, capsys, monkeypatch, command, doc):
+    monkeypatch.chdir(tmp_path)
+    config = write_json(tmp_path, "input.json", doc)
+    assert main([*command, "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_integer_beyond_the_json_digit_limit_exits_1(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(arm_scenario_doc(batch=1)).replace(
+        '"batch": 1', '"batch": ' + "9" * 5000
+    ))
+    assert main(["analyze", "-c", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid JSON" in captured.err
+
+
 def test_bool_dtype_bytes_exits_1(tmp_path, capsys):
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc(dtype_bytes=True))
     assert main(["analyze", "-c", config]) == 1
@@ -215,6 +283,11 @@ def test_model_list_names_registry(capsys):
     names = capsys.readouterr().out.split()
     assert "llama3-8b" in names
     assert "llada-8b" in names
+
+
+def test_model_list_prints_no_test_model(capsys):
+    assert main(["model", "list"]) == 0
+    assert "tiny-test" not in capsys.readouterr().out.split()
 
 
 def test_model_show_reports_shape_and_parameters(capsys):

@@ -20,6 +20,7 @@ from lmroofline import (
     validate_workload,
 )
 from lmroofline.configs import (
+    options_from_dict,
     scenario_from_dict,
     scenario_to_dict,
     workload_from_dict,
@@ -28,7 +29,6 @@ from lmroofline.configs import (
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
-TINY = MODEL_REGISTRY["tiny-test"]
 
 
 def test_llama3_registry_constants():
@@ -409,3 +409,31 @@ def test_hardware_spec_loads_from_json_file(tmp_path):
     )
     hw = load_hardware_spec(str(path))
     assert hw.peak_flops == 1.0
+
+
+def test_options_accept_the_documented_and_the_field_names():
+    documented = {"count_lm_head": True, "include_elementwise": True, "full_kv_each_step": True}
+    field_names = {
+        "include_lm_head": True, "count_elementwise_bytes": True, "full_kv_each_step": True
+    }
+    expected = CountingOptions(
+        include_lm_head=True, count_elementwise_bytes=True, full_kv_each_step=True
+    )
+    assert options_from_dict(documented) == options_from_dict(field_names) == expected
+
+
+@pytest.mark.parametrize(
+    "documented, field_name",
+    [("count_lm_head", "include_lm_head"), ("include_elementwise", "count_elementwise_bytes")],
+)
+def test_options_reject_one_option_under_both_names(documented, field_name):
+    with pytest.raises(ValidationError, match=f"{field_name} twice"):
+        options_from_dict({documented: True, field_name: True})
+
+
+@pytest.mark.parametrize("field", ["batch", "prompt_len", "gen_len"])
+def test_workload_rejects_ints_beyond_the_float_range(field):
+    doc = dict(mode="arm", batch=1, prompt_len=4, gen_len=8)
+    doc[field] = 10**320
+    with pytest.raises(ValidationError, match=f"{field} is beyond the float range"):
+        validate_workload(WorkloadSpec(**doc), LLAMA)

@@ -1,0 +1,163 @@
+"""Arbitrary JSON values in every field of a scenario or grid document.
+
+A malformed input must be rejected with a ValidationError, which the CLI
+turns into exit 1; it must never raise anything else or yield a NaN, an
+infinity or a count that no float can hold. So every document below either
+raises ValidationError or evaluates to rows whose numbers are all finite
+floats.
+"""
+
+import dataclasses
+import math
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lmroofline import HW_REGISTRY, MODEL_REGISTRY, ValidationError
+from lmroofline.configs import DTYPE_BYTES_ALLOWED, MODES, scenario_from_dict
+from lmroofline.sweep import AXIS_FIELDS, evaluate_point, grid_from_dict, run_sweep
+
+OPTION_KEYS = [
+    "include_lm_head",
+    "count_lm_head",
+    "include_cache_refresh",
+    "count_elementwise_bytes",
+    "include_elementwise",
+    "causal_exact",
+    "full_kv_each_step",
+]
+# Ints at and past the edges of the float range, besides hypothesis's own.
+EDGE_INTS = [10**300, int(sys.float_info.max), int(sys.float_info.max) + 1, 10**320]
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from(EDGE_INTS)
+    | st.floats()
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+# Arbitrary text could name a directory that exists, which is an I/O error
+# (exit 2), not a malformed value; so names are registry names, unknown
+# names, or values of other types.
+non_strings = st.none() | st.booleans() | st.integers() | st.lists(st.integers(), max_size=2)
+counts = st.sampled_from(EDGE_INTS) | json_values
+
+# What a field may be replaced with: anything, weighted towards values of
+# the right kind that are out of range.
+ARBITRARY = {
+    "model": st.sampled_from(["llada-8b", "gpt-9"]) | non_strings,
+    "hardware": st.just("tpu-v9") | non_strings,
+    "mode": st.sampled_from(MODES) | json_values,
+    "batch": counts,
+    "prompt_len": counts,
+    "gen_len": counts,
+    "steps": counts,
+    "block_size": counts,
+    "dtype_bytes": json_values,
+    "options": st.dictionaries(st.sampled_from(OPTION_KEYS), st.booleans() | json_values,
+                               max_size=4) | json_values,
+}
+
+
+def one_in(draw, n):
+    """True about once in n draws (hypothesis favours the ends of a range)."""
+    return draw(st.integers(min_value=1, max_value=n)) == n // 2
+
+
+@st.composite
+def valid_base(draw):
+    """A valid scenario document with gen_len left out."""
+    mode = draw(st.sampled_from(MODES))
+    doc = {
+        "model": "llama3-8b" if mode == "arm" else draw(st.sampled_from(sorted(MODEL_REGISTRY))),
+        "hardware": draw(st.sampled_from(sorted(HW_REGISTRY))),
+        "mode": mode,
+        "batch": draw(st.integers(min_value=1, max_value=64)),
+        "prompt_len": draw(st.integers(min_value=0, max_value=4096)),
+    }
+    if mode == "dlm_block":
+        doc["block_size"] = draw(st.integers(min_value=1, max_value=64))
+    if draw(st.booleans()):
+        doc["dtype_bytes"] = draw(st.sampled_from(DTYPE_BYTES_ALLOWED))
+    if draw(st.booleans()):
+        # One name per option, documented and field names mixed.
+        names = ["count_lm_head", "include_cache_refresh", "count_elementwise_bytes",
+                 "causal_exact", "full_kv_each_step"]
+        doc["options"] = draw(st.dictionaries(st.sampled_from(names), st.booleans()))
+    return doc
+
+
+def corrupt(draw, doc, names):
+    """Replace up to two of the named fields with arbitrary values, or drop them."""
+    for name in draw(st.sets(st.sampled_from(names), max_size=2)):
+        if one_in(draw, 6):
+            doc.pop(name, None)
+        else:
+            doc[name] = draw(ARBITRARY[name])
+    return doc
+
+
+@st.composite
+def scenario_docs(draw):
+    doc = draw(valid_base())
+    doc["gen_len"] = draw(st.integers(min_value=doc.get("block_size", 1), max_value=4096))
+    if doc["mode"] != "arm":
+        doc["steps"] = draw(st.integers(min_value=doc["gen_len"], max_value=8192))
+    return corrupt(draw, doc, sorted(ARBITRARY))
+
+
+@st.composite
+def grid_docs(draw):
+    doc = draw(valid_base())
+    low = doc.get("block_size", 1)
+    axes = {"gen_len": draw(st.lists(st.integers(min_value=low, max_value=4096),
+                                     min_size=1, max_size=3))}
+    for name in draw(st.sets(st.sampled_from(["batch", "prompt_len"]), max_size=1)):
+        axes[name] = [doc.pop(name)] + draw(st.lists(st.integers(min_value=1, max_value=64),
+                                                     max_size=2))
+    for values in axes.values():
+        if one_in(draw, 4):
+            values.append(draw(counts))
+    names = sorted(ARBITRARY)
+    doc["axes"] = axes
+    if one_in(draw, 10):
+        doc["axes"] = draw(st.dictionaries(st.sampled_from(AXIS_FIELDS) | st.text(max_size=4),
+                                           st.lists(counts, max_size=3) | json_values,
+                                           max_size=3))
+    return corrupt(draw, doc, names)
+
+
+def assert_finite(row):
+    for field in dataclasses.fields(row):
+        value = getattr(row, field.name)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            assert math.isfinite(float(value)), (field.name, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=scenario_docs())
+def test_scenario_document_is_rejected_or_finite(doc):
+    try:
+        row = evaluate_point(scenario_from_dict(doc))
+    except ValidationError:
+        return
+    assert_finite(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=grid_docs())
+def test_grid_document_is_rejected_or_finite(doc):
+    try:
+        rows = run_sweep(grid_from_dict(doc))
+    except ValidationError:
+        return
+    for row in rows:
+        assert_finite(row)

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from lmroofline import KernelCost, ValidationError, attention_cost, elementwise_bytes, linear_cost
+from lmroofline import (
+    KernelCost,
+    ValidationError,
+    arithmetic_intensity,
+    attention_cost,
+    elementwise_bytes,
+    linear_cost,
+)
 from lmroofline.kernels import attention_pair_count
 
 dims = st.integers(min_value=1, max_value=6)
@@ -17,7 +24,7 @@ def test_linear_small_example_matches_loop_oracle():
     cost = linear_cost(batch=1, seq_len=2, d_in=4, d_out=4, dtype_bytes=2)
     assert cost.flops == oracles.linear_flops_loops(1, 2, 4, 4) == 64
     assert cost.bytes == oracles.linear_bytes_loops(1, 2, 4, 4, 2) == 64
-    assert cost.ai == 1.0
+    assert arithmetic_intensity(cost) == 1.0
 
 
 def test_linear_single_mac():
@@ -203,7 +210,7 @@ def test_non_causal_flops_add_over_disjoint_query_blocks(
 def test_halving_dtype_doubles_ai(batch, seq_len, d_in, d_out):
     wide = linear_cost(batch, seq_len, d_in, d_out, 4)
     narrow = linear_cost(batch, seq_len, d_in, d_out, 2)
-    assert narrow.ai == 2 * wide.ai
+    assert arithmetic_intensity(narrow) == 2 * arithmetic_intensity(wide)
 
 
 def test_elementwise_bytes_examples():
@@ -231,7 +238,7 @@ def test_scaled_multiplies_both_counts(count):
     scaled = base.scaled(count)
     assert scaled.flops == 6 * count
     assert scaled.bytes == 10 * count
-    assert scaled.ai == base.ai
+    assert arithmetic_intensity(scaled) == arithmetic_intensity(base)
 
 
 def test_scaled_rejects_zero_count():

@@ -1,10 +1,13 @@
 """Parameter counts, KV-cache sizing, and out-of-memory boundaries."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import TINY
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -22,7 +25,6 @@ from lmroofline.memory import activation_bytes
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
-TINY = MODEL_REGISTRY["tiny-test"]
 A100 = HW_REGISTRY["a100-80g"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 
@@ -188,3 +190,43 @@ def test_oom_is_reported_not_raised():
     fp = peak_footprint(arm_scenario(100000, 2048, 128))
     assert not fp.fits
     assert fp.total > A100.mem_capacity
+
+
+BOUNDARY_WORKLOADS = {
+    "arm": (LLAMA, WorkloadSpec(mode="arm", batch=1, prompt_len=2048, gen_len=128)),
+    "dlm_naive": (
+        LLADA, WorkloadSpec(mode="dlm_naive", batch=1, prompt_len=1024, gen_len=256, steps=64)
+    ),
+    "dlm_block": (
+        LLADA,
+        WorkloadSpec(
+            mode="dlm_block", batch=1, prompt_len=1024, gen_len=256, steps=64, block_size=32
+        ),
+    ),
+}
+
+
+def with_capacity(capacity):
+    return HardwareSpec(
+        name="edge", peak_flops=A100.peak_flops, mem_bandwidth=A100.mem_bandwidth,
+        mem_capacity=capacity,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("mode", sorted(BOUNDARY_WORKLOADS))
+def test_max_fitting_batch_is_exact_at_the_capacity_boundary(mode, k):
+    model, w = BOUNDARY_WORKLOADS[mode]
+    total = peak_footprint(Scenario(model, A100, replace(w, batch=k))).total
+    assert max_fitting_batch(model, with_capacity(total), w) == k
+    assert max_fitting_batch(model, with_capacity(total + 0.5), w) == k
+    assert max_fitting_batch(model, with_capacity(total - 1), w) == k - 1
+
+
+@pytest.mark.parametrize("mode", sorted(BOUNDARY_WORKLOADS))
+def test_max_fitting_batch_on_a_huge_capacity_fits_and_one_more_does_not(mode):
+    model, w = BOUNDARY_WORKLOADS[mode]
+    huge = with_capacity(1e30)
+    batch = max_fitting_batch(model, huge, w)
+    assert peak_footprint(Scenario(model, huge, replace(w, batch=batch))).fits
+    assert not peak_footprint(Scenario(model, huge, replace(w, batch=batch + 1))).fits

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import TINY
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -27,7 +28,6 @@ from lmroofline.roofline import kernel_time
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
-TINY = MODEL_REGISTRY["tiny-test"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 
 
@@ -198,6 +198,7 @@ all_options = st.builds(
     include_cache_refresh=st.booleans(),
     count_elementwise_bytes=st.booleans(),
     causal_exact=st.booleans(),
+    full_kv_each_step=st.booleans(),
 )
 
 
@@ -255,19 +256,16 @@ def test_decode_runs_match_per_step_loop(
     block_size=st.integers(min_value=1, max_value=12),
     steps_extra=st.integers(min_value=0, max_value=8),
     opts=all_options,
-    full_kv=st.booleans(),
     data=st.data(),
 )
 def test_blockwise_runs_match_per_step_loop(
-    model, batch, prompt_len, gen_len, block_size, steps_extra, opts, full_kv, data
+    model, batch, prompt_len, gen_len, block_size, steps_extra, opts, data
 ):
     block_size = min(block_size, gen_len)
     steps = -(-gen_len // block_size) + steps_extra
-    phase = blockwise_dlm_cost(
-        model, batch, prompt_len, gen_len, steps, block_size, 2, opts, full_kv=full_kv
-    )
+    phase = blockwise_dlm_cost(model, batch, prompt_len, gen_len, steps, block_size, 2, opts)
     loop = oracles.blockwise_dlm_loop(
-        model, batch, prompt_len, gen_len, steps, block_size, 2, opts, full_kv=full_kv
+        model, batch, prompt_len, gen_len, steps, block_size, 2, opts
     )
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
 
@@ -318,13 +316,14 @@ def test_blockwise_never_exceeds_naive_flops(
 
 
 def test_blockwise_full_kv_charges_whole_sequence():
+    full_kv = CountingOptions(full_kv_each_step=True)
     growing = blockwise_dlm_cost(TINY, 1, 2, 4, 2, 2, 2)
-    full = blockwise_dlm_cost(TINY, 1, 2, 4, 2, 2, 2, full_kv=True)
+    full = blockwise_dlm_cost(TINY, 1, 2, 4, 2, 2, 2, full_kv)
     assert full.flops > growing.flops
     assert full.bytes > growing.bytes
     # with a single block covering everything the two conventions coincide
     one_block = blockwise_dlm_cost(TINY, 1, 2, 4, 1, 4, 2)
-    one_block_full = blockwise_dlm_cost(TINY, 1, 2, 4, 1, 4, 2, full_kv=True)
+    one_block_full = blockwise_dlm_cost(TINY, 1, 2, 4, 1, 4, 2, full_kv)
     assert one_block.flops == one_block_full.flops
 
 

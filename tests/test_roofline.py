@@ -30,7 +30,6 @@ from lmroofline.sweep import evaluate_point
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
-TINY = MODEL_REGISTRY["tiny-test"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 A100 = HW_REGISTRY["a100-80g"]
 
@@ -218,9 +217,9 @@ def test_all_kernels_compute_bound_implies_phase_compute_bound():
     # every kernel individually past the ridge forces the phase past it too
     phase = arm_prefill_cost(LLAMA, 1, 4096, 2)
     ridge = ridge_point(A6000)
-    if all(k.ai >= ridge for _label, k in phase.breakdown):
+    if all(arithmetic_intensity(k) >= ridge for _label, k in phase.breakdown):
         assert classify(arithmetic_intensity(phase), A6000) == "compute_bound"
-    assert any(k.ai >= ridge for _label, k in phase.breakdown)
+    assert any(arithmetic_intensity(k) >= ridge for _label, k in phase.breakdown)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,7 +234,7 @@ def test_kernelwise_compute_bound_is_sufficient_for_phase(flops, ratio):
     for i, f in enumerate(flops):
         nbytes = max(1, int(f / (ridge * ratio)))
         kernels.append((f"k{i}", KernelCost(flops=f, bytes=nbytes, label=f"k{i}")))
-    kernels = [(label, k) for label, k in kernels if k.ai >= ridge]
+    kernels = [(label, k) for label, k in kernels if arithmetic_intensity(k) >= ridge]
     if not kernels:
         return
     phase = PhaseCost(
@@ -274,8 +273,15 @@ INVALID_WORKLOADS = {
     ids=lambda f: f.__name__,
 )
 def test_public_entry_points_validate_the_workload(evaluate, case):
-    # Grid evaluation skips these checks on points it has validated; the
-    # public functions must still make them.
+    # No public entry point can be reached with an invalid workload: the
+    # Scenario it takes rejects the workload when it is built.
     model, workload = INVALID_WORKLOADS[case]
     with pytest.raises(ValidationError):
         evaluate(Scenario(model=model, hardware=A6000, workload=workload))
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_WORKLOADS))
+def test_scenario_rejects_an_invalid_workload_when_built(case):
+    model, workload = INVALID_WORKLOADS[case]
+    with pytest.raises(ValidationError):
+        Scenario(model=model, hardware=A6000, workload=workload)

@@ -328,6 +328,24 @@ def test_grid_validates_each_point_once(monkeypatch, tmp_path, command, mode):
 
 
 @pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+def test_analyze_validates_the_scenario_once(monkeypatch, tmp_path, mode):
+    calls = []
+
+    def counting(workload, model):
+        calls.append(workload)
+        return validate_workload(workload, model)
+
+    doc = {name: value for name, value in GRID_DOCS[mode].items() if name != "axes"}
+    for name, values in GRID_DOCS[mode]["axes"].items():
+        doc[name] = values[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    patch_everywhere(monkeypatch, validate_workload, counting)
+    assert cli_main(["analyze", "-c", str(path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
 @pytest.mark.parametrize("command", ["run_sweep", "roofline"])
 def test_grid_never_calls_the_checked_public_kernels(monkeypatch, tmp_path, command, mode):
     def forbidden(*args, **kwargs):
