@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -29,7 +30,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use rather than at import, then shared.
+
+    Parsing leaves no state in it, and it writes to the sys.stdout and
+    sys.stderr current at each call."""
     parser = _Parser(prog="lmroofline", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,7 +116,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     x_count = len(grid.axes[-1][1])
     series: list[tuple[str, list[tuple[float, float]]]] = []
     series_axes = grid.axes[:-1]
-    outer = list(itertools.product(*(values for _, values in series_axes))) or [()]
+    outer = itertools.product(*(values for _, values in series_axes))
     for idx, combo in enumerate(outer):
         name = (
             ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo))

@@ -8,13 +8,17 @@ can never exceed the hardware peak.
 
 A Scenario is valid once built, so the functions here take it as it is. A
 count too large for a float, or a latency that overflows, is rejected with a
-ValidationError rather than returned.
+ValidationError rather than returned. end_to_end does not place phases on
+the roofline: ScenarioResult.points are built on first read, from the phase
+latencies the result keeps, and a phase whose FLOPs overflow a float is
+rejected there in the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .configs import HardwareSpec, Scenario
 from .errors import ValidationError
@@ -114,35 +118,44 @@ def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """End-to-end latency, throughput, and roofline placement of a scenario."""
+    """End-to-end latency, throughput, FLOP and byte totals of a scenario, and its phases.
+
+    `points` places each phase on the roofline. It is built on first read,
+    from `phase_latencies`, and a phase whose FLOPs overflow a float raises
+    the ValidationError that end_to_end raises for an overflowing latency.
+    """
 
     latency_s: float
     throughput_tok_s: float
-    points: tuple[RooflinePoint, ...]
     phases: tuple[PhaseCost, ...]
+    phase_latencies: tuple[float, ...]
+    flops: int
+    bytes: int
+    scenario: Scenario
 
-    @property
-    def flops(self) -> int:
-        return sum(p.flops for p in self.phases)
-
-    @property
-    def bytes(self) -> int:
-        return sum(p.bytes for p in self.phases)
+    @cached_property
+    def points(self) -> tuple[RooflinePoint, ...]:
+        m, w, hw = self.scenario.model, self.scenario.workload, self.scenario.hardware
+        prefix = f"{m.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
+        try:
+            return tuple(
+                RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
+                for p, t, ai in zip(
+                    self.phases, self.phase_latencies, map(arithmetic_intensity, self.phases)
+                )
+            )
+        except OverflowError as exc:  # a phase's FLOPs beyond the float range
+            raise ValidationError(f"result has a non-finite number: {exc}") from exc
 
 
 def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
     w, hw = scenario.workload, scenario.hardware
     phases = scenario_phases(scenario)
-    prefix = f"{scenario.model.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
     try:
-        latencies = [phase_latency(p, hw) for p in phases]
+        latencies = tuple(phase_latency(p, hw) for p in phases)
         latency = sum(latencies)
         throughput = w.batch * w.gen_len / latency
-        points = tuple(
-            RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
-            for p, t, ai in zip(phases, latencies, map(arithmetic_intensity, phases))
-        )
     except OverflowError as exc:  # an int count beyond the float range
         raise ValidationError(f"result has a non-finite number: {exc}") from exc
     if not (math.isfinite(latency) and math.isfinite(throughput)):
@@ -150,5 +163,6 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
             f"result has a non-finite number: latency {latency}, throughput {throughput}"
         )
     return ScenarioResult(
-        latency_s=latency, throughput_tok_s=throughput, points=points, phases=phases
+        latency_s=latency, throughput_tok_s=throughput, phases=phases, phase_latencies=latencies,
+        flops=sum(p.flops for p in phases), bytes=sum(p.bytes for p in phases), scenario=scenario,
     )

@@ -1,12 +1,14 @@
 """CLI subcommands, output formats, and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from lmroofline import SweepRow, parse_csv
+from lmroofline import SweepRow, cli, parse_csv
 from lmroofline.cli import main
 
 
@@ -191,9 +193,12 @@ HUGE = 10**320  # beyond the float range
             arm_grid_doc({"prompt_len": [33 * 10**301]}, model="llada-8b", mode="dlm_block",
                          gen_len=1, steps=1, block_size=1),
         ),
+        # Every kernel's FLOPs and the latency stay in the float range, the prefill
+        # phase's FLOPs do not: rejected when the phases are placed on the roofline.
+        (["roofline", "-o", "out.svg"], arm_grid_doc({"batch": [1, 3 * 10**296]})),
     ],
     ids=["analyze-batch", "analyze-batch-overflows-flops", "sweep-axis", "roofline-axis",
-         "sweep-footprint-overflows"],
+         "sweep-footprint-overflows", "roofline-phase-flops-overflow"],
 )
 def test_huge_integers_exit_1_without_output(tmp_path, capsys, monkeypatch, command, doc):
     monkeypatch.chdir(tmp_path)
@@ -202,6 +207,8 @@ def test_huge_integers_exit_1_without_output(tmp_path, capsys, monkeypatch, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if command[0] != "analyze":
+        assert captured.err.startswith("error: grid point {")
 
 
 def test_integer_beyond_the_json_digit_limit_exits_1(tmp_path, capsys):
@@ -310,3 +317,49 @@ def test_missing_required_flag_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "lmroofline" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    config = write_json(tmp_path, "scenario.json", arm_scenario_doc())
+    calls = [
+        ["analyze"],  # usage error: -c is required
+        ["--help"],
+        ["analyze", "-c", config],
+        ["vibes"],
+        ["hw", "show", "no-such-gpu"],
+        ["analyze", "-c", config],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli._build_parser.cache_clear()
+    try:
+        shared = [run(calls[0])]
+        first_call_built = len(built)
+        shared += [run(argv) for argv in calls[1:]]
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("lmroofline") == 1
+    assert len(built) == first_call_built  # subcommand parsers too, all on the first call
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 1, 0]
+    assert shared[0][2].startswith("usage error:") and "usage: lmroofline" in shared[0][2]
+    assert shared[1][1].startswith("usage: lmroofline")
+    assert "usage: lmroofline" in shared[3][2]  # a usage error once the parser exists

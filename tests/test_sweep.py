@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
+    RooflinePoint,
     SweepGrid,
     ValidationError,
     WorkloadSpec,
@@ -23,7 +24,8 @@ from lmroofline import (
 from lmroofline import kernels
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, validate_workload
-from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict
+from lmroofline.roofline import scenario_phases
+from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict, map_grid
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -298,7 +300,15 @@ GRID_POINTS = 6
 
 
 def run_grid(command, tmp_path, doc):
-    """Evaluate grid `doc` through run_sweep or through one of the grid CLI commands."""
+    """Evaluate grid `doc` through run_sweep, one of the grid CLI commands, or
+    `analyze` on the grid's first point."""
+    if command == "analyze":
+        scenario = {name: value for name, value in doc.items() if name != "axes"}
+        scenario.update((name, values[0]) for name, values in doc["axes"].items())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert cli_main(["analyze", "-c", str(path)]) == 0
+        return
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(doc))
     if command == "run_sweep":
@@ -328,6 +338,22 @@ def test_grid_validates_each_point_once(monkeypatch, tmp_path, command, mode):
 
 
 @pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+@pytest.mark.parametrize("command", ["run_sweep", "sweep", "plot", "roofline", "analyze"])
+def test_only_roofline_builds_roofline_points(monkeypatch, tmp_path, command, mode):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return RooflinePoint(*args, **kwargs)
+
+    grid = grid_from_dict(GRID_DOCS[mode])
+    phases_per_point = map_grid(grid, lambda scenario: len(scenario_phases(scenario)))
+    patch_everywhere(monkeypatch, RooflinePoint, counting)
+    run_grid(command, tmp_path, GRID_DOCS[mode])
+    assert len(built) == (sum(phases_per_point) if command == "roofline" else 0)
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
 def test_analyze_validates_the_scenario_once(monkeypatch, tmp_path, mode):
     calls = []
 
@@ -335,13 +361,8 @@ def test_analyze_validates_the_scenario_once(monkeypatch, tmp_path, mode):
         calls.append(workload)
         return validate_workload(workload, model)
 
-    doc = {name: value for name, value in GRID_DOCS[mode].items() if name != "axes"}
-    for name, values in GRID_DOCS[mode]["axes"].items():
-        doc[name] = values[0]
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
     patch_everywhere(monkeypatch, validate_workload, counting)
-    assert cli_main(["analyze", "-c", str(path)]) == 0
+    run_grid("analyze", tmp_path, GRID_DOCS[mode])
     assert len(calls) == 1
 
 
