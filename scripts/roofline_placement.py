@@ -16,14 +16,14 @@ from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
     RooflinePoint,
+    Scenario,
+    WorkloadSpec,
     arithmetic_intensity,
-    arm_decode_cost,
-    arm_prefill_cost,
     classify,
     emit_roofline_svg,
-    naive_dlm_cost,
     phase_latency,
     ridge_point,
+    scenario_phases,
 )
 
 LENGTHS = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -32,12 +32,11 @@ LENGTHS = (128, 256, 512, 1024, 2048, 4096, 8192)
 def placement(model, hw):
     points = []
     for length in LENGTHS:
-        costs = [
-            ("prefill", arm_prefill_cost(model, 1, length, 2)),
-            ("decode", arm_decode_cost(model, 1, length, 128, 2)),
-            ("naive pass", naive_dlm_cost(model, 1, 0, length, 1, 2)),
-        ]
-        for phase, cost in costs:
+        prefill, decode = scenario_phases(Scenario(model, hw, WorkloadSpec("arm", 1, length, 128)))
+        (naive,) = scenario_phases(
+            Scenario(model, hw, WorkloadSpec("dlm_naive", 1, 0, length, steps=1))
+        )
+        for phase, cost in (("prefill", prefill), ("decode", decode), ("naive pass", naive)):
             ai = arithmetic_intensity(cost)
             points.append(
                 RooflinePoint(

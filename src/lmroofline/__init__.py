@@ -1,4 +1,9 @@
-"""Analytical roofline performance model for autoregressive and diffusion LM inference."""
+"""Analytical roofline performance model for autoregressive and diffusion LM inference.
+
+The cost functions exported here take a validated Scenario. The kernel,
+phase and memory functions under them take plain integers and do not check
+them; they stay importable from their modules.
+"""
 
 from .configs import (
     HW_REGISTRY,
@@ -14,24 +19,9 @@ from .configs import (
     validate_workload,
 )
 from .errors import ValidationError
-from .kernels import KernelCost, KernelRun, attention_cost, elementwise_bytes, linear_cost
-from .memory import (
-    MemoryFootprint,
-    kv_cache_bytes,
-    max_fitting_batch,
-    parameter_count,
-    peak_footprint,
-    weight_bytes,
-)
-from .phases import (
-    PhaseCost,
-    arithmetic_intensity,
-    arm_decode_cost,
-    arm_prefill_cost,
-    blockwise_dlm_cost,
-    layer_forward_cost,
-    naive_dlm_cost,
-)
+from .kernels import KernelCost, KernelRun
+from .memory import MemoryFootprint, max_fitting_batch, parameter_count, peak_footprint
+from .phases import PhaseCost, arithmetic_intensity
 from .roofline import (
     RooflinePoint,
     ScenarioResult,
@@ -40,16 +30,9 @@ from .roofline import (
     kernel_time,
     phase_latency,
     ridge_point,
+    scenario_phases,
 )
-from .sweep import (
-    SweepGrid,
-    SweepRow,
-    emit_csv,
-    fit_scaling_exponent,
-    load_grid,
-    parse_csv,
-    run_sweep,
-)
+from .sweep import SweepGrid, SweepRow, emit_csv, fit_scaling_exponent, load_grid, run_sweep
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 __all__ = [
@@ -70,33 +53,23 @@ __all__ = [
     "ValidationError",
     "WorkloadSpec",
     "arithmetic_intensity",
-    "arm_decode_cost",
-    "arm_prefill_cost",
-    "attention_cost",
-    "blockwise_dlm_cost",
     "classify",
-    "elementwise_bytes",
     "emit_csv",
     "emit_line_svg",
     "emit_roofline_svg",
     "end_to_end",
     "fit_scaling_exponent",
     "kernel_time",
-    "kv_cache_bytes",
-    "layer_forward_cost",
-    "linear_cost",
     "load_grid",
     "load_hardware_spec",
     "load_model_config",
     "load_scenario",
     "max_fitting_batch",
-    "naive_dlm_cost",
     "parameter_count",
-    "parse_csv",
     "peak_footprint",
     "phase_latency",
     "ridge_point",
     "run_sweep",
+    "scenario_phases",
     "validate_workload",
-    "weight_bytes",
 ]

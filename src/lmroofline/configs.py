@@ -163,13 +163,6 @@ class WorkloadSpec:
         """Full sequence length: prompt plus generation."""
         return self.prompt_len + self.gen_len
 
-    @property
-    def num_blocks(self) -> int | None:
-        """Number of generation blocks for dlm_block, else None."""
-        if self.block_size is None or self.block_size < 1:
-            return None
-        return -(-self.gen_len // self.block_size)
-
 
 def require_causal_capable(model: ModelConfig, what: str) -> None:
     """Reject running `what`, which needs causal attention, on `model`."""

@@ -13,13 +13,10 @@ Counting conventions, applied uniformly everywhere:
 
 All counts are exact Python integers.
 
-Inputs are checked at two places only: the JSON boundary (`configs`) and the
-public functions. `linear_cost`, `attention_cost`, `elementwise_bytes` and
-`attention_pair_count` check their arguments and then call the private,
-unchecked `_linear`, `_attention`, `_elementwise` and `_pair_count`. Phase
-assembly calls the private ones directly, and only with the shapes of a
-validated model and workload; their `count` argument builds the aggregate
-of that many identical invocations in one step.
+The kernel functions take plain integers and do not check them: phase
+assembly calls them only with the shapes of a Scenario, which was validated
+when it was built (`configs`). Each takes a `count` that builds the
+aggregate of that many identical invocations in one step.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .configs import require_int
 from .errors import ValidationError
 
 
@@ -39,12 +35,10 @@ class KernelCost:
     Attributes:
         flops: floating point operations performed.
         bytes: bytes moved between HBM and the compute units.
-        label: human-readable kernel identifier.
     """
 
     flops: int
     bytes: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.flops < 0 or self.bytes < 0:
@@ -52,13 +46,13 @@ class KernelCost:
                 f"kernel cost must be nonnegative (flops={self.flops}, bytes={self.bytes})"
             )
         if self.flops > 0 and self.bytes == 0:
-            raise ValidationError(f"kernel '{self.label}' computes but moves no data")
+            raise ValidationError(f"kernel computes but moves no data (flops={self.flops})")
 
     def scaled(self, count: int) -> "KernelCost":
         """Aggregate cost of `count` back-to-back invocations of this exact kernel."""
         if count < 1:
             raise ValidationError(f"count must be >= 1 (got {count})")
-        return KernelCost(self.flops * count, self.bytes * count, self.label)
+        return KernelCost(self.flops * count, self.bytes * count)
 
 
 class KernelRun(NamedTuple):
@@ -125,46 +119,19 @@ def _newton(values: list[int]) -> tuple[int, int, int]:
     return v0, v1 - v0, v2 - 2 * v1 + v0
 
 
-def _linear(
+def linear_cost(
     batch: int, seq_len: int, d_in: int, d_out: int, dtype_bytes: int, count: int = 1
 ) -> KernelCost:
-    """Unchecked linear_cost of `count` identical invocations."""
-    tokens = batch * seq_len
-    return KernelCost(
-        2 * tokens * d_in * d_out * count,
-        dtype_bytes * (d_in * d_out + tokens * d_in + tokens * d_out) * count,
-        f"linear[{d_in}x{d_out}]",
-    )
-
-
-def linear_cost(
-    batch: int,
-    seq_len: int,
-    d_in: int,
-    d_out: int,
-    dtype_bytes: int,
-) -> KernelCost:
-    """Cost of the GEMM x[batch*seq_len, d_in] @ W[d_in, d_out].
+    """Cost of `count` GEMMs x[batch*seq_len, d_in] @ W[d_in, d_out].
 
     The weight matrix is charged once per invocation, which is what makes a
     one-token decode step weight-traffic dominated.
     """
-    for name, value in (
-        ("batch", batch),
-        ("seq_len", seq_len),
-        ("d_in", d_in),
-        ("d_out", d_out),
-        ("dtype_bytes", dtype_bytes),
-    ):
-        require_int(name, value, 1)
-    return _linear(batch, seq_len, d_in, d_out, dtype_bytes)
-
-
-def _pair_count(q_len: int, kv_len: int, causal: bool) -> int:
-    """Unchecked attention_pair_count."""
-    if not causal:
-        return q_len * kv_len
-    return q_len * (kv_len - q_len) + q_len * (q_len + 1) // 2
+    tokens = batch * seq_len
+    return KernelCost(
+        2 * tokens * d_in * d_out * count,
+        dtype_bytes * (d_in * d_out + tokens * d_in + tokens * d_out) * count,
+    )
 
 
 def attention_pair_count(q_len: int, kv_len: int, causal: bool) -> int:
@@ -173,35 +140,9 @@ def attention_pair_count(q_len: int, kv_len: int, causal: bool) -> int:
     Causal counting places the q_len queries at the end of the kv_len key
     range: query i (0-based) sees the first kv_len - q_len + i + 1 keys.
     """
-    require_int("q_len", q_len, 1)
-    require_int("kv_len", kv_len, 1)
-    if causal and kv_len < q_len:
-        raise ValidationError(
-            f"kv_len must be >= q_len for causal attention ({kv_len} < {q_len})"
-        )
-    return _pair_count(q_len, kv_len, causal)
-
-
-def _attention(
-    batch: int,
-    num_heads: int,
-    num_kv_heads: int,
-    head_dim: int,
-    q_len: int,
-    kv_len: int,
-    dtype_bytes: int,
-    causal: bool,
-    write_new_kv: bool,
-    count: int = 1,
-) -> KernelCost:
-    """Unchecked attention_cost of `count` identical invocations."""
-    flops = 2 * batch * num_heads * head_dim * _pair_count(q_len, kv_len, causal) * 2
-    kv_read = 2 * batch * num_kv_heads * kv_len * head_dim
-    q_read = batch * num_heads * q_len * head_dim
-    out_write = batch * num_heads * q_len * head_dim
-    kv_write = 2 * batch * num_kv_heads * q_len * head_dim if write_new_kv else 0
-    moved = dtype_bytes * (kv_read + q_read + out_write + kv_write)
-    return KernelCost(flops * count, moved * count, f"attention[q={q_len},kv={kv_len}]")
+    if not causal:
+        return q_len * kv_len
+    return q_len * (kv_len - q_len) + q_len * (q_len + 1) // 2
 
 
 def attention_cost(
@@ -214,54 +155,31 @@ def attention_cost(
     dtype_bytes: int,
     causal: bool,
     write_new_kv: bool,
+    count: int = 1,
 ) -> KernelCost:
-    """Cost of one fused attention invocation.
+    """Cost of `count` fused attention invocations.
 
     FLOPs cover the QK^T and PV GEMMs (2 FLOPs per multiply-add each).
     Bytes cover reading K and V (num_kv_heads wide under grouped-query
     attention), reading Q, writing the output, and optionally appending the
     q_len new positions to the KV cache.
     """
-    for name, value in (
-        ("batch", batch),
-        ("num_heads", num_heads),
-        ("num_kv_heads", num_kv_heads),
-        ("head_dim", head_dim),
-        ("dtype_bytes", dtype_bytes),
-    ):
-        require_int(name, value, 1)
-    if num_kv_heads > num_heads:
-        raise ValidationError(
-            f"num_kv_heads must be <= num_heads ({num_kv_heads} > {num_heads})"
-        )
-    attention_pair_count(q_len, kv_len, causal)
-    return _attention(
-        batch, num_heads, num_kv_heads, head_dim, q_len, kv_len, dtype_bytes, causal, write_new_kv
-    )
-
-
-def _elementwise(
-    batch: int, seq_len: int, width: int, passes: int, dtype_bytes: int, count: int = 1
-) -> KernelCost:
-    """Unchecked elementwise_bytes of `count` identical invocations."""
-    return KernelCost(0, passes * 2 * batch * seq_len * width * dtype_bytes * count, "elementwise")
+    flops = 2 * batch * num_heads * head_dim * attention_pair_count(q_len, kv_len, causal) * 2
+    kv_read = 2 * batch * num_kv_heads * kv_len * head_dim
+    q_read = batch * num_heads * q_len * head_dim
+    out_write = batch * num_heads * q_len * head_dim
+    kv_write = 2 * batch * num_kv_heads * q_len * head_dim if write_new_kv else 0
+    moved = dtype_bytes * (kv_read + q_read + out_write + kv_write)
+    return KernelCost(flops * count, moved * count)
 
 
 def elementwise_bytes(
-    batch: int, seq_len: int, width: int, passes: int, dtype_bytes: int
+    batch: int, seq_len: int, width: int, passes: int, dtype_bytes: int, count: int = 1
 ) -> KernelCost:
-    """Traffic of `passes` read+write sweeps over a [batch, seq_len, width] tensor.
+    """Traffic of `passes` read+write sweeps over a [batch, seq_len, width] tensor, `count` times.
 
     Elementwise work (residual adds, norms) contributes no GEMM FLOPs under
-    the conventions above, so flops is zero. Zero-sized arguments are
-    allowed and yield a zero cost.
+    the conventions above, so flops is zero. Zero-sized arguments yield a
+    zero cost.
     """
-    for name, value in (
-        ("batch", batch),
-        ("seq_len", seq_len),
-        ("width", width),
-        ("passes", passes),
-        ("dtype_bytes", dtype_bytes),
-    ):
-        require_int(name, value, 0)
-    return _elementwise(batch, seq_len, width, passes, dtype_bytes)
+    return KernelCost(0, passes * 2 * batch * seq_len * width * dtype_bytes * count)

@@ -7,10 +7,13 @@ batch, which makes `max_fitting_batch` a closed form.
 
 Activation working set: ACTIVATION_BUFFER_FACTOR * batch * E * max(d_model,
 ffn_dim) * dtype_bytes, where E is the largest single-forward query extent
-the mode ever runs (prompt length for ARM prefill, the full sequence for
-cache-free naive diffusion, max(prompt, block) for block-wise diffusion),
-floored at one token. The factor 2 models double-buffered layer
-inputs/outputs; norm and score buffers are ignored.
+the mode ever runs (prompt length for ARM prefill, floored at the one
+token a decode step runs; the full sequence for cache-free naive diffusion;
+max(prompt, block) for block-wise diffusion). The factor 2 models
+double-buffered layer inputs/outputs; norm and score buffers are ignored.
+
+The functions here take the numbers of a Scenario, which was validated when
+it was built, and do not check them again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass, replace
 from math import floor
 
 from .configs import HardwareSpec, ModelConfig, Scenario, WorkloadSpec
-from .errors import ValidationError
 
 ACTIVATION_BUFFER_FACTOR = 2
 
@@ -51,17 +53,11 @@ def parameter_count(model: ModelConfig, tied_embedding: bool = False) -> int:
 
 
 def weight_bytes(model: ModelConfig, dtype_bytes: int, tied_embedding: bool = False) -> int:
-    if dtype_bytes < 1:
-        raise ValidationError(f"dtype_bytes must be >= 1 (got {dtype_bytes})")
     return dtype_bytes * parameter_count(model, tied_embedding)
 
 
 def kv_cache_bytes(model: ModelConfig, batch: int, total_len: int, dtype_bytes: int) -> int:
     """K and V for every layer, sequence position, and KV head."""
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1 (got {batch})")
-    if total_len < 0:
-        raise ValidationError(f"total_len must be >= 0 (got {total_len})")
     return (
         2
         * model.num_layers
@@ -75,18 +71,16 @@ def kv_cache_bytes(model: ModelConfig, batch: int, total_len: int, dtype_bytes: 
 
 def activation_bytes(model: ModelConfig, batch: int, q_extent: int, dtype_bytes: int) -> int:
     """Transient working set for a forward pass over q_extent query tokens."""
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1 (got {batch})")
     width = max(model.d_model, model.ffn_dim)
-    return ACTIVATION_BUFFER_FACTOR * batch * max(q_extent, 1) * width * dtype_bytes
+    return ACTIVATION_BUFFER_FACTOR * batch * q_extent * width * dtype_bytes
 
 
 def _activation_extent(workload: WorkloadSpec) -> int:
     if workload.mode == "dlm_naive":
-        return max(workload.total_len, 1)
+        return workload.total_len
     if workload.mode == "dlm_block":
-        return max(workload.prompt_len, workload.block_size or 1)
-    return max(workload.prompt_len, 1)
+        return max(workload.prompt_len, workload.block_size)
+    return max(workload.prompt_len, 1)  # an empty prompt still decodes one token
 
 
 def peak_footprint(scenario: Scenario) -> MemoryFootprint:

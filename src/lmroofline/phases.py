@@ -15,26 +15,27 @@ index, fixed exactly by sampling the kernel functions at up to three
 indices; along every run the arithmetic intensity is non-decreasing, which
 `roofline.kernel_time` relies on.
 
-The public phase functions take loose ints, so they check their own scalar
-arguments with the checks `configs.validate_workload` uses (`require_int`,
-`require_causal_capable`, `require_blocks`), and then build entries from
-the unchecked private kernels of `kernels.py`.
+Each phase function takes a Scenario of its mode and reads the model, the
+workload and the counting options from it. A Scenario is valid once built,
+so nothing here checks its numbers again; `roofline.scenario_phases` picks
+the phase functions a scenario's mode runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .configs import (
-    CountingOptions,
-    ModelConfig,
-    require_blocks,
-    require_causal_capable,
-    require_int,
-)
+from .configs import CountingOptions, ModelConfig, Scenario
 from .errors import ValidationError
-from .kernels import KernelCost, KernelRun, _attention, _elementwise, _linear, kernel_run
+from .kernels import (
+    KernelCost,
+    KernelRun,
+    attention_cost,
+    elementwise_bytes,
+    kernel_run,
+    linear_cost,
+)
 
 PHASES = ("arm_prefill", "arm_decode", "dlm_naive", "dlm_block")
 
@@ -51,18 +52,18 @@ class PhaseCost:
 
     Attributes:
         phase: one of PHASES.
-        flops: total FLOPs, always the exact sum over the breakdown.
-        bytes: total bytes moved, likewise.
         breakdown: (label, KernelCost | KernelRun) entries; an entry may
             aggregate many invocations.
         steps: number of model forward passes the phase represents.
+        flops: total FLOPs, summed over the breakdown when the phase is built.
+        bytes: total bytes moved, likewise.
     """
 
     phase: str
-    flops: int
-    bytes: int
     breakdown: Breakdown
     steps: int
+    flops: int = field(init=False)
+    bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
@@ -73,21 +74,8 @@ class PhaseCost:
         for _, kernel in self.breakdown:
             flops += kernel.flops
             moved += kernel.bytes
-        if flops != self.flops or moved != self.bytes:
-            raise ValidationError(
-                f"phase totals disagree with breakdown "
-                f"(flops {self.flops} vs {flops}, bytes {self.bytes} vs {moved})"
-            )
-
-
-def _make_phase(
-    phase: str, entries: list[tuple[str, KernelCost | KernelRun]], steps: int
-) -> PhaseCost:
-    flops = moved = 0
-    for _, kernel in entries:
-        flops += kernel.flops
-        moved += kernel.bytes
-    return PhaseCost(phase=phase, flops=flops, bytes=moved, breakdown=tuple(entries), steps=steps)
+        object.__setattr__(self, "flops", flops)
+        object.__setattr__(self, "bytes", moved)
 
 
 def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:
@@ -113,19 +101,21 @@ def _per_layer_core(
     """
     d = model.d_model
     kv_dim = model.num_kv_heads * model.head_dim
-    square = _linear(batch, q_len, d, d, dtype_bytes, count)
-    narrow = _linear(batch, q_len, d, kv_dim, dtype_bytes, count)
-    up = _linear(batch, q_len, d, model.ffn_dim, dtype_bytes, count)
+    square = linear_cost(batch, q_len, d, d, dtype_bytes, count)
+    narrow = linear_cost(batch, q_len, d, kv_dim, dtype_bytes, count)
+    up = linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes, count)
     entries = [("q_proj", square), ("k_proj", narrow), ("v_proj", narrow), ("out_proj", square)]
     if model.mlp_kind == "swiglu":
         entries.append(("mlp_gate", up))
     entries.append(("mlp_up", up))
-    entries.append(("mlp_down", _linear(batch, q_len, model.ffn_dim, d, dtype_bytes, count)))
+    entries.append(("mlp_down", linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes, count)))
     if opts.count_elementwise_bytes:
         entries.append(
             (
                 "elementwise",
-                _elementwise(batch, q_len, d, ELEMENTWISE_PASSES_PER_LAYER, dtype_bytes, count),
+                elementwise_bytes(
+                    batch, q_len, d, ELEMENTWISE_PASSES_PER_LAYER, dtype_bytes, count
+                ),
             )
         )
     return entries
@@ -145,7 +135,7 @@ def _attention_kernel(
     # With causal_exact off, causal passes fall back to the full q_len x
     # kv_len rectangle, which is the same pair count as non-causal.
     effective_causal = causal and opts.causal_exact
-    return _attention(
+    return attention_cost(
         batch,
         model.num_heads,
         model.num_kv_heads,
@@ -159,31 +149,6 @@ def _attention_kernel(
     )
 
 
-def _forward(
-    model: ModelConfig,
-    batch: int,
-    q_len: int,
-    kv_len: int,
-    dtype_bytes: int,
-    causal: bool,
-    write_new_kv: bool,
-    opts: CountingOptions,
-    count: int,
-) -> list[tuple[str, KernelCost]]:
-    """Unchecked layer_forward_cost of `count` identical full-model forwards."""
-    layers = model.num_layers * count
-    entries = _per_layer_core(model, batch, q_len, dtype_bytes, opts, layers)
-    attn = _attention_kernel(
-        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, layers
-    )
-    entries.insert(4, ("attention", attn))
-    if opts.include_lm_head:
-        entries.append(
-            ("lm_head", _linear(batch, q_len, model.d_model, model.vocab_size, dtype_bytes, count))
-        )
-    return entries
-
-
 def layer_forward_cost(
     model: ModelConfig,
     batch: int,
@@ -193,21 +158,23 @@ def layer_forward_cost(
     causal: bool,
     write_new_kv: bool,
     opts: CountingOptions,
+    count: int = 1,
 ) -> list[tuple[str, KernelCost]]:
-    """Kernels of one full-model forward over q_len query tokens.
+    """Kernels of `count` identical full-model forwards over q_len query tokens.
 
     Returns breakdown entries already scaled by num_layers, plus the LM head
-    once when opts.include_lm_head is set.
+    once per forward when opts.include_lm_head is set.
     """
-    require_int("batch", batch, 1)
-    require_int("q_len", q_len, 1)
-    require_int("kv_len", kv_len, 1)
-    require_int("dtype_bytes", dtype_bytes, 1)
-    if causal and opts.causal_exact and kv_len < q_len:
-        raise ValidationError(
-            f"kv_len must be >= q_len for causal attention ({kv_len} < {q_len})"
-        )
-    return _forward(model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, 1)
+    layers = model.num_layers * count
+    entries = _per_layer_core(model, batch, q_len, dtype_bytes, opts, layers)
+    attn = _attention_kernel(
+        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, layers
+    )
+    entries.insert(4, ("attention", attn))
+    if opts.include_lm_head:
+        head = linear_cost(batch, q_len, model.d_model, model.vocab_size, dtype_bytes, count)
+        entries.append(("lm_head", head))
+    return entries
 
 
 def _span(first: int, last: int) -> str:
@@ -236,42 +203,21 @@ def _runs(
     ]
 
 
-def _require_request(batch: int, prompt_len: int, gen_len: int, dtype_bytes: int) -> None:
-    """Check the arguments the generating phases share."""
-    require_int("batch", batch, 1)
-    require_int("prompt_len", prompt_len, 0)
-    require_int("gen_len", gen_len, 1)
-    require_int("dtype_bytes", dtype_bytes, 1)
+def arm_prefill_cost(scenario: Scenario) -> PhaseCost:
+    """One causal pass over the prompt, writing the KV cache.
 
-
-def arm_prefill_cost(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    dtype_bytes: int,
-    opts: CountingOptions | None = None,
-) -> PhaseCost:
-    """One causal pass over the prompt, writing the KV cache."""
-    opts = opts or CountingOptions()
-    require_causal_capable(model, "arm_prefill")
-    require_int("batch", batch, 1)
-    require_int("prompt_len", prompt_len, 1)
-    require_int("dtype_bytes", dtype_bytes, 1)
-    entries = _forward(
-        model, batch, prompt_len, prompt_len, dtype_bytes,
-        causal=True, write_new_kv=True, opts=opts, count=1,
+    An arm scenario with an empty prompt has no prefill phase, and
+    scenario_phases does not call this for it.
+    """
+    model, w = scenario.model, scenario.workload
+    entries = layer_forward_cost(
+        model, w.batch, w.prompt_len, w.prompt_len, w.dtype_bytes,
+        causal=True, write_new_kv=True, opts=w.options,
     )
-    return _make_phase("arm_prefill", entries, steps=1)
+    return PhaseCost("arm_prefill", tuple(entries), steps=1)
 
 
-def arm_decode_cost(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    gen_len: int,
-    dtype_bytes: int,
-    opts: CountingOptions | None = None,
-) -> PhaseCost:
+def arm_decode_cost(scenario: Scenario) -> PhaseCost:
     """gen_len single-token steps against a growing KV cache.
 
     Step t processes one query token against prompt_len + t cached
@@ -279,9 +225,10 @@ def arm_decode_cost(
     Weights are re-read every step, so the per-step linear traffic never
     amortizes. Attention over all steps is one run, affine in the KV length.
     """
-    opts = opts or CountingOptions()
-    require_causal_capable(model, "arm_decode")
-    _require_request(batch, prompt_len, gen_len, dtype_bytes)
+    model, w = scenario.model, scenario.workload
+    batch, prompt_len, gen_len, dtype_bytes, opts = (
+        w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options
+    )
     layers = model.num_layers
     entries = _per_layer_core(model, batch, 1, dtype_bytes, opts, layers * gen_len)
     attn = kernel_run(
@@ -296,46 +243,27 @@ def arm_decode_cost(
     )
     entries.append((f"attention[kv={_span(prompt_len + 1, prompt_len + gen_len)}]", attn))
     if opts.include_lm_head:
-        head = _linear(batch, 1, model.d_model, model.vocab_size, dtype_bytes, gen_len)
+        head = linear_cost(batch, 1, model.d_model, model.vocab_size, dtype_bytes, gen_len)
         entries.append(("lm_head", head))
-    return _make_phase("arm_decode", entries, steps=gen_len)
+    return PhaseCost("arm_decode", tuple(entries), steps=gen_len)
 
 
-def naive_dlm_cost(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    gen_len: int,
-    steps: int,
-    dtype_bytes: int,
-    opts: CountingOptions | None = None,
-) -> PhaseCost:
+def naive_dlm_cost(scenario: Scenario) -> PhaseCost:
     """steps bidirectional passes over the full prompt+generation sequence.
 
     No KV cache exists in this mode: every step recomputes attention over
     all prompt_len + gen_len positions and writes nothing back.
     """
-    opts = opts or CountingOptions()
-    require_int("steps", steps, 1)
-    _require_request(batch, prompt_len, gen_len, dtype_bytes)
-    total = prompt_len + gen_len
-    entries = _forward(
-        model, batch, total, total, dtype_bytes,
-        causal=False, write_new_kv=False, opts=opts, count=steps,
+    model, w = scenario.model, scenario.workload
+    total = w.total_len
+    entries = layer_forward_cost(
+        model, w.batch, total, total, w.dtype_bytes,
+        causal=False, write_new_kv=False, opts=w.options, count=w.steps,
     )
-    return _make_phase("dlm_naive", entries, steps=steps)
+    return PhaseCost("dlm_naive", tuple(entries), steps=w.steps)
 
 
-def blockwise_dlm_cost(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    gen_len: int,
-    steps: int,
-    block_size: int,
-    dtype_bytes: int,
-    opts: CountingOptions | None = None,
-) -> PhaseCost:
+def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
     """Semi-autoregressive diffusion decoding over cached earlier blocks.
 
     The generation is split into ceil(gen_len / block_size) blocks decoded
@@ -355,11 +283,12 @@ def blockwise_dlm_cost(
     per kernel kind (`block0..14:q_proj`), as do consecutive refresh passes
     (`refresh0..14:attention`).
     """
-    opts = opts or CountingOptions()
-    _require_request(batch, prompt_len, gen_len, dtype_bytes)
-    require_int("block_size", block_size, 1)
-    require_int("steps", steps, 1)
-    num_blocks = require_blocks(gen_len, steps, block_size)
+    model, w = scenario.model, scenario.workload
+    batch, prompt_len, gen_len, dtype_bytes, opts = (
+        w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options
+    )
+    steps, block_size = w.steps, w.block_size
+    num_blocks = -(-gen_len // block_size)
     steps_per_block, extra = divmod(steps, num_blocks)
     # Only the last block can be narrower than block_size, and blocks before
     # `extra` take one step more: so the blocks fall into at most three runs
@@ -396,7 +325,7 @@ def blockwise_dlm_cost(
         )
         entries.append((f"{tag}:attention[kv={_span(kv_len(first), kv_len(end - 1))}]", attn))
         if opts.include_lm_head:
-            head = _linear(
+            head = linear_cost(
                 batch, width, model.d_model, model.vocab_size, dtype_bytes, block_steps * count
             )
             entries.append((f"{tag}:lm_head", head))
@@ -406,12 +335,12 @@ def blockwise_dlm_cost(
 
             def refresh(i: int) -> list[tuple[str, KernelCost]]:
                 covered = prompt_len + min((first + i + 1) * block_size, gen_len)
-                return _forward(
+                return layer_forward_cost(
                     model, batch, covered, covered, dtype_bytes,
-                    causal=False, write_new_kv=True, opts=opts, count=1,
+                    causal=False, write_new_kv=True, opts=opts,
                 )
 
             tag = f"refresh{_span(first, end - 1)}"
             entries.extend((f"{tag}:{label}", run) for label, run in _runs(end - first, refresh))
         total_steps += num_blocks
-    return _make_phase("dlm_block", entries, steps=total_steps)
+    return PhaseCost("dlm_block", tuple(entries), steps=total_steps)

@@ -92,28 +92,18 @@ def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
 
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
-    """The phase costs a scenario's workload consists of, in execution order."""
-    m, w = scenario.model, scenario.workload
-    if w.mode == "arm":
-        phases = []
-        if w.prompt_len >= 1:
-            phases.append(arm_prefill_cost(m, w.batch, w.prompt_len, w.dtype_bytes, w.options))
-        phases.append(
-            arm_decode_cost(m, w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options)
-        )
-        return tuple(phases)
-    if w.mode == "dlm_naive":
-        return (
-            naive_dlm_cost(
-                m, w.batch, w.prompt_len, w.gen_len, w.steps, w.dtype_bytes, w.options
-            ),
-        )
-    return (
-        blockwise_dlm_cost(
-            m, w.batch, w.prompt_len, w.gen_len, w.steps, w.block_size,
-            w.dtype_bytes, w.options,
-        ),
-    )
+    """The phase costs a scenario's workload consists of, in execution order.
+
+    An arm scenario runs a prefill over a nonempty prompt, then decode.
+    """
+    mode = scenario.workload.mode
+    if mode == "arm":
+        if scenario.workload.prompt_len:
+            return arm_prefill_cost(scenario), arm_decode_cost(scenario)
+        return (arm_decode_cost(scenario),)
+    if mode == "dlm_naive":
+        return (naive_dlm_cost(scenario),)
+    return (blockwise_dlm_cost(scenario),)
 
 
 @dataclass(frozen=True)

@@ -263,34 +263,3 @@ def emit_csv(rows: list[SweepRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(csv_text(rows))
 
-
-def parse_csv(path: str) -> list[SweepRow]:
-    """Read back a sweep CSV (values within float-formatting tolerance)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValidationError(f"not a sweep CSV (bad header) in {path}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER.split(",")):
-            raise ValidationError(f"malformed CSV row: {line!r}")
-        rows.append(
-            SweepRow(
-                mode=parts[0],
-                B=int(parts[1]),
-                Lp=int(parts[2]),
-                Lg=int(parts[3]),
-                K=int(parts[4]) if parts[4] else None,
-                G=int(parts[5]) if parts[5] else None,
-                flops=int(float(parts[6])),
-                bytes=int(float(parts[7])),
-                ai=float(parts[8]),
-                latency_s=float(parts[9]),
-                throughput_tok_s=float(parts[10]),
-                bound=parts[11],
-                peak_mem_bytes=int(float(parts[12])),
-                fits=parts[13] == "true",
-            )
-        )
-    return rows

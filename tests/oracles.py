@@ -1,4 +1,5 @@
-"""Brute-force cost oracles used to pin down expected values independently.
+"""Brute-force cost oracles used to pin down expected values independently,
+and the small helpers the tests share.
 
 Everything in this module recomputes counts the slow, obvious way: explicit
 loops over tensor elements, or sums over enumerated matrix shapes.  Nothing
@@ -8,12 +9,29 @@ assemble a phase one model forward at a time from `layer_forward_cost`
 (itself pinned down by the loop oracles above) and are the reference for the
 closed-form run assembly in phases.py.  These oracles are only meant for the
 small shapes used in the tests; they make no attempt to be fast.
+
+`scenario` builds the validated Scenario the phase functions take,
+`patch_everywhere` replaces a function under every name the package binds
+it to, and `parse_csv` reads a sweep CSV back for the tests of the CSV
+contract.
 """
 
 from __future__ import annotations
 
-from lmroofline import CountingOptions, ModelConfig, layer_forward_cost
+import sys
+
+from lmroofline import (
+    HW_REGISTRY,
+    CountingOptions,
+    ModelConfig,
+    Scenario,
+    SweepRow,
+    ValidationError,
+    WorkloadSpec,
+)
 from lmroofline.kernels import KernelCost
+from lmroofline.phases import layer_forward_cost
+from lmroofline.sweep import CSV_HEADER
 
 # A synthetic shape small enough for the brute-force loops below.
 TINY = ModelConfig(
@@ -28,6 +46,66 @@ TINY = ModelConfig(
     mlp_kind="swiglu",
     attention_kind="causal_capable",
 )
+
+
+def scenario(
+    model: ModelConfig,
+    mode: str,
+    batch: int,
+    prompt_len: int,
+    gen_len: int,
+    steps: int | None = None,
+    block_size: int | None = None,
+    dtype_bytes: int = 2,
+    opts: CountingOptions | None = None,
+) -> Scenario:
+    """A Scenario of `model` on rtx-a6000; the arguments follow WorkloadSpec."""
+    workload = WorkloadSpec(
+        mode, batch, prompt_len, gen_len, steps, block_size, dtype_bytes,
+        opts or CountingOptions(),
+    )
+    return Scenario(model, HW_REGISTRY["rtx-a6000"], workload)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` under every name any lmroofline module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name == "lmroofline" or name.startswith("lmroofline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def parse_csv(path: str) -> list[SweepRow]:
+    """Read back a sweep CSV (values within float-formatting tolerance)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValidationError(f"not a sweep CSV (bad header) in {path}")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(CSV_HEADER.split(",")):
+            raise ValidationError(f"malformed CSV row: {line!r}")
+        rows.append(
+            SweepRow(
+                mode=parts[0],
+                B=int(parts[1]),
+                Lp=int(parts[2]),
+                Lg=int(parts[3]),
+                K=int(parts[4]) if parts[4] else None,
+                G=int(parts[5]) if parts[5] else None,
+                flops=int(float(parts[6])),
+                bytes=int(float(parts[7])),
+                ai=float(parts[8]),
+                latency_s=float(parts[9]),
+                throughput_tok_s=float(parts[10]),
+                bound=parts[11],
+                peak_mem_bytes=int(float(parts[12])),
+                fits=parts[13] == "true",
+            )
+        )
+    return rows
 
 
 def linear_flops_loops(batch: int, seq_len: int, d_in: int, d_out: int) -> int:

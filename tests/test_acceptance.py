@@ -10,36 +10,43 @@ import math
 import xml.etree.ElementTree as ET
 
 import oracles
-from oracles import TINY
+from oracles import TINY, scenario
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
     Scenario,
     WorkloadSpec,
     arithmetic_intensity,
-    arm_decode_cost,
-    arm_prefill_cost,
-    blockwise_dlm_cost,
     classify,
     end_to_end,
     fit_scaling_exponent,
     kernel_time,
-    kv_cache_bytes,
-    linear_cost,
     max_fitting_batch,
-    naive_dlm_cost,
     phase_latency,
     ridge_point,
+    scenario_phases,
 )
 from lmroofline.cli import main
 from lmroofline.configs import CountingOptions
-from lmroofline.kernels import KernelCost, attention_cost
+from lmroofline.kernels import KernelCost, attention_cost, linear_cost
+from lmroofline.memory import kv_cache_bytes
+from lmroofline.phases import (
+    arm_decode_cost,
+    arm_prefill_cost,
+    blockwise_dlm_cost,
+    naive_dlm_cost,
+)
 from lmroofline.sweep import SweepGrid, csv_text, run_sweep
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 A100 = HW_REGISTRY["a100-80g"]
+
+
+def naive_pass(length: int):
+    """One full-sequence dlm_naive pass of llama3-8b over `length` tokens."""
+    return naive_dlm_cost(scenario(LLAMA, "dlm_naive", 1, 0, length, steps=1))
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -67,7 +74,7 @@ def test_c1_ridge_point_reproduction(capsys):
 def test_c2a_decode_ai_flat_in_gen_len():
     """Decode intensity stays O(1) in generated tokens once the prompt dominates."""
     points = [
-        (lg, arithmetic_intensity(arm_decode_cost(LLAMA, 1, 8192, lg, 2)))
+        (lg, arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", 1, 8192, lg))))
         for lg in (128, 256, 512, 1024, 2048)
     ]
     slope = fit_scaling_exponent(points)
@@ -76,7 +83,7 @@ def test_c2a_decode_ai_flat_in_gen_len():
 
 def test_c2b_decode_ai_linear_in_batch():
     points = [
-        (b, arithmetic_intensity(arm_decode_cost(LLAMA, b, 64, 64, 2)))
+        (b, arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", b, 64, 64))))
         for b in (1, 2, 4, 8, 16, 32)
     ]
     slope = fit_scaling_exponent(points)
@@ -101,7 +108,7 @@ def test_c2c_naive_dlm_ai_linear_in_length():
     """
     attention_points = []
     for length in (8192, 16384, 32768, 65536):
-        attention = dict(naive_dlm_cost(LLAMA, 1, 0, length, 1, 2).breakdown)["attention"]
+        attention = dict(naive_pass(length).breakdown)["attention"]
         attention_points.append((length, arithmetic_intensity(attention)))
     attention_slope = fit_scaling_exponent(attention_points)
 
@@ -111,8 +118,7 @@ def test_c2c_naive_dlm_ai_linear_in_length():
     start = 2 ** math.ceil(math.log2(4 * crossover))
     long_lengths = [start * 2**i for i in range(4)]
     points = [
-        (length, arithmetic_intensity(naive_dlm_cost(LLAMA, 1, 0, length, 1, 2)))
-        for length in long_lengths
+        (length, arithmetic_intensity(naive_pass(length))) for length in long_lengths
     ]
     slope = fit_scaling_exponent(points)
     check(
@@ -126,17 +132,20 @@ def test_c2c_naive_dlm_ai_linear_in_length():
 
 def test_c2d_prefill_ai_linear_in_short_prompts():
     points = [
-        (lp, arithmetic_intensity(arm_prefill_cost(LLAMA, 1, lp, 2))) for lp in (8, 16, 32, 64)
+        (lp, arithmetic_intensity(arm_prefill_cost(scenario(LLAMA, "arm", 1, lp, 1))))
+        for lp in (8, 16, 32, 64)
     ]
     slope = fit_scaling_exponent(points)
     check("2d (prefill AI vs Lp, slope in [0.8, 1.0])", 0.8 <= slope <= 1.0, f"slope {slope:.4f}")
 
 
 def test_c2e_blockwise_ai_linear_in_block_size():
-    points = [
-        (g, arithmetic_intensity(blockwise_dlm_cost(LLAMA, 1, 32768, 1024, 1024, g, 2)))
-        for g in (16, 32, 64, 128, 256)
-    ]
+    def blockwise_ai(g):
+        return arithmetic_intensity(
+            blockwise_dlm_cost(scenario(LLAMA, "dlm_block", 1, 32768, 1024, 1024, g))
+        )
+
+    points = [(g, blockwise_ai(g)) for g in (16, 32, 64, 128, 256)]
     slope = fit_scaling_exponent(points)
     check("2e (blockwise AI vs G, slope in [0.8, 1.0])", 0.8 <= slope <= 1.0, f"slope {slope:.4f}")
 
@@ -145,19 +154,17 @@ def test_c3_roofline_classification():
     """Prefill compute-bound, decode memory-bound, naive diffusion crossing over."""
     lengths = (512, 1024, 2048, 4096, 8192)
     prefill_ok = all(
-        classify(arithmetic_intensity(arm_prefill_cost(LLAMA, 1, lp, 2)), A6000)
+        classify(arithmetic_intensity(arm_prefill_cost(scenario(LLAMA, "arm", 1, lp, 1))), A6000)
         == "compute_bound"
         for lp in lengths
     )
     decode_ok = all(
-        classify(arithmetic_intensity(arm_decode_cost(LLAMA, 1, lp, 128, 2)), A6000)
+        classify(arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", 1, lp, 128))), A6000)
         == "memory_bound"
         for lp in lengths
     )
     naive_bounds = {
-        length: classify(
-            arithmetic_intensity(naive_dlm_cost(LLAMA, 1, 0, length, 1, 2)), A6000
-        )
+        length: classify(arithmetic_intensity(naive_pass(length)), A6000)
         for length in (128, 256, 512, 1024, 2048, 4096, 8192)
     }
     naive_ok = (
@@ -183,7 +190,9 @@ def test_c4_blockwise_ai_invariant_in_gen_len():
     spreads = []
     for g in (32, 64, 128):
         ais = [
-            arithmetic_intensity(blockwise_dlm_cost(LLADA, 1, 1024, lg, lg, g, 2))
+            arithmetic_intensity(
+                blockwise_dlm_cost(scenario(LLADA, "dlm_block", 1, 1024, lg, lg, g))
+            )
             for lg in (256, 512, 1024, 2048)
         ]
         spreads.append((max(ais) - min(ais)) / min(ais))
@@ -216,8 +225,10 @@ def test_c5_naive_to_blockwise_latency_ratio():
     refresh = CountingOptions(include_cache_refresh=True)
     ratios, ceilings, naive_ais, refinement_ais = [], [], [], []
     for k in (256, 512, 1024):
-        naive = naive_dlm_cost(LLAMA, 1, 1024, k, k, 2)
-        blockwise = blockwise_dlm_cost(LLAMA, 1, 1024, k, k, 32, 2, refresh)
+        naive = naive_dlm_cost(scenario(LLAMA, "dlm_naive", 1, 1024, k, k))
+        blockwise = blockwise_dlm_cost(
+            scenario(LLAMA, "dlm_block", 1, 1024, k, k, 32, opts=refresh)
+        )
         ratios.append(phase_latency(naive, A6000) / phase_latency(blockwise, A6000))
         ceilings.append(naive.flops / blockwise.flops)
         naive_ais.append(arithmetic_intensity(naive))
@@ -336,10 +347,12 @@ def test_c8_derived_values_against_oracles():
             TINY.head_dim, TINY.ffn_dim, causal,
         )
 
-    ok = ok and arm_prefill_cost(TINY, 1, 2, 2).flops == tiny_flops(2, 2, True) == 688
-    ok = ok and arm_decode_cost(TINY, 1, 2, 1, 2).flops == tiny_flops(1, 3, False) == 368
-    ok = ok and naive_dlm_cost(TINY, 1, 2, 2, 1, 2).flops == tiny_flops(4, 4, False) == 1536
-    blockwise = blockwise_dlm_cost(TINY, 1, 2, 2, 1, 2, 2).flops
+    prefill, decode = (p.flops for p in scenario_phases(scenario(TINY, "arm", 1, 2, 1)))
+    ok = ok and prefill == tiny_flops(2, 2, True) == 688
+    ok = ok and decode == tiny_flops(1, 3, False) == 368
+    naive = naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 2, steps=1)).flops
+    ok = ok and naive == tiny_flops(4, 4, False) == 1536
+    blockwise = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 2, 1, 2)).flops
     ok = ok and blockwise == tiny_flops(2, 4, False) < 1536
 
     ok = ok and (
@@ -349,7 +362,7 @@ def test_c8_derived_values_against_oracles():
     )
     ok = ok and linear_cost(1, 2048, 4096, 4096, 2).flops == 2 * 2048 * 4096 * 4096
 
-    t = kernel_time(KernelCost(flops=10**12, bytes=10**9, label="synthetic"), A6000)
+    t = kernel_time(KernelCost(flops=10**12, bytes=10**9), A6000)
     ok = ok and math.isclose(t, 1e12 / 154.8e12, rel_tol=1e-9)
     ok = ok and math.isclose(t, 6.46e-3, rel_tol=2e-4)
     check("8 (oracle suite)", ok, "all worked examples match their oracles")

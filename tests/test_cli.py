@@ -8,7 +8,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lmroofline import SweepRow, cli, parse_csv
+from lmroofline import SweepRow, cli
+from oracles import parse_csv
 from lmroofline.cli import main
 
 

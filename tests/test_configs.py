@@ -21,6 +21,7 @@ from lmroofline import (
 )
 from lmroofline.configs import (
     options_from_dict,
+    require_blocks,
     scenario_from_dict,
     scenario_to_dict,
     workload_from_dict,
@@ -229,8 +230,7 @@ def test_unknown_mode_rejected():
 
 
 def test_four_blocks_for_g32_lg128():
-    w = WorkloadSpec(mode="dlm_block", batch=1, prompt_len=0, gen_len=128, steps=128, block_size=32)
-    assert w.num_blocks == 4
+    assert require_blocks(gen_len=128, steps=128, block_size=32) == 4
 
 
 @given(
@@ -240,15 +240,7 @@ def test_four_blocks_for_g32_lg128():
 def test_block_count_brackets_gen_len(gen_len, block_size):
     if block_size > gen_len:
         block_size = gen_len
-    w = WorkloadSpec(
-        mode="dlm_block",
-        batch=1,
-        prompt_len=0,
-        gen_len=gen_len,
-        steps=gen_len,
-        block_size=block_size,
-    )
-    n = w.num_blocks
+    n = require_blocks(gen_len=gen_len, steps=gen_len, block_size=block_size)
     assert n * block_size >= gen_len
     assert (n - 1) * block_size < gen_len
 

@@ -1,19 +1,25 @@
-"""Kernel-level FLOP and byte counting, checked against the loop oracles."""
+"""Kernel-level FLOP and byte counting, checked against the loop oracles.
+
+The kernel functions take plain integers and do not check them. The
+rejection tests below show that every bad value a kernel could be given is
+rejected where it enters: by ModelConfig, or when the Scenario is built.
+"""
+
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import TINY, patch_everywhere, scenario
 from lmroofline import (
     KernelCost,
     ValidationError,
     arithmetic_intensity,
-    attention_cost,
-    elementwise_bytes,
-    linear_cost,
+    scenario_phases,
 )
-from lmroofline.kernels import attention_pair_count
+from lmroofline.kernels import attention_cost, attention_pair_count, elementwise_bytes, linear_cost
 
 dims = st.integers(min_value=1, max_value=6)
 tiny_len = st.integers(min_value=1, max_value=6)
@@ -57,13 +63,26 @@ def test_linear_flops_doubles_with_each_dimension(batch, seq_len, d_in, d_out):
     assert linear_cost(batch, seq_len, d_in, 2 * d_out, 2).flops == 2 * base
 
 
+# Where each linear_cost argument comes from: a workload field, or a model
+# field (d_in and d_out are d_model, ffn_dim or vocab_size).
+LINEAR_ARGUMENT_SOURCES = {
+    "batch": ("workload", "batch"),
+    "seq_len": ("workload", "gen_len"),
+    "d_in": ("model", "d_model"),
+    "d_out": ("model", "ffn_dim"),
+    "dtype_bytes": ("workload", "dtype_bytes"),
+}
+
+
 @pytest.mark.parametrize("bad", [0, -1, True, 2.0])
 @pytest.mark.parametrize("field", ["batch", "seq_len", "d_in", "d_out", "dtype_bytes"])
 def test_linear_rejects_nonpositive_arguments(field, bad):
-    kwargs = dict(batch=1, seq_len=2, d_in=4, d_out=4, dtype_bytes=2)
-    kwargs[field] = bad
-    with pytest.raises(ValidationError, match=field):
-        linear_cost(**kwargs)
+    source, name = LINEAR_ARGUMENT_SOURCES[field]
+    with pytest.raises(ValidationError, match=name):
+        if source == "model":
+            dataclasses.replace(TINY, **{name: bad})
+        else:
+            scenario(TINY, "arm", **{"batch": 1, "prompt_len": 2, "gen_len": 2, name: bad})
 
 
 def test_attention_decode_step_example():
@@ -99,48 +118,35 @@ def test_attention_causal_pair_enumeration():
 
 
 def test_attention_rejects_zero_query_length():
-    with pytest.raises(ValidationError, match="q_len"):
-        attention_cost(
-            batch=1,
-            num_heads=1,
-            num_kv_heads=1,
-            head_dim=4,
-            q_len=0,
-            kv_len=8,
-            dtype_bytes=2,
-            causal=False,
-            write_new_kv=False,
-        )
+    # An attention query length is the prompt (arm prefill, which an empty
+    # prompt skips), one token (decode), the whole sequence (dlm_naive) or a
+    # block: a zero generation or block is rejected when the Scenario is built.
+    with pytest.raises(ValidationError, match="gen_len"):
+        scenario(TINY, "dlm_naive", 1, 8, 0, steps=1)
+    with pytest.raises(ValidationError, match="block_size"):
+        scenario(TINY, "dlm_block", 1, 8, 8, steps=8, block_size=0)
 
 
-def test_attention_rejects_causal_query_longer_than_keys():
-    with pytest.raises(ValidationError):
-        attention_cost(
-            batch=1,
-            num_heads=1,
-            num_kv_heads=1,
-            head_dim=4,
-            q_len=4,
-            kv_len=2,
-            dtype_bytes=2,
-            causal=True,
-            write_new_kv=False,
-        )
+def test_attention_rejects_causal_query_longer_than_keys(monkeypatch):
+    # Only arm prefill attends causally, and it attends over exactly its own
+    # queries, so no scenario can ask for more causal queries than keys.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return attention_cost(*args)
+
+    patch_everywhere(monkeypatch, attention_cost, recording)
+    for prompt_len in (1, 2, 7):
+        calls.clear()
+        scenario_phases(scenario(TINY, "arm", 1, prompt_len, 3))
+        causal = [(args[4], args[5]) for args in calls if args[7]]  # (q_len, kv_len)
+        assert causal == [(prompt_len, prompt_len)]
 
 
 def test_attention_rejects_more_kv_heads_than_heads():
-    with pytest.raises(ValidationError):
-        attention_cost(
-            batch=1,
-            num_heads=2,
-            num_kv_heads=4,
-            head_dim=4,
-            q_len=1,
-            kv_len=2,
-            dtype_bytes=2,
-            causal=False,
-            write_new_kv=False,
-        )
+    with pytest.raises(ValidationError, match="num_kv_heads"):
+        dataclasses.replace(TINY, num_kv_heads=4 * TINY.num_heads)
 
 
 @given(
@@ -222,19 +228,19 @@ def test_elementwise_bytes_examples():
 
 def test_kernel_cost_rejects_compute_without_traffic():
     with pytest.raises(ValidationError, match="moves no data"):
-        KernelCost(flops=10, bytes=0, label="bad")
+        KernelCost(flops=10, bytes=0)
 
 
 def test_kernel_cost_rejects_negative_counts():
     with pytest.raises(ValidationError):
-        KernelCost(flops=-1, bytes=4, label="bad")
+        KernelCost(flops=-1, bytes=4)
     with pytest.raises(ValidationError):
-        KernelCost(flops=0, bytes=-4, label="bad")
+        KernelCost(flops=0, bytes=-4)
 
 
 @given(count=st.integers(min_value=1, max_value=9))
 def test_scaled_multiplies_both_counts(count):
-    base = KernelCost(flops=6, bytes=10, label="k")
+    base = KernelCost(flops=6, bytes=10)
     scaled = base.scaled(count)
     assert scaled.flops == 6 * count
     assert scaled.bytes == 10 * count
@@ -243,4 +249,4 @@ def test_scaled_multiplies_both_counts(count):
 
 def test_scaled_rejects_zero_count():
     with pytest.raises(ValidationError, match="count"):
-        KernelCost(flops=2, bytes=2, label="k").scaled(0)
+        KernelCost(flops=2, bytes=2).scaled(0)

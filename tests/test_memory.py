@@ -15,13 +15,11 @@ from lmroofline import (
     Scenario,
     ValidationError,
     WorkloadSpec,
-    kv_cache_bytes,
     max_fitting_batch,
     parameter_count,
     peak_footprint,
-    weight_bytes,
 )
-from lmroofline.memory import activation_bytes
+from lmroofline.memory import activation_bytes, kv_cache_bytes, weight_bytes
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]

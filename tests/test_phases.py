@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import TINY
+from oracles import TINY, scenario
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -15,15 +15,18 @@ from lmroofline import (
     PhaseCost,
     ValidationError,
     arithmetic_intensity,
+    phase_latency,
+    ridge_point,
+    scenario_phases,
+)
+from lmroofline.kernels import KernelCost, KernelRun, kernel_run
+from lmroofline.phases import (
     arm_decode_cost,
     arm_prefill_cost,
     blockwise_dlm_cost,
     layer_forward_cost,
     naive_dlm_cost,
-    phase_latency,
-    ridge_point,
 )
-from lmroofline.kernels import KernelCost, KernelRun, kernel_run
 from lmroofline.roofline import kernel_time
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -62,7 +65,7 @@ def test_layer_forward_single_query_example():
 
 
 def test_prefill_equals_layer_forward_example():
-    phase = arm_prefill_cost(TINY, 1, 2, 2)
+    phase = arm_prefill_cost(scenario(TINY, "arm", 1, 2, 1))
     assert phase.flops == 688
     assert phase.bytes == tiny_layer_bytes(2, 2, write_new_kv=True) == 688
     assert phase.phase == "arm_prefill"
@@ -70,40 +73,40 @@ def test_prefill_equals_layer_forward_example():
 
 
 def test_single_decode_step_example():
-    phase = arm_decode_cost(TINY, 1, 2, 1, 2)
+    phase = arm_decode_cost(scenario(TINY, "arm", 1, 2, 1))
     assert phase.flops == tiny_layer_flops(1, 3, causal=False) == 368
     assert phase.bytes == tiny_layer_bytes(1, 3, write_new_kv=True) == 536
     assert phase.steps == 1
 
 
 def test_naive_dlm_single_step_example():
-    phase = naive_dlm_cost(TINY, 1, 2, 2, 1, 2)
+    phase = naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 2, 1))
     assert phase.flops == tiny_layer_flops(4, 4, causal=False) == 1536
     assert phase.bytes == tiny_layer_bytes(4, 4, write_new_kv=False) == 992
     assert phase.steps == 1
 
 
 def test_blockwise_single_block_beats_naive_example():
-    blockwise = blockwise_dlm_cost(TINY, 1, 2, 2, 1, 2, 2)
+    blockwise = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 2, 1, 2))
     assert blockwise.flops == tiny_layer_flops(2, 4, causal=False) == 768
     assert blockwise.bytes == tiny_layer_bytes(2, 4, write_new_kv=False) == 688
-    naive = naive_dlm_cost(TINY, 1, 2, 2, 1, 2)
+    naive = naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 2, 1))
     assert blockwise.flops < naive.flops == 1536
 
 
 def test_prefill_ai_compute_bound_at_long_prompt():
-    ai = arithmetic_intensity(arm_prefill_cost(LLAMA, 1, 2048, 2))
+    ai = arithmetic_intensity(arm_prefill_cost(scenario(LLAMA, "arm", 1, 2048, 1)))
     assert ai > ridge_point(A6000)
 
 
 @pytest.mark.parametrize("gen_len", [128, 1024, 8192])
 def test_decode_ai_memory_bound_at_long_prompt(gen_len):
-    ai = arithmetic_intensity(arm_decode_cost(LLAMA, 1, 2048, gen_len, 2))
+    ai = arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", 1, 2048, gen_len)))
     assert ai < ridge_point(A6000)
 
 
 def test_naive_dlm_ai_compute_bound_at_4096():
-    ai = arithmetic_intensity(naive_dlm_cost(LLADA, 1, 0, 4096, 4096, 2))
+    ai = arithmetic_intensity(naive_dlm_cost(scenario(LLADA, "dlm_naive", 1, 0, 4096, 4096)))
     assert ai > ridge_point(A6000)
 
 
@@ -135,7 +138,7 @@ small_models = st.builds(
 )
 def test_prefill_matches_assembled_loop_oracle(model, batch, prompt_len, with_head):
     opts = CountingOptions(include_lm_head=with_head)
-    phase = arm_prefill_cost(model, batch, prompt_len, 2, opts)
+    phase = arm_prefill_cost(scenario(model, "arm", batch, prompt_len, 1, opts=opts))
     expected = model.num_layers * oracles.swiglu_layer_flops_loops(
         batch, prompt_len, prompt_len, model.d_model, model.num_heads,
         model.num_kv_heads, model.head_dim, model.ffn_dim, causal=True,
@@ -154,7 +157,7 @@ def test_prefill_matches_assembled_loop_oracle(model, batch, prompt_len, with_he
     steps=st.integers(min_value=1, max_value=3),
 )
 def test_naive_dlm_matches_assembled_loop_oracle(model, batch, prompt_len, gen_len, steps):
-    phase = naive_dlm_cost(model, batch, prompt_len, gen_len, steps, 2)
+    phase = naive_dlm_cost(scenario(model, "dlm_naive", batch, prompt_len, gen_len, steps))
     total = prompt_len + gen_len
     per_pass_flops = model.num_layers * oracles.swiglu_layer_flops_loops(
         batch, total, total, model.d_model, model.num_heads,
@@ -181,11 +184,16 @@ def test_decode_aggregate_equals_sum_of_single_steps(
     model, batch, prompt_len, gen_len, dtype_bytes, with_head
 ):
     opts = CountingOptions(include_lm_head=with_head)
-    whole = arm_decode_cost(model, batch, prompt_len, gen_len, dtype_bytes, opts)
+    def decode(prompt_len, gen_len):
+        return arm_decode_cost(
+            scenario(model, "arm", batch, prompt_len, gen_len, dtype_bytes=dtype_bytes, opts=opts)
+        )
+
+    whole = decode(prompt_len, gen_len)
     flops = 0
     nbytes = 0
     for t in range(gen_len):
-        step = arm_decode_cost(model, batch, prompt_len + t, 1, dtype_bytes, opts)
+        step = decode(prompt_len + t, 1)
         flops += step.flops
         nbytes += step.bytes
     assert whole.flops == flops
@@ -242,7 +250,9 @@ def assert_matches_loop(phase, loop, hw):
 def test_decode_runs_match_per_step_loop(
     model, batch, prompt_len, gen_len, dtype_bytes, opts, data
 ):
-    phase = arm_decode_cost(model, batch, prompt_len, gen_len, dtype_bytes, opts)
+    phase = arm_decode_cost(
+        scenario(model, "arm", batch, prompt_len, gen_len, dtype_bytes=dtype_bytes, opts=opts)
+    )
     loop = oracles.arm_decode_loop(model, batch, prompt_len, gen_len, dtype_bytes, opts)
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
 
@@ -263,7 +273,9 @@ def test_blockwise_runs_match_per_step_loop(
 ):
     block_size = min(block_size, gen_len)
     steps = -(-gen_len // block_size) + steps_extra
-    phase = blockwise_dlm_cost(model, batch, prompt_len, gen_len, steps, block_size, 2, opts)
+    phase = blockwise_dlm_cost(
+        scenario(model, "dlm_block", batch, prompt_len, gen_len, steps, block_size, opts=opts)
+    )
     loop = oracles.blockwise_dlm_loop(
         model, batch, prompt_len, gen_len, steps, block_size, 2, opts
     )
@@ -277,7 +289,7 @@ def test_blockwise_runs_match_per_step_loop(
     count=st.integers(min_value=1, max_value=10**6),
 )
 def test_constant_run_is_the_scaled_kernel(flops, nbytes, count):
-    kernel = KernelCost(flops, nbytes, "k")
+    kernel = KernelCost(flops, nbytes)
     run = kernel_run(count, [kernel] * min(count, 3))
     assert run == kernel.scaled(count)
     assert kernel_time(run, A6000) == max(flops * count / A6000.peak_flops,
@@ -285,12 +297,14 @@ def test_constant_run_is_the_scaled_kernel(flops, nbytes, count):
 
 
 def test_entry_count_does_not_grow_with_gen_len_or_blocks():
-    short = arm_decode_cost(LLAMA, 1, 2048, 2, 2)
-    long = arm_decode_cost(LLAMA, 1, 2048, 10**6, 2)
+    short = arm_decode_cost(scenario(LLAMA, "arm", 1, 2048, 2))
+    long = arm_decode_cost(scenario(LLAMA, "arm", 1, 2048, 10**6))
     assert len(long.breakdown) == len(short.breakdown) == 8  # 7 linears + attention
     refresh = CountingOptions(include_cache_refresh=True, include_lm_head=True)
-    one_block = blockwise_dlm_cost(LLADA, 1, 16, 4, 4, 4, 2, refresh)
-    many_blocks = blockwise_dlm_cost(LLADA, 1, 16, 4 * 4096, 4 * 4096, 4, 2, refresh)
+    one_block = blockwise_dlm_cost(scenario(LLADA, "dlm_block", 1, 16, 4, 4, 4, opts=refresh))
+    many_blocks = blockwise_dlm_cost(
+        scenario(LLADA, "dlm_block", 1, 16, 4 * 4096, 4 * 4096, 4, opts=refresh)
+    )
     assert len(many_blocks.breakdown) == len(one_block.breakdown)
 
 
@@ -310,27 +324,29 @@ def test_blockwise_never_exceeds_naive_flops(
         block_size = gen_len
     num_blocks = -(-gen_len // block_size)
     steps = num_blocks + steps_extra
-    blockwise = blockwise_dlm_cost(model, batch, prompt_len, gen_len, steps, block_size, 2)
-    naive = naive_dlm_cost(model, batch, prompt_len, gen_len, steps, 2)
+    blockwise = blockwise_dlm_cost(
+        scenario(model, "dlm_block", batch, prompt_len, gen_len, steps, block_size)
+    )
+    naive = naive_dlm_cost(scenario(model, "dlm_naive", batch, prompt_len, gen_len, steps))
     assert blockwise.flops <= naive.flops
 
 
 def test_blockwise_full_kv_charges_whole_sequence():
     full_kv = CountingOptions(full_kv_each_step=True)
-    growing = blockwise_dlm_cost(TINY, 1, 2, 4, 2, 2, 2)
-    full = blockwise_dlm_cost(TINY, 1, 2, 4, 2, 2, 2, full_kv)
+    growing = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 2, 2))
+    full = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 2, 2, opts=full_kv))
     assert full.flops > growing.flops
     assert full.bytes > growing.bytes
     # with a single block covering everything the two conventions coincide
-    one_block = blockwise_dlm_cost(TINY, 1, 2, 4, 1, 4, 2)
-    one_block_full = blockwise_dlm_cost(TINY, 1, 2, 4, 1, 4, 2, full_kv)
+    one_block = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 1, 4))
+    one_block_full = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 1, 4, opts=full_kv))
     assert one_block.flops == one_block_full.flops
 
 
 def test_cache_refresh_adds_full_passes_and_steps():
-    plain = blockwise_dlm_cost(TINY, 1, 2, 4, 4, 2, 2)
+    plain = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 4, 2))
     refreshed = blockwise_dlm_cost(
-        TINY, 1, 2, 4, 4, 2, 2, CountingOptions(include_cache_refresh=True)
+        scenario(TINY, "dlm_block", 1, 2, 4, 4, 2, opts=CountingOptions(include_cache_refresh=True))
     )
     assert plain.steps == 4
     assert refreshed.steps == 4 + 2
@@ -342,20 +358,22 @@ def test_refresh_extent_clamps_to_generation_end():
     # Lg = 3 with G = 2: the second block covers only one token, so its
     # refresh pass runs over prompt + 3 tokens, not prompt + 4.
     refreshed = blockwise_dlm_cost(
-        TINY, 1, 2, 3, 2, 2, 2, CountingOptions(include_cache_refresh=True)
+        scenario(TINY, "dlm_block", 1, 2, 3, 2, 2, opts=CountingOptions(include_cache_refresh=True))
     )
     last_refresh = dict(refreshed.breakdown)["refresh1:attention"]
     assert last_refresh.flops == TINY.num_layers * oracles.attention_flops_loops(
         1, TINY.num_heads, TINY.head_dim, 5, 5, causal=False
     )
-    plain = blockwise_dlm_cost(TINY, 1, 2, 3, 2, 2, 2)
+    plain = blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 3, 2, 2))
     refresh_flops = tiny_layer_flops(4, 4, causal=False) + tiny_layer_flops(5, 5, causal=False)
     assert refreshed.flops == plain.flops + refresh_flops
 
 
 def test_rectangle_fallback_counts_full_square():
-    exact = arm_prefill_cost(TINY, 1, 2, 2)
-    loose = arm_prefill_cost(TINY, 1, 2, 2, CountingOptions(causal_exact=False))
+    exact = arm_prefill_cost(scenario(TINY, "arm", 1, 2, 1))
+    loose = arm_prefill_cost(
+        scenario(TINY, "arm", 1, 2, 1, opts=CountingOptions(causal_exact=False))
+    )
     # triangular pair count 3 becomes the full 2x2 rectangle of 4 pairs
     attn_exact = dict(exact.breakdown)["attention"]
     attn_loose = dict(loose.breakdown)["attention"]
@@ -363,62 +381,75 @@ def test_rectangle_fallback_counts_full_square():
 
 
 def test_elementwise_traffic_adds_bytes_only():
-    plain = arm_prefill_cost(TINY, 1, 2, 2)
-    counted = arm_prefill_cost(TINY, 1, 2, 2, CountingOptions(count_elementwise_bytes=True))
+    plain = arm_prefill_cost(scenario(TINY, "arm", 1, 2, 1))
+    counted = arm_prefill_cost(
+        scenario(TINY, "arm", 1, 2, 1, opts=CountingOptions(count_elementwise_bytes=True))
+    )
     assert counted.flops == plain.flops
     assert counted.bytes > plain.bytes
 
 
 def test_lm_head_adds_vocab_projection():
-    plain = arm_decode_cost(TINY, 1, 2, 2, 2)
-    with_head = arm_decode_cost(TINY, 1, 2, 2, 2, CountingOptions(include_lm_head=True))
+    plain = arm_decode_cost(scenario(TINY, "arm", 1, 2, 2))
+    with_head = arm_decode_cost(
+        scenario(TINY, "arm", 1, 2, 2, opts=CountingOptions(include_lm_head=True))
+    )
     per_token = oracles.linear_flops_loops(1, 1, TINY.d_model, TINY.vocab_size)
     assert with_head.flops == plain.flops + 2 * per_token
 
 
 def test_decode_steps_counts_generated_tokens():
-    assert arm_decode_cost(TINY, 1, 2, 5, 2).steps == 5
-    assert naive_dlm_cost(TINY, 1, 2, 4, 7, 2).steps == 7
-    assert blockwise_dlm_cost(TINY, 1, 2, 4, 6, 2, 2).steps == 6
+    assert arm_decode_cost(scenario(TINY, "arm", 1, 2, 5)).steps == 5
+    assert naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 4, 7)).steps == 7
+    assert blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 6, 2)).steps == 6
+
+
+# The phase functions take a Scenario and check nothing themselves: each
+# workload they used to reject is rejected when its Scenario is built.
 
 
 def test_prefill_requires_nonempty_prompt():
-    with pytest.raises(ValidationError, match="prompt_len"):
-        arm_prefill_cost(TINY, 1, 0, 2)
+    # An arm scenario with an empty prompt has no prefill phase.
+    phases = scenario_phases(scenario(TINY, "arm", 1, 0, 3))
+    assert [p.phase for p in phases] == ["arm_decode"]
+    assert [p.phase for p in scenario_phases(scenario(TINY, "arm", 1, 1, 3))] == [
+        "arm_prefill", "arm_decode"
+    ]
 
 
 def test_arm_phases_reject_bidirectional_only_model():
     with pytest.raises(ValidationError, match="bidirectional_only"):
-        arm_prefill_cost(LLADA, 1, 4, 2)
-    with pytest.raises(ValidationError, match="bidirectional_only"):
-        arm_decode_cost(LLADA, 1, 4, 4, 2)
+        scenario(LLADA, "arm", 1, 4, 4)
 
 
 def test_blockwise_rejects_oversized_block():
     with pytest.raises(ValidationError, match="block size exceeds generation length"):
-        blockwise_dlm_cost(TINY, 1, 0, 128, 128, 256, 2)
+        scenario(TINY, "dlm_block", 1, 0, 128, 128, 256)
 
 
 def test_blockwise_rejects_starved_step_budget():
     with pytest.raises(ValidationError, match="fewer steps than blocks"):
-        blockwise_dlm_cost(TINY, 1, 0, 128, 2, 32, 2)
+        scenario(TINY, "dlm_block", 1, 0, 128, 2, 32)
 
 
 def test_phase_cost_rejects_total_mismatch():
-    kernel = KernelCost(flops=4, bytes=4, label="k")
-    with pytest.raises(ValidationError, match="flops"):
-        PhaseCost(phase="arm_prefill", flops=5, bytes=4, breakdown=(("k", kernel),), steps=1)
+    # The totals are derived from the breakdown, so they cannot disagree with it.
+    kernel = KernelCost(flops=4, bytes=6)
+    with pytest.raises(TypeError, match="flops"):
+        PhaseCost(phase="arm_prefill", flops=5, bytes=6, breakdown=(("k", kernel),), steps=1)
+    phase = PhaseCost(phase="arm_prefill", breakdown=(("k", kernel), ("k", kernel)), steps=1)
+    assert (phase.flops, phase.bytes) == (8, 12)
 
 
 def test_phase_cost_rejects_unknown_phase():
-    kernel = KernelCost(flops=4, bytes=4, label="k")
+    kernel = KernelCost(flops=4, bytes=4)
     with pytest.raises(ValidationError, match="phase"):
-        PhaseCost(phase="warmup", flops=4, bytes=4, breakdown=(("k", kernel),), steps=1)
+        PhaseCost(phase="warmup", breakdown=(("k", kernel),), steps=1)
 
 
 def test_arithmetic_intensity_rejects_zero_bytes():
     with pytest.raises(ValidationError, match="zero bytes"):
-        arithmetic_intensity(KernelCost(flops=0, bytes=0, label="empty"))
+        arithmetic_intensity(KernelCost(flops=0, bytes=0))
 
 
 @settings(max_examples=40)
@@ -428,6 +459,6 @@ def test_arithmetic_intensity_rejects_zero_bytes():
     prompt_len=st.integers(min_value=1, max_value=8),
 )
 def test_phase_totals_equal_breakdown_sums(model, batch, prompt_len):
-    phase = arm_prefill_cost(model, batch, prompt_len, 2)
+    phase = arm_prefill_cost(scenario(model, "arm", batch, prompt_len, 1))
     assert phase.flops == sum(k.flops for _label, k in phase.breakdown)
     assert phase.bytes == sum(k.bytes for _label, k in phase.breakdown)

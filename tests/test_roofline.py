@@ -13,20 +13,23 @@ from lmroofline import (
     ValidationError,
     WorkloadSpec,
     arithmetic_intensity,
-    arm_decode_cost,
-    arm_prefill_cost,
-    blockwise_dlm_cost,
     classify,
     end_to_end,
     kernel_time,
-    naive_dlm_cost,
     phase_latency,
     ridge_point,
 )
 from lmroofline.kernels import KernelCost
+from lmroofline.phases import (
+    arm_decode_cost,
+    arm_prefill_cost,
+    blockwise_dlm_cost,
+    naive_dlm_cost,
+)
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
 from lmroofline.sweep import evaluate_point
+from oracles import scenario
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -65,32 +68,30 @@ def test_negative_intensity_rejected():
 
 
 def test_prefill_at_2048_is_compute_bound():
-    ai = arithmetic_intensity(arm_prefill_cost(LLAMA, 1, 2048, 2))
+    ai = arithmetic_intensity(arm_prefill_cost(scenario(LLAMA, "arm", 1, 2048, 1)))
     assert classify(ai, A6000) == "compute_bound"
 
 
 def test_kernel_time_example():
     # max(1e12 / 154.8e12, 1e9 / 768e9): the compute side binds,
     # 1 / 154.8 = 6.4599e-3 seconds.
-    cost = KernelCost(flops=10**12, bytes=10**9, label="synthetic")
+    cost = KernelCost(flops=10**12, bytes=10**9)
     assert kernel_time(cost, A6000) == pytest.approx(1e12 / 154.8e12, rel=1e-12)
     assert kernel_time(cost, A6000) == pytest.approx(6.46e-3, abs=1e-5)
 
 
 def test_empty_phase_has_zero_latency():
-    phase = PhaseCost(phase="dlm_naive", flops=0, bytes=0, breakdown=(), steps=1)
+    phase = PhaseCost(phase="dlm_naive", breakdown=(), steps=1)
     assert phase_latency(phase, A6000) == 0.0
 
 
 def test_latency_sums_per_kernel_binding_sides():
     # one compute-heavy kernel plus one byte-heavy kernel; the summed time
     # must exceed the roofline time of the merged totals
-    compute_heavy = KernelCost(flops=10**12, bytes=10**6, label="a")
-    memory_heavy = KernelCost(flops=10**6, bytes=10**9, label="b")
+    compute_heavy = KernelCost(flops=10**12, bytes=10**6)
+    memory_heavy = KernelCost(flops=10**6, bytes=10**9)
     phase = PhaseCost(
         phase="dlm_naive",
-        flops=compute_heavy.flops + memory_heavy.flops,
-        bytes=compute_heavy.bytes + memory_heavy.bytes,
         breakdown=(("a", compute_heavy), ("b", memory_heavy)),
         steps=1,
     )
@@ -139,7 +140,7 @@ def test_perf_attained_hits_peak_for_exactly_balanced_kernel():
     # a kernel whose AI equals the ridge runs at peak
     flops = int(154.8e12)
     nbytes = int(flops / ridge_point(A6000))
-    k = KernelCost(flops=flops, bytes=nbytes, label="balanced")
+    k = KernelCost(flops=flops, bytes=nbytes)
     assert flops / kernel_time(k, A6000) == pytest.approx(A6000.peak_flops, rel=1e-9)
 
 
@@ -150,10 +151,13 @@ def test_perf_attained_hits_peak_for_exactly_balanced_kernel():
     gen_len=st.integers(min_value=1, max_value=64),
 )
 def test_decode_latency_monotone_in_every_dimension(batch, prompt_len, gen_len):
-    base = phase_latency(arm_decode_cost(LLAMA, batch, prompt_len, gen_len, 2), A6000)
-    more_batch = phase_latency(arm_decode_cost(LLAMA, batch + 1, prompt_len, gen_len, 2), A6000)
-    more_prompt = phase_latency(arm_decode_cost(LLAMA, batch, prompt_len + 64, gen_len, 2), A6000)
-    more_tokens = phase_latency(arm_decode_cost(LLAMA, batch, prompt_len, gen_len + 1, 2), A6000)
+    def latency(*workload):
+        return phase_latency(arm_decode_cost(scenario(LLAMA, "arm", *workload)), A6000)
+
+    base = latency(batch, prompt_len, gen_len)
+    more_batch = latency(batch + 1, prompt_len, gen_len)
+    more_prompt = latency(batch, prompt_len + 64, gen_len)
+    more_tokens = latency(batch, prompt_len, gen_len + 1)
     assert more_batch >= base
     assert more_prompt >= base
     assert more_tokens >= base
@@ -167,11 +171,15 @@ def test_decode_latency_monotone_in_every_dimension(batch, prompt_len, gen_len):
 def test_dlm_latency_monotone_in_steps(extra_steps, gen_len):
     num_blocks = -(-gen_len // 4)
     steps = num_blocks + extra_steps
-    base = phase_latency(naive_dlm_cost(LLADA, 1, 64, gen_len, steps, 2), A6000)
-    more = phase_latency(naive_dlm_cost(LLADA, 1, 64, gen_len, steps + 1, 2), A6000)
+    def latency(phase, mode, steps, block_size=None):
+        workload = scenario(LLADA, mode, 1, 64, gen_len, steps, block_size)
+        return phase_latency(phase(workload), A6000)
+
+    base = latency(naive_dlm_cost, "dlm_naive", steps)
+    more = latency(naive_dlm_cost, "dlm_naive", steps + 1)
     assert more >= base
-    blockwise = phase_latency(blockwise_dlm_cost(LLADA, 1, 64, gen_len, steps, 4, 2), A6000)
-    blockwise_more = phase_latency(blockwise_dlm_cost(LLADA, 1, 64, gen_len, steps + 1, 4, 2), A6000)
+    blockwise = latency(blockwise_dlm_cost, "dlm_block", steps, 4)
+    blockwise_more = latency(blockwise_dlm_cost, "dlm_block", steps + 1, 4)
     assert blockwise_more >= blockwise
 
 
@@ -215,7 +223,7 @@ def test_halving_steps_in_compute_bound_blockwise_doubles_throughput():
 
 def test_all_kernels_compute_bound_implies_phase_compute_bound():
     # every kernel individually past the ridge forces the phase past it too
-    phase = arm_prefill_cost(LLAMA, 1, 4096, 2)
+    phase = arm_prefill_cost(scenario(LLAMA, "arm", 1, 4096, 1))
     ridge = ridge_point(A6000)
     if all(arithmetic_intensity(k) >= ridge for _label, k in phase.breakdown):
         assert classify(arithmetic_intensity(phase), A6000) == "compute_bound"
@@ -233,14 +241,12 @@ def test_kernelwise_compute_bound_is_sufficient_for_phase(flops, ratio):
     kernels = []
     for i, f in enumerate(flops):
         nbytes = max(1, int(f / (ridge * ratio)))
-        kernels.append((f"k{i}", KernelCost(flops=f, bytes=nbytes, label=f"k{i}")))
+        kernels.append((f"k{i}", KernelCost(flops=f, bytes=nbytes)))
     kernels = [(label, k) for label, k in kernels if arithmetic_intensity(k) >= ridge]
     if not kernels:
         return
     phase = PhaseCost(
         phase="dlm_naive",
-        flops=sum(k.flops for _label, k in kernels),
-        bytes=sum(k.bytes for _label, k in kernels),
         breakdown=tuple(kernels),
         steps=1,
     )

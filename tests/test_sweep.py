@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +17,13 @@ from lmroofline import (
     emit_csv,
     fit_scaling_exponent,
     load_grid,
-    parse_csv,
     run_sweep,
 )
-from lmroofline import kernels
 from lmroofline.cli import main as cli_main
-from lmroofline.configs import Scenario, validate_workload
+from lmroofline.configs import Scenario, require_int, validate_workload
 from lmroofline.roofline import scenario_phases
 from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict, map_grid
+from oracles import parse_csv, patch_everywhere
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -255,15 +253,6 @@ def test_evaluate_point_matches_run_sweep_row():
     assert direct == row
 
 
-def patch_everywhere(monkeypatch, original, replacement):
-    """Replace `original` under every name any lmroofline module binds it to."""
-    for name, module in list(sys.modules.items()):
-        if name == "lmroofline" or name.startswith("lmroofline."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 # One grid per mode, with every counting option that adds a kernel kind on.
 GRID_DOCS = {
     "arm": {
@@ -366,15 +355,23 @@ def test_analyze_validates_the_scenario_once(monkeypatch, tmp_path, mode):
     assert len(calls) == 1
 
 
+# validate_workload's own require_int calls: batch, prompt_len, gen_len and
+# dtype_bytes; steps for the diffusion modes; block_size for dlm_block.
+COUNT_CHECKS_PER_POINT = {"arm": 4, "dlm_naive": 5, "dlm_block": 6}
+
+
 @pytest.mark.parametrize("mode", sorted(GRID_DOCS))
 @pytest.mark.parametrize("command", ["run_sweep", "roofline"])
-def test_grid_never_calls_the_checked_public_kernels(monkeypatch, tmp_path, command, mode):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("grid evaluation called a public kernel function")
+def test_grid_checks_each_count_once_per_point(monkeypatch, tmp_path, command, mode):
+    calls = []
 
-    for public in (kernels.linear_cost, kernels.attention_cost, kernels.elementwise_bytes):
-        patch_everywhere(monkeypatch, public, forbidden)
+    def counting(name, value, minimum):
+        calls.append(name)
+        return require_int(name, value, minimum)
+
+    patch_everywhere(monkeypatch, require_int, counting)
     run_grid(command, tmp_path, GRID_DOCS[mode])
+    assert len(calls) == COUNT_CHECKS_PER_POINT[mode] * GRID_POINTS
 
 
 def test_steps_axis_of_none_resolves_to_gen_len():
