@@ -406,10 +406,6 @@ def options_from_dict(doc: dict) -> CountingOptions:
     return CountingOptions(**values)
 
 
-def options_to_dict(opts: CountingOptions) -> dict:
-    return {f.name: getattr(opts, f.name) for f in fields(CountingOptions)}
-
-
 _SCENARIO_REQUIRED = {"model", "hardware", "mode", "batch", "prompt_len", "gen_len"}
 _SCENARIO_OPTIONAL = {"steps", "block_size", "dtype_bytes", "options"}
 
@@ -437,41 +433,12 @@ def workload_from_dict(doc: dict, context: str = "scenario") -> WorkloadSpec:
     )
 
 
-def workload_to_dict(workload: WorkloadSpec) -> dict:
-    """Serialize a workload to the scenario field layout (round-trip safe)."""
-    doc: dict[str, Any] = {
-        "mode": workload.mode,
-        "batch": workload.batch,
-        "prompt_len": workload.prompt_len,
-        "gen_len": workload.gen_len,
-    }
-    if workload.steps is not None:
-        doc["steps"] = workload.steps
-    if workload.block_size is not None:
-        doc["block_size"] = workload.block_size
-    doc["dtype_bytes"] = workload.dtype_bytes
-    doc["options"] = options_to_dict(workload.options)
-    return doc
-
-
 def scenario_from_dict(doc: dict, base_dir: str | None = None) -> Scenario:
     _check_keys(doc, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenario")
     model = load_model_config(doc["model"], base_dir)
     hardware = load_hardware_spec(doc["hardware"], base_dir)
     workload_doc = {k: v for k, v in doc.items() if k not in ("model", "hardware")}
     return Scenario(model=model, hardware=hardware, workload=workload_from_dict(workload_doc))
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize a scenario whose model and hardware come from the registries."""
-    m, hw = scenario.model, scenario.hardware
-    if MODEL_REGISTRY.get(m.name) != m:
-        raise ValidationError(f"model '{m.name}' is not a registry entry; cannot serialize by name")
-    if HW_REGISTRY.get(hw.name) != hw:
-        raise ValidationError(f"hardware '{hw.name}' is not a registry entry; cannot serialize by name")
-    doc = {"model": m.name, "hardware": hw.name}
-    doc.update(workload_to_dict(scenario.workload))
-    return doc
 
 
 def load_scenario(path: str) -> Scenario:

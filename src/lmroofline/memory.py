@@ -37,23 +37,23 @@ class MemoryFootprint:
     fits: bool
 
 
-def parameter_count(model: ModelConfig, tied_embedding: bool = False) -> int:
+def parameter_count(model: ModelConfig) -> int:
     """Weight-matrix parameters: embedding, per-layer projections and MLP, LM head.
 
-    Biases and norm scales are ignored. The LM head is a separate
-    vocab x d_model matrix unless tied_embedding is set.
+    Biases and norm scales are ignored. The LM head is a vocab x d_model
+    matrix of its own, not tied to the embedding.
     """
     d = model.d_model
     kv_dim = model.num_kv_heads * model.head_dim
     per_layer = d * d + d * kv_dim + d * kv_dim + d * d
     mlp_mats = 3 if model.mlp_kind == "swiglu" else 2
     per_layer += mlp_mats * d * model.ffn_dim
-    embeddings = model.vocab_size * d * (1 if tied_embedding else 2)
+    embeddings = 2 * model.vocab_size * d
     return embeddings + model.num_layers * per_layer
 
 
-def weight_bytes(model: ModelConfig, dtype_bytes: int, tied_embedding: bool = False) -> int:
-    return dtype_bytes * parameter_count(model, tied_embedding)
+def weight_bytes(model: ModelConfig, dtype_bytes: int) -> int:
+    return dtype_bytes * parameter_count(model)
 
 
 def kv_cache_bytes(model: ModelConfig, batch: int, total_len: int, dtype_bytes: int) -> int:

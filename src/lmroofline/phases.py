@@ -1,19 +1,21 @@
 """Per-phase cost assembly for the three decoding strategies.
 
-A phase is a bag of kernel invocations, kept as breakdown entries whose
-number does not grow with gen_len or the block count. Identical invocations
-(the same kernel repeated across layers or steps) are aggregated into one
-entry, built already scaled by the private kernels' `count` argument; this
-is exact for both totals and roofline time because per-kernel time is
-homogeneous in (flops, bytes). Kernels whose
-shape changes from step to step -- decode attention, whose KV length grows
-every step, and the cache-refresh passes, whose extent grows every block --
-form one `KernelRun` per kernel kind over a range of consecutive steps or
-blocks, labelled with that range (`attention[kv=2049..6144]`,
-`refresh0..14:attention`). Their cost is a polynomial of degree <= 2 in the
-index, fixed exactly by sampling the kernel functions at up to three
-indices; along every run the arithmetic intensity is non-decreasing, which
-`roofline.kernel_time` relies on.
+Every phase is a run of full-model forwards, and `layer_forward_cost` is the
+one builder of their kernels: forward i of a run processes q_len + i * q_step
+query tokens against kv_len + i * kv_step keys, repeated `count` times. A
+phase's breakdown entries therefore do not grow with gen_len or the block
+count. A kernel whose shape is the same in every forward of the run is one
+KernelCost scaled by its invocation count, which is exact for both totals
+and roofline time because per-kernel time is homogeneous in (flops, bytes).
+A kernel whose shape changes along the run is one `KernelRun`: its cost is a
+polynomial of degree <= 2 in the forward index, fixed exactly by sampling
+the kernel functions at up to three forwards, and its arithmetic intensity
+is non-decreasing along the run, which `roofline.kernel_time` relies on.
+
+Entries come in one order: q_proj, k_proj, v_proj, out_proj, attention,
+mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head. The
+block-wise phase tags them with the range of blocks or refresh passes a run
+covers (`block0..14:q_proj`, `refresh1:attention`).
 
 Each phase function takes a Scenario of its mode and reads the model, the
 workload and the counting options from it. A Scenario is valid once built,
@@ -23,7 +25,6 @@ the phase functions a scenario's mode runs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .configs import CountingOptions, ModelConfig, Scenario
@@ -87,68 +88,6 @@ def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:
     return cost.flops / moved
 
 
-def _per_layer_core(
-    model: ModelConfig,
-    batch: int,
-    q_len: int,
-    dtype_bytes: int,
-    opts: CountingOptions,
-    count: int,
-) -> list[tuple[str, KernelCost]]:
-    """Single-layer kernels except attention, for `count` forwards of q_len tokens.
-
-    Projections of the same shape share one KernelCost.
-    """
-    d = model.d_model
-    kv_dim = model.num_kv_heads * model.head_dim
-    square = linear_cost(batch, q_len, d, d, dtype_bytes, count)
-    narrow = linear_cost(batch, q_len, d, kv_dim, dtype_bytes, count)
-    up = linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes, count)
-    entries = [("q_proj", square), ("k_proj", narrow), ("v_proj", narrow), ("out_proj", square)]
-    if model.mlp_kind == "swiglu":
-        entries.append(("mlp_gate", up))
-    entries.append(("mlp_up", up))
-    entries.append(("mlp_down", linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes, count)))
-    if opts.count_elementwise_bytes:
-        entries.append(
-            (
-                "elementwise",
-                elementwise_bytes(
-                    batch, q_len, d, ELEMENTWISE_PASSES_PER_LAYER, dtype_bytes, count
-                ),
-            )
-        )
-    return entries
-
-
-def _attention_kernel(
-    model: ModelConfig,
-    batch: int,
-    q_len: int,
-    kv_len: int,
-    dtype_bytes: int,
-    causal: bool,
-    write_new_kv: bool,
-    opts: CountingOptions,
-    count: int,
-) -> KernelCost:
-    # With causal_exact off, causal passes fall back to the full q_len x
-    # kv_len rectangle, which is the same pair count as non-causal.
-    effective_causal = causal and opts.causal_exact
-    return attention_cost(
-        batch,
-        model.num_heads,
-        model.num_kv_heads,
-        model.head_dim,
-        q_len,
-        kv_len,
-        dtype_bytes,
-        effective_causal,
-        write_new_kv,
-        count,
-    )
-
-
 def layer_forward_cost(
     model: ModelConfig,
     batch: int,
@@ -159,20 +98,67 @@ def layer_forward_cost(
     write_new_kv: bool,
     opts: CountingOptions,
     count: int = 1,
-) -> list[tuple[str, KernelCost]]:
-    """Kernels of `count` identical full-model forwards over q_len query tokens.
+    run: int = 1,
+    q_step: int = 0,
+    kv_step: int = 0,
+) -> list[tuple[str, KernelCost | KernelRun]]:
+    """Kernels of `run` consecutive full-model forwards, each repeated `count` times.
 
-    Returns breakdown entries already scaled by num_layers, plus the LM head
-    once per forward when opts.include_lm_head is set.
+    Forward i (0 <= i < run) runs q_len + i * q_step query tokens against
+    kv_len + i * kv_step keys. Returns one entry per kernel kind in the
+    module's entry order, already scaled by num_layers, plus the LM head
+    once per forward when opts.include_lm_head is set. With q_step set every
+    kernel changes along the run, so min(run, 3) whole forwards are sampled;
+    with only kv_step set, attention alone is.
     """
-    layers = model.num_layers * count
-    entries = _per_layer_core(model, batch, q_len, dtype_bytes, opts, layers)
-    attn = _attention_kernel(
-        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts, layers
-    )
-    entries.insert(4, ("attention", attn))
+    # Loops rather than comprehensions: a comprehension would turn every local
+    # it reads into a cell, which every call pays for, on the constant path too.
+    if q_step and run > 1:
+        samples = []
+        for i in range(min(run, 3)):
+            samples.append(layer_forward_cost(
+                model, batch, q_len + i * q_step, kv_len + i * kv_step, dtype_bytes,
+                causal, write_new_kv, opts, count,
+            ))
+        entries = []
+        for column in zip(*samples):
+            entries.append((column[0][0], kernel_run(run, [kernel for _, kernel in column])))
+        return entries
+    d = model.d_model
+    heads, kv_heads, head_dim = model.num_heads, model.num_kv_heads, model.head_dim
+    forwards = count * run
+    per_layer = forwards * model.num_layers
+    square = linear_cost(batch, q_len, d, d, dtype_bytes, per_layer)
+    narrow = linear_cost(batch, q_len, d, kv_heads * head_dim, dtype_bytes, per_layer)
+    up = linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes, per_layer)
+    down = linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes, per_layer)
+    # With causal_exact off, causal passes fall back to the full q_len x
+    # kv_len rectangle, which is the same pair count as non-causal.
+    causal = causal and opts.causal_exact
+    if kv_step:
+        samples = []
+        for i in range(min(run, 3)):
+            samples.append(attention_cost(
+                batch, heads, kv_heads, head_dim, q_len, kv_len + i * kv_step, dtype_bytes,
+                causal, write_new_kv, count * model.num_layers,
+            ))
+        attention = kernel_run(run, samples)
+    else:
+        attention = attention_cost(batch, heads, kv_heads, head_dim, q_len, kv_len,
+                                   dtype_bytes, causal, write_new_kv, per_layer)
+    entries = [
+        ("q_proj", square), ("k_proj", narrow), ("v_proj", narrow), ("out_proj", square),
+        ("attention", attention),
+    ]
+    if model.mlp_kind == "swiglu":
+        entries.append(("mlp_gate", up))
+    entries += [("mlp_up", up), ("mlp_down", down)]
+    if opts.count_elementwise_bytes:
+        passes = ELEMENTWISE_PASSES_PER_LAYER
+        sweeps = elementwise_bytes(batch, q_len, d, passes, dtype_bytes, per_layer)
+        entries.append(("elementwise", sweeps))
     if opts.include_lm_head:
-        head = linear_cost(batch, q_len, model.d_model, model.vocab_size, dtype_bytes, count)
+        head = linear_cost(batch, q_len, d, model.vocab_size, dtype_bytes, forwards)
         entries.append(("lm_head", head))
     return entries
 
@@ -180,27 +166,6 @@ def layer_forward_cost(
 def _span(first: int, last: int) -> str:
     """Label of the index range first..last, or of the single index."""
     return str(first) if first == last else f"{first}..{last}"
-
-
-def _ranges(cuts: Iterable[int]) -> list[tuple[int, int]]:
-    """Consecutive [start, end) ranges between the sorted cut points."""
-    points = sorted(cuts)
-    return list(zip(points, points[1:]))
-
-
-def _runs(
-    count: int, step: Callable[[int], list[tuple[str, KernelCost]]]
-) -> list[tuple[str, KernelCost | KernelRun]]:
-    """One entry per kernel kind over `count` consecutive steps.
-
-    step(i) gives the entries of step i; every kernel's cost must be a
-    polynomial of degree <= 2 in i, so min(count, 3) sampled steps fix it.
-    """
-    samples = [step(i) for i in range(min(count, 3))]
-    return [
-        (label, kernel_run(count, [entries[n][1] for entries in samples]))
-        for n, (label, _) in enumerate(samples[0])
-    ]
 
 
 def arm_prefill_cost(scenario: Scenario) -> PhaseCost:
@@ -226,26 +191,11 @@ def arm_decode_cost(scenario: Scenario) -> PhaseCost:
     amortizes. Attention over all steps is one run, affine in the KV length.
     """
     model, w = scenario.model, scenario.workload
-    batch, prompt_len, gen_len, dtype_bytes, opts = (
-        w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options
+    entries = layer_forward_cost(
+        model, w.batch, 1, w.prompt_len + 1, w.dtype_bytes,
+        causal=False, write_new_kv=True, opts=w.options, run=w.gen_len, kv_step=1,
     )
-    layers = model.num_layers
-    entries = _per_layer_core(model, batch, 1, dtype_bytes, opts, layers * gen_len)
-    attn = kernel_run(
-        gen_len,
-        [
-            _attention_kernel(
-                model, batch, 1, prompt_len + t, dtype_bytes,
-                causal=False, write_new_kv=True, opts=opts, count=layers,
-            )
-            for t in range(1, min(gen_len, 3) + 1)
-        ],
-    )
-    entries.append((f"attention[kv={_span(prompt_len + 1, prompt_len + gen_len)}]", attn))
-    if opts.include_lm_head:
-        head = linear_cost(batch, 1, model.d_model, model.vocab_size, dtype_bytes, gen_len)
-        entries.append(("lm_head", head))
-    return PhaseCost("arm_decode", tuple(entries), steps=gen_len)
+    return PhaseCost("arm_decode", tuple(entries), steps=w.gen_len)
 
 
 def naive_dlm_cost(scenario: Scenario) -> PhaseCost:
@@ -279,68 +229,50 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
     everything decoded so far is added after each block to rebuild the
     cache; that pass is the only KV write in this mode.
 
-    Consecutive blocks with the same width and step count share one entry
-    per kernel kind (`block0..14:q_proj`), as do consecutive refresh passes
-    (`refresh0..14:attention`).
+    Consecutive blocks with the same width and step count form one run of
+    forwards (`block0..14:q_proj`), as do consecutive refresh passes over
+    full-width blocks (`refresh0..14:attention`).
     """
     model, w = scenario.model, scenario.workload
     batch, prompt_len, gen_len, dtype_bytes, opts = (
         w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options
     )
-    steps, block_size = w.steps, w.block_size
+    block_size = w.block_size
     num_blocks = -(-gen_len // block_size)
-    steps_per_block, extra = divmod(steps, num_blocks)
+    steps_per_block, extra = divmod(w.steps, num_blocks)
     # Only the last block can be narrower than block_size, and blocks before
     # `extra` take one step more: so the blocks fall into at most three runs
     # that share width and step count, and the refresh passes into at most
     # two whose extent grows by block_size per block.
-    width_cuts = {0, num_blocks}
-    if gen_len % block_size:
-        width_cuts.add(num_blocks - 1)
-    layers = model.num_layers
+    full_width = num_blocks - (1 if gen_len % block_size else 0)
     full_kv = opts.full_kv_each_step
     entries: list[tuple[str, KernelCost | KernelRun]] = []
-    for first, end in _ranges(width_cuts | {extra}):
-        count = end - first
+    cuts = sorted({0, extra, full_width, num_blocks})
+    for first, end in zip(cuts, cuts[1:]):
         width = min(block_size, gen_len - first * block_size)
-        block_steps = steps_per_block + (1 if first < extra else 0)
-        tag = f"block{_span(first, end - 1)}"
-
-        def kv_len(j: int) -> int:
-            return prompt_len + gen_len if full_kv else prompt_len + j * block_size + width
-
-        for label, kernel in _per_layer_core(
-            model, batch, width, dtype_bytes, opts, layers * block_steps * count
-        ):
-            entries.append((f"{tag}:{label}", kernel))
-        attn = kernel_run(
-            count,
-            [
-                _attention_kernel(
-                    model, batch, width, kv_len(j), dtype_bytes,
-                    causal=False, write_new_kv=False, opts=opts, count=layers * block_steps,
-                )
-                for j in range(first, min(end, first + 3))
-            ],
-        )
-        entries.append((f"{tag}:attention[kv={_span(kv_len(first), kv_len(end - 1))}]", attn))
-        if opts.include_lm_head:
-            head = linear_cost(
-                batch, width, model.d_model, model.vocab_size, dtype_bytes, block_steps * count
+        kv_len = prompt_len + (gen_len if full_kv else first * block_size + width)
+        tag = f"block{_span(first, end - 1)}:"
+        entries.extend(
+            (tag + label, kernel)
+            for label, kernel in layer_forward_cost(
+                model, batch, width, kv_len, dtype_bytes, causal=False, write_new_kv=False,
+                opts=opts, count=steps_per_block + (1 if first < extra else 0),
+                run=end - first, kv_step=0 if full_kv else block_size,
             )
-            entries.append((f"{tag}:lm_head", head))
-    total_steps = steps
+        )
+    total_steps = w.steps
     if opts.include_cache_refresh:
-        for first, end in _ranges(width_cuts):
-
-            def refresh(i: int) -> list[tuple[str, KernelCost]]:
-                covered = prompt_len + min((first + i + 1) * block_size, gen_len)
-                return layer_forward_cost(
-                    model, batch, covered, covered, dtype_bytes,
-                    causal=False, write_new_kv=True, opts=opts,
+        cuts = sorted({0, full_width, num_blocks})
+        for first, end in zip(cuts, cuts[1:]):
+            covered = prompt_len + min((first + 1) * block_size, gen_len)
+            tag = f"refresh{_span(first, end - 1)}:"
+            entries.extend(
+                (tag + label, kernel)
+                for label, kernel in layer_forward_cost(
+                    model, batch, covered, covered, dtype_bytes, causal=False,
+                    write_new_kv=True, opts=opts, run=end - first,
+                    q_step=block_size, kv_step=block_size,
                 )
-
-            tag = f"refresh{_span(first, end - 1)}"
-            entries.extend((f"{tag}:{label}", run) for label, run in _runs(end - first, refresh))
+            )
         total_steps += num_blocks
     return PhaseCost("dlm_block", tuple(entries), steps=total_steps)

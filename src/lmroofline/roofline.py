@@ -6,12 +6,13 @@ inside a kernel, no overlap between kernels, no launch overhead). Attained
 performance of a phase is therefore total FLOPs over that summed time and
 can never exceed the hardware peak.
 
-A Scenario is valid once built, so the functions here take it as it is. A
-count too large for a float, or a latency that overflows, is rejected with a
-ValidationError rather than returned. end_to_end does not place phases on
-the roofline: ScenarioResult.points are built on first read, from the phase
-latencies the result keeps, and a phase whose FLOPs overflow a float is
-rejected there in the same way.
+A Scenario is valid once built, so the functions here take it as it is.
+end_to_end is the one range check on results: FLOP or byte totals beyond
+the float range, and a latency or throughput that overflows, are rejected
+with a ValidationError rather than returned. Every count it and its callers
+convert to a float is at most one of those totals, so none overflows later.
+end_to_end does not place phases on the roofline: ScenarioResult.points are
+built on first read, from the phase latencies the result keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .configs import HardwareSpec, Scenario
+from .configs import MAX_FLOAT, HardwareSpec, Scenario
 from .errors import ValidationError
 from .kernels import KernelCost, KernelRun
 from .phases import (
@@ -31,9 +32,6 @@ from .phases import (
     blockwise_dlm_cost,
     naive_dlm_cost,
 )
-
-BOUNDS = ("memory_bound", "compute_bound")
-
 
 @dataclass(frozen=True)
 class RooflinePoint:
@@ -55,21 +53,24 @@ def classify(ai: float, hw: HardwareSpec) -> str:
 
     A point exactly on the ridge counts as compute_bound.
     """
-    if ai < 0:
-        raise ValidationError(f"arithmetic intensity must be >= 0 (got {ai})")
+    if not 0 <= ai < math.inf:
+        raise ValidationError(f"arithmetic intensity must be finite and >= 0 (got {ai})")
     return "compute_bound" if ai >= ridge_point(hw) else "memory_bound"
 
 
 def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> float:
     """Seconds for one kernel, or for a run of them: the binding side of the roofline.
 
-    A KernelCost takes max(F/P, B/W). Along a KernelRun the arithmetic
-    intensity must be non-decreasing in the index, which holds for every run
-    phases.py builds (attention FLOPs grow at least as fast as its bytes in
-    the KV length or extent; a linear layer's intensity grows with its token
-    count). Then the invocations before the first compute-bound one, found
-    by bisection on the same test F(i)/P >= B(i)/W, are memory-bound, and
-    the run takes prefix_bytes/W + suffix_flops/P.
+    A KernelCost takes max(F/P, B/W). The runs it sees are those
+    phases.layer_forward_cost builds: attention along a KV length growing by
+    a fixed step (decode, block refinement), and every kernel of the refresh
+    passes, whose query and KV extents grow together. Along each the
+    arithmetic intensity is non-decreasing in the index, as this requires
+    (attention's intensity grows with both its query and its KV length; a
+    linear layer's grows with its token count). Then the invocations before
+    the first compute-bound one, found by bisection on the same test
+    F(i)/P >= B(i)/W, are memory-bound, and the run takes
+    prefix_bytes/W + suffix_flops/P.
     """
     peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
     if not isinstance(cost, KernelRun):
@@ -111,8 +112,7 @@ class ScenarioResult:
     """End-to-end latency, throughput, FLOP and byte totals of a scenario, and its phases.
 
     `points` places each phase on the roofline. It is built on first read,
-    from `phase_latencies`, and a phase whose FLOPs overflow a float raises
-    the ValidationError that end_to_end raises for an overflowing latency.
+    from `phase_latencies`.
     """
 
     latency_s: float
@@ -127,32 +127,31 @@ class ScenarioResult:
     def points(self) -> tuple[RooflinePoint, ...]:
         m, w, hw = self.scenario.model, self.scenario.workload, self.scenario.hardware
         prefix = f"{m.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
-        try:
-            return tuple(
-                RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
-                for p, t, ai in zip(
-                    self.phases, self.phase_latencies, map(arithmetic_intensity, self.phases)
-                )
+        return tuple(
+            RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
+            for p, t, ai in zip(
+                self.phases, self.phase_latencies, map(arithmetic_intensity, self.phases)
             )
-        except OverflowError as exc:  # a phase's FLOPs beyond the float range
-            raise ValidationError(f"result has a non-finite number: {exc}") from exc
+        )
 
 
 def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
     w, hw = scenario.workload, scenario.hardware
     phases = scenario_phases(scenario)
-    try:
-        latencies = tuple(phase_latency(p, hw) for p in phases)
-        latency = sum(latencies)
-        throughput = w.batch * w.gen_len / latency
-    except OverflowError as exc:  # an int count beyond the float range
-        raise ValidationError(f"result has a non-finite number: {exc}") from exc
+    flops, moved = sum(p.flops for p in phases), sum(p.bytes for p in phases)
+    if flops > MAX_FLOAT or moved > MAX_FLOAT:
+        raise ValidationError("result has a non-finite number: a total beyond the float range")
+    # Every kernel's and phase's counts, and batch * gen_len (at most the
+    # FLOPs), now convert to a float; only the float arithmetic can overflow.
+    latencies = tuple(phase_latency(p, hw) for p in phases)
+    latency = sum(latencies)
+    throughput = w.batch * w.gen_len / latency
     if not (math.isfinite(latency) and math.isfinite(throughput)):
         raise ValidationError(
             f"result has a non-finite number: latency {latency}, throughput {throughput}"
         )
     return ScenarioResult(
         latency_s=latency, throughput_tok_s=throughput, phases=phases, phase_latencies=latencies,
-        flops=sum(p.flops for p in phases), bytes=sum(p.bytes for p in phases), scenario=scenario,
+        flops=flops, bytes=moved, scenario=scenario,
     )

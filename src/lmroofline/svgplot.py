@@ -2,13 +2,14 @@
 
 Plots are written directly as SVG text so that identical inputs produce
 byte-identical files; no plotting library is involved. Axes are
-logarithmic: decades everywhere, except that token-count x axes use
-powers of two.
+logarithmic: decades everywhere, except that the x axis of a line plot,
+a token count, uses powers of two. Every plotted value must be positive and
+finite.
 """
 
 from __future__ import annotations
 
-from math import ceil, floor, log10, log2
+from math import ceil, floor, inf, log10, log2
 from xml.sax.saxutils import escape
 
 from .configs import HardwareSpec
@@ -118,8 +119,10 @@ def emit_roofline_svg(
     if not points:
         raise ValidationError("at least one roofline point is required")
     for p in points:
-        if p.ai <= 0 or p.perf_attained <= 0:
-            raise ValidationError(f"roofline point '{p.label}' must be positive to plot")
+        if not (0 < p.ai < inf and 0 < p.perf_attained < inf):
+            raise ValidationError(
+                f"roofline point '{p.label}' must be positive and finite to plot"
+            )
     ridge = ridge_point(hw)
     peak, bw = hw.peak_flops, hw.mem_bandwidth
 
@@ -171,27 +174,21 @@ def emit_line_svg(
     xlabel: str,
     ylabel: str,
     title: str,
-    x_pow2: bool = True,
 ) -> None:
     """Log-log line plot; x ticks at powers of two for token-count axes."""
     if not series or all(len(pts) == 0 for _, pts in series):
         raise ValidationError("at least one nonempty series is required")
     xs = [p[0] for _, pts in series for p in pts]
     ys = [p[1] for _, pts in series for p in pts]
-    if min(xs) <= 0 or min(ys) <= 0:
-        raise ValidationError("line plots are log-log; values must be positive")
+    if not all(0 < v < inf for v in (*xs, *ys)):
+        raise ValidationError("line plots are log-log; values must be positive and finite")
 
-    if x_pow2:
-        lo2, hi2 = floor(log2(min(xs))), ceil(log2(max(xs)))
-        step = max(1, (hi2 - lo2) // 10)
-        x_ticks = [(log10(2.0**e), f"{2**e:g}") for e in range(lo2, hi2 + 1, step)]
-        x_lo, x_hi = log10(2.0**lo2), log10(2.0**hi2)
-        if x_hi <= x_lo:
-            x_hi = x_lo + log10(2.0)
-    else:
-        lo10, hi10 = floor(log10(min(xs))), ceil(log10(max(xs)))
-        x_ticks = _decade_ticks(lo10, hi10)
-        x_lo, x_hi = float(lo10), float(hi10)
+    lo2, hi2 = floor(log2(min(xs))), ceil(log2(max(xs)))
+    step = max(1, (hi2 - lo2) // 10)
+    x_ticks = [(log10(2.0**e), f"{2**e:g}") for e in range(lo2, hi2 + 1, step)]
+    x_lo, x_hi = log10(2.0**lo2), log10(2.0**hi2)
+    if x_hi <= x_lo:
+        x_hi = x_lo + log10(2.0)
     y_lo, y_hi = floor(log10(min(ys))), ceil(log10(max(ys)))
     if y_hi <= y_lo:
         y_hi = y_lo + 1

@@ -170,9 +170,7 @@ def evaluate_point(scenario: Scenario) -> SweepRow:
     result = end_to_end(scenario)
     footprint = peak_footprint(scenario)
     w = scenario.workload
-    flops = result.flops
-    moved = result.bytes
-    if max(flops, moved, footprint.total) > MAX_FLOAT:
+    if footprint.total > MAX_FLOAT:
         raise ValidationError("result has a non-finite number: a total beyond the float range")
     ai = arithmetic_intensity(result)
     return SweepRow(
@@ -182,8 +180,8 @@ def evaluate_point(scenario: Scenario) -> SweepRow:
         Lg=w.gen_len,
         K=w.steps,
         G=w.block_size,
-        flops=flops,
-        bytes=moved,
+        flops=result.flops,
+        bytes=result.bytes,
         ai=ai,
         latency_s=result.latency_s,
         throughput_tok_s=result.throughput_tok_s,

@@ -195,7 +195,7 @@ HUGE = 10**320  # beyond the float range
                          gen_len=1, steps=1, block_size=1),
         ),
         # Every kernel's FLOPs and the latency stay in the float range, the prefill
-        # phase's FLOPs do not: rejected when the phases are placed on the roofline.
+        # phase's FLOPs, and so the total, do not: end_to_end rejects the total.
         (["roofline", "-o", "out.svg"], arm_grid_doc({"batch": [1, 3 * 10**296]})),
     ],
     ids=["analyze-batch", "analyze-batch-overflows-flops", "sweep-axis", "roofline-axis",

@@ -27,7 +27,7 @@ A100 = HW_REGISTRY["a100-80g"]
 A6000 = HW_REGISTRY["rtx-a6000"]
 
 
-def enumerated_params(model, tied=False):
+def enumerated_params(model):
     return oracles.parameter_count_enumerated(
         model.num_layers,
         model.d_model,
@@ -37,7 +37,6 @@ def enumerated_params(model, tied=False):
         model.ffn_dim,
         model.vocab_size,
         model.mlp_kind,
-        tied_embedding=tied,
     )
 
 
@@ -55,12 +54,6 @@ def test_llama3_parameter_count_matches_enumeration():
 
 def test_llada_parameter_count_matches_enumeration():
     assert parameter_count(LLADA) == enumerated_params(LLADA) == 8_015_314_944
-
-
-def test_tied_embedding_halves_the_vocab_matrices():
-    untied = parameter_count(TINY)
-    tied = parameter_count(TINY, tied_embedding=True)
-    assert untied - tied == TINY.vocab_size * TINY.d_model
 
 
 def test_weight_bytes_scale_with_dtype():

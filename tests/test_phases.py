@@ -1,5 +1,8 @@
 """Phase-level cost aggregation for the four decoding strategies."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +283,71 @@ def test_blockwise_runs_match_per_step_loop(
         model, batch, prompt_len, gen_len, steps, block_size, 2, opts
     )
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=small_models,
+    batch=st.integers(min_value=1, max_value=3),
+    q_len=st.integers(min_value=1, max_value=6),
+    kv_extra=st.integers(min_value=0, max_value=6),
+    q_step=st.integers(min_value=0, max_value=4),
+    kv_step_extra=st.integers(min_value=0, max_value=4),
+    run=st.integers(min_value=1, max_value=7),
+    count=st.integers(min_value=1, max_value=3),
+    causal=st.booleans(),
+    write_new_kv=st.booleans(),
+    dtype_bytes=st.sampled_from([1, 2, 4]),
+    opts=all_options,
+    data=st.data(),
+)
+def test_forward_run_matches_loop_of_single_forwards(
+    model, batch, q_len, kv_extra, q_step, kv_step_extra, run, count, causal, write_new_kv,
+    dtype_bytes, opts, data,
+):
+    kv_len, kv_step = q_len + kv_extra, q_step + kv_step_extra
+    entries = layer_forward_cost(
+        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts,
+        count=count, run=run, q_step=q_step, kv_step=kv_step,
+    )
+    phase = PhaseCost("dlm_block", tuple(entries), steps=count * run)
+    loop = [
+        entry
+        for i in range(run)
+        for _ in range(count)
+        for entry in layer_forward_cost(
+            model, batch, q_len + i * q_step, kv_len + i * kv_step, dtype_bytes, causal,
+            write_new_kv, opts,
+        )
+    ]
+    assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
+
+
+KERNEL_ORDER = (
+    "q_proj", "k_proj", "v_proj", "out_proj", "attention",
+    "mlp_gate", "mlp_up", "mlp_down", "elementwise", "lm_head",
+)
+
+
+@pytest.mark.parametrize("mlp_kind", ["swiglu", "gelu_2mat"])
+def test_every_phase_lists_its_kernels_in_one_order(mlp_kind):
+    model = replace(TINY, mlp_kind=mlp_kind)
+    workloads = [("arm", 3, 5, None, None), ("dlm_naive", 3, 5, 4, None),
+                 ("dlm_block", 3, 7, 9, 2)]
+    for flags in itertools.product([False, True], repeat=5):
+        opts = CountingOptions(*flags)
+        expected = [
+            name for name in KERNEL_ORDER
+            if (name != "mlp_gate" or mlp_kind == "swiglu")
+            and (name != "elementwise" or opts.count_elementwise_bytes)
+            and (name != "lm_head" or opts.include_lm_head)
+        ]
+        for mode, prompt_len, gen_len, steps, block_size in workloads:
+            s = scenario(model, mode, 1, prompt_len, gen_len, steps, block_size, opts=opts)
+            for phase in scenario_phases(s):
+                tagged = [label.rpartition(":") for label, _ in phase.breakdown]
+                for _tag, group in itertools.groupby(tagged, key=lambda parts: parts[0]):
+                    assert [name for _, _, name in group] == expected, phase.phase
 
 
 @settings(max_examples=40)

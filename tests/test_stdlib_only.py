@@ -1,0 +1,27 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import pathlib
+import sys
+
+import lmroofline
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(pathlib.Path(lmroofline.__file__).parent.rglob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -1,5 +1,6 @@
 """SVG emitters: well-formedness, roof geometry, and byte determinism."""
 
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -11,6 +12,7 @@ from lmroofline import (
     Scenario,
     ValidationError,
     WorkloadSpec,
+    classify,
     emit_line_svg,
     emit_roofline_svg,
     end_to_end,
@@ -158,6 +160,25 @@ def test_line_svg_requires_nonempty_series(tmp_path):
 def test_line_svg_rejects_nonpositive_values(tmp_path):
     with pytest.raises(ValidationError, match="positive"):
         emit_line_svg([("s", [(0.0, 1.0)])], str(tmp_path / "x.svg"), "x", "y", "t")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad, path: classify(bad, A6000),
+        lambda bad, path: emit_roofline_svg(
+            [RooflinePoint(ai=bad, perf_attained=1.0, bound="memory_bound", label="p")], A6000, path
+        ),
+        lambda bad, path: emit_line_svg([("s", [(1.0, 1.0), (2.0, bad)])], path, "x", "y", "t"),
+    ],
+    ids=["classify", "emit_roofline_svg", "emit_line_svg"],
+)
+def test_non_finite_floats_rejected(tmp_path, call, bad):
+    path = str(tmp_path / "x.svg")
+    with pytest.raises(ValidationError, match="finite"):
+        call(bad, path)
+    assert not os.path.exists(path)
 
 
 def test_line_svg_is_deterministic(tmp_path):
