@@ -17,19 +17,29 @@ The kernel functions take plain integers and do not check them: phase
 assembly calls them only with the shapes of a Scenario, which was validated
 when it was built (`configs`). Each takes a `count` that builds the
 aggregate of that many identical invocations in one step.
+
+The value types a grid point builds -- KernelCost and KernelRun here, and
+PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
+are NamedTuples rather than frozen dataclasses: as immutable, and several
+times cheaper to build, because a frozen dataclass's __init__ sets each
+field through object.__setattr__. A type with checks runs them in a
+__new__ on its NamedTuple base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class _KernelCostFields(NamedTuple):
+    flops: int
+    bytes: int
+
+
+class KernelCost(_KernelCostFields):
     """Work and traffic of one kernel invocation, or of `n` identical ones.
 
     Attributes:
@@ -37,16 +47,16 @@ class KernelCost:
         bytes: bytes moved between HBM and the compute units.
     """
 
-    flops: int
-    bytes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.flops < 0 or self.bytes < 0:
+    def __new__(cls, flops: int, bytes: int) -> "KernelCost":
+        if flops < 0 or bytes < 0:
             raise ValidationError(
-                f"kernel cost must be nonnegative (flops={self.flops}, bytes={self.bytes})"
+                f"kernel cost must be nonnegative (flops={flops}, bytes={bytes})"
             )
-        if self.flops > 0 and self.bytes == 0:
-            raise ValidationError(f"kernel computes but moves no data (flops={self.flops})")
+        if flops > 0 and bytes == 0:
+            raise ValidationError(f"kernel computes but moves no data (flops={flops})")
+        return tuple.__new__(cls, (flops, bytes))
 
     def scaled(self, count: int) -> "KernelCost":
         """Aggregate cost of `count` back-to-back invocations of this exact kernel."""
@@ -62,8 +72,7 @@ class KernelRun(NamedTuple):
     Stored in exact-integer Newton form: invocation i (0 <= i < count) costs
     flops[0] + i * flops[1] + C(i, 2) * flops[2] FLOPs, and likewise for
     bytes. `flops` and `bytes` of the run itself are the exact totals, so a
-    run stands wherever a KernelCost's totals are summed. (A NamedTuple
-    rather than a dataclass: it is as immutable and much cheaper to import.)
+    run stands wherever a KernelCost's totals are summed.
 
     Attributes:
         count: number of invocations, at least 2 (see kernel_run).

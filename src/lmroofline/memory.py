@@ -18,16 +18,16 @@ it was built, and do not check them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import floor
+from typing import NamedTuple
 
 from .configs import HardwareSpec, ModelConfig, Scenario, WorkloadSpec
 
 ACTIVATION_BUFFER_FACTOR = 2
 
 
-@dataclass(frozen=True)
-class MemoryFootprint:
+class MemoryFootprint(NamedTuple):
     """Bytes resident at the peak of a scenario's execution."""
 
     weight_bytes: int
@@ -97,13 +97,7 @@ def peak_footprint(scenario: Scenario) -> MemoryFootprint:
         kv = kv_cache_bytes(m, w.batch, w.total_len, w.dtype_bytes)
     act = activation_bytes(m, w.batch, _activation_extent(w), w.dtype_bytes)
     total = weights + kv + act
-    return MemoryFootprint(
-        weight_bytes=weights,
-        kv_cache_bytes=kv,
-        activation_bytes=act,
-        total=total,
-        fits=total <= hw.mem_capacity,
-    )
+    return MemoryFootprint(weights, kv, act, total, total <= hw.mem_capacity)
 
 
 def max_fitting_batch(model: ModelConfig, hw: HardwareSpec, workload: WorkloadSpec) -> int:

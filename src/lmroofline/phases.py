@@ -25,7 +25,7 @@ the phase functions a scenario's mode runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .configs import CountingOptions, ModelConfig, Scenario
 from .errors import ValidationError
@@ -47,9 +47,18 @@ ELEMENTWISE_PASSES_PER_LAYER = 4
 Breakdown = tuple[tuple[str, KernelCost | KernelRun], ...]
 
 
-@dataclass(frozen=True)
-class PhaseCost:
+class _PhaseCostFields(NamedTuple):
+    phase: str
+    breakdown: Breakdown
+    steps: int
+    flops: int
+    bytes: int
+
+
+class PhaseCost(_PhaseCostFields):
     """Aggregate work of one decoding phase.
+
+    Built as PhaseCost(phase, breakdown, steps); the totals are derived.
 
     Attributes:
         phase: one of PHASES.
@@ -60,23 +69,18 @@ class PhaseCost:
         bytes: total bytes moved, likewise.
     """
 
-    phase: str
-    breakdown: Breakdown
-    steps: int
-    flops: int = field(init=False)
-    bytes: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.phase not in PHASES:
-            raise ValidationError(f"phase must be one of {PHASES} (got {self.phase!r})")
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1 (got {self.steps})")
+    def __new__(cls, phase: str, breakdown: Breakdown, steps: int) -> "PhaseCost":
+        if phase not in PHASES:
+            raise ValidationError(f"phase must be one of {PHASES} (got {phase!r})")
+        if steps < 1:
+            raise ValidationError(f"steps must be >= 1 (got {steps})")
         flops = moved = 0
-        for _, kernel in self.breakdown:
+        for _, kernel in breakdown:
             flops += kernel.flops
             moved += kernel.bytes
-        object.__setattr__(self, "flops", flops)
-        object.__setattr__(self, "bytes", moved)
+        return tuple.__new__(cls, (phase, breakdown, steps, flops, moved))
 
 
 def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:

@@ -12,14 +12,14 @@ the float range, and a latency or throughput that overflows, are rejected
 with a ValidationError rather than returned. Every count it and its callers
 convert to a float is at most one of those totals, so none overflows later.
 end_to_end does not place phases on the roofline: ScenarioResult.points are
-built on first read, from the phase latencies the result keeps.
+built on each read, from the phase latencies the result keeps; nothing is
+cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .configs import MAX_FLOAT, HardwareSpec, Scenario
 from .errors import ValidationError
@@ -33,8 +33,8 @@ from .phases import (
     naive_dlm_cost,
 )
 
-@dataclass(frozen=True)
-class RooflinePoint:
+
+class RooflinePoint(NamedTuple):
     """One phase placed on the roofline."""
 
     ai: float
@@ -88,8 +88,19 @@ def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> f
 
 
 def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
-    """Seconds for a phase: kernels run back to back."""
-    return sum(kernel_time(kernel, hw) for _, kernel in cost.breakdown)
+    """Seconds for a phase: kernels run back to back.
+
+    Entries that hold the same kernel object (k_proj and v_proj, mlp_gate
+    and mlp_up) are timed once; the sum keeps the breakdown's order.
+    """
+    times = []
+    last = seconds = None
+    for _, kernel in cost.breakdown:
+        if kernel is not last:
+            seconds = kernel_time(kernel, hw)
+            last = kernel
+        times.append(seconds)
+    return sum(times)
 
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
@@ -107,12 +118,11 @@ def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
     return (blockwise_dlm_cost(scenario),)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """End-to-end latency, throughput, FLOP and byte totals of a scenario, and its phases.
 
-    `points` places each phase on the roofline. It is built on first read,
-    from `phase_latencies`.
+    `points` places each phase on the roofline. It is built on each read,
+    from `phase_latencies`; nothing is cached.
     """
 
     latency_s: float
@@ -123,7 +133,7 @@ class ScenarioResult:
     bytes: int
     scenario: Scenario
 
-    @cached_property
+    @property
     def points(self) -> tuple[RooflinePoint, ...]:
         m, w, hw = self.scenario.model, self.scenario.workload, self.scenario.hardware
         prefix = f"{m.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
@@ -139,7 +149,10 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     """Evaluate a scenario: all phases, serially."""
     w, hw = scenario.workload, scenario.hardware
     phases = scenario_phases(scenario)
-    flops, moved = sum(p.flops for p in phases), sum(p.bytes for p in phases)
+    flops = moved = 0
+    for p in phases:
+        flops += p.flops
+        moved += p.bytes
     if flops > MAX_FLOAT or moved > MAX_FLOAT:
         raise ValidationError("result has a non-finite number: a total beyond the float range")
     # Every kernel's and phase's counts, and batch * gen_len (at most the
@@ -151,7 +164,4 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
         raise ValidationError(
             f"result has a non-finite number: latency {latency}, throughput {throughput}"
         )
-    return ScenarioResult(
-        latency_s=latency, throughput_tok_s=throughput, phases=phases, phase_latencies=latencies,
-        flops=flops, bytes=moved, scenario=scenario,
-    )
+    return ScenarioResult(latency, throughput, phases, latencies, flops, moved, scenario)

@@ -16,7 +16,7 @@ import itertools
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from math import log
+from math import inf, log
 from typing import TypeVar
 
 from .configs import (
@@ -90,9 +90,9 @@ class SweepRow:
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     """Parse a grid document: the scenario fields plus an `axes` object.
 
-    The base workload is not validated here; omitted `steps` for diffusion
-    modes resolves to the per-point gen_len, and a field supplied by an
-    axis may be absent from the base.
+    The base workload is not validated here; omitted or null `steps` for
+    diffusion modes resolves to the per-point gen_len, and a field supplied
+    by an axis may be absent from the base.
     """
     if not isinstance(doc, dict):
         raise ValidationError("grid must be a JSON object")
@@ -126,7 +126,7 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
                 raise ValidationError(f"missing field(s) in grid: {name}")
             workload_doc.setdefault(name, 0 if name == "prompt_len" else 1)
     base = workload_from_dict(workload_doc, context="grid")
-    if "steps" not in scenario_doc and "steps" not in axis_names:
+    if scenario_doc.get("steps") is None:
         # re-resolve per point so steps tracks a swept gen_len
         base = replace(base, steps=None)
     return SweepGrid(model=model, hardware=hardware, base=base, axes=tuple(axes))
@@ -138,10 +138,10 @@ def load_grid(path: str) -> SweepGrid:
 
 def _resolve_point(grid: SweepGrid, point: dict[str, int]) -> WorkloadSpec:
     """The workload at one grid point; unset dlm steps track the point's gen_len."""
-    base = grid.base
-    if point.get("steps", base.steps) is None and base.mode in DLM_MODES:
-        point = {**point, "steps": point.get("gen_len", base.gen_len)}
-    return replace(base, **point)
+    fields = {**vars(grid.base), **point}
+    if fields["steps"] is None and fields["mode"] in DLM_MODES:
+        fields["steps"] = fields["gen_len"]
+    return WorkloadSpec(**fields)
 
 
 T = TypeVar("T")
@@ -199,8 +199,8 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
 def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    Requires at least three points with pairwise-distinct positive x and
-    positive y. Exact (to float precision) on pure power laws.
+    Requires at least three points with pairwise-distinct positive finite x
+    and positive finite y. Exact (to float precision) on pure power laws.
     """
     if len(points) < 3:
         raise ValidationError(f"need at least 3 points to fit (got {len(points)})")
@@ -208,8 +208,10 @@ def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
     if len(set(xs)) != len(xs):
         raise ValidationError("x values must be pairwise distinct")
     for x, y in points:
-        if x <= 0 or y <= 0:
-            raise ValidationError(f"points must be positive to fit a power law (got {(x, y)})")
+        if not (0 < x < inf and 0 < y < inf):  # also false for NaN
+            raise ValidationError(
+                f"points must be positive and finite to fit a power law (got {(x, y)})"
+            )
     lx = [log(x) for x, _ in points]
     ly = [log(y) for _, y in points]
     mx = sum(lx) / len(lx)
@@ -219,34 +221,14 @@ def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def _cell(value: int | float | str | bool | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def row_to_csv(row: SweepRow) -> str:
-    return ",".join(
-        (
-            row.mode,
-            _cell(row.B),
-            _cell(row.Lp),
-            _cell(row.Lg),
-            _cell(row.K),
-            _cell(row.G),
-            _cell(float(row.flops)),
-            _cell(float(row.bytes)),
-            _cell(row.ai),
-            _cell(row.latency_s),
-            _cell(row.throughput_tok_s),
-            row.bound,
-            _cell(float(row.peak_mem_bytes)),
-            _cell(row.fits),
-        )
+    """One CSV line: floats and the int totals to 6 significant digits, None as empty."""
+    k = "" if row.K is None else row.K
+    g = "" if row.G is None else row.G
+    return (
+        f"{row.mode},{row.B},{row.Lp},{row.Lg},{k},{g},{float(row.flops):.6g},"
+        f"{float(row.bytes):.6g},{row.ai:.6g},{row.latency_s:.6g},{row.throughput_tok_s:.6g},"
+        f"{row.bound},{float(row.peak_mem_bytes):.6g},{'true' if row.fits else 'false'}"
     )
 
 

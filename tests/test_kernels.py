@@ -17,6 +17,8 @@ from lmroofline import (
     KernelCost,
     ValidationError,
     arithmetic_intensity,
+    end_to_end,
+    peak_footprint,
     scenario_phases,
 )
 from lmroofline.kernels import attention_cost, attention_pair_count, elementwise_bytes, linear_cost
@@ -236,6 +238,30 @@ def test_kernel_cost_rejects_negative_counts():
         KernelCost(flops=-1, bytes=4)
     with pytest.raises(ValidationError):
         KernelCost(flops=0, bytes=-4)
+
+
+def per_point_values():
+    """One instance of each value type a grid point builds."""
+    point = scenario(TINY, "arm", 1, 4, 2)
+    result = end_to_end(point)
+    return {
+        "KernelCost": KernelCost(flops=6, bytes=10),
+        "PhaseCost": result.phases[0],
+        "ScenarioResult": result,
+        "RooflinePoint": result.points[0],
+        "MemoryFootprint": peak_footprint(point),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(per_point_values()))
+def test_per_point_values_are_immutable(kind):
+    value = per_point_values()[kind]
+    assert type(value).__name__ == kind
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.extra = 0
 
 
 @given(count=st.integers(min_value=1, max_value=9))

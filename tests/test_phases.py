@@ -285,6 +285,36 @@ def test_blockwise_runs_match_per_step_loop(
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    model=small_models,
+    mode=st.sampled_from(["arm", "dlm_naive", "dlm_block"]),
+    batch=st.integers(min_value=1, max_value=3),
+    prompt_len=st.integers(min_value=0, max_value=8),
+    gen_len=st.integers(min_value=1, max_value=12),
+    block_size=st.integers(min_value=1, max_value=12),
+    steps_extra=st.integers(min_value=0, max_value=8),
+    opts=all_options,
+    data=st.data(),
+)
+def test_phase_latency_is_the_sum_of_its_kernel_times_bit_for_bit(
+    model, mode, batch, prompt_len, gen_len, block_size, steps_extra, opts, data
+):
+    # phase_latency times an entry that holds the same kernel object as the
+    # entry before it only once; that must not change the sum by one bit.
+    block_size = min(block_size, gen_len)
+    steps = -(-gen_len // block_size) + steps_extra
+    s = scenario(
+        model, mode, batch, prompt_len, gen_len,
+        steps=None if mode == "arm" else steps,
+        block_size=block_size if mode == "dlm_block" else None,
+        opts=opts,
+    )
+    for phase in scenario_phases(s):
+        hw = hardware_switching_inside_a_run(phase, data)
+        assert phase_latency(phase, hw) == sum(kernel_time(k, hw) for _, k in phase.breakdown)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     model=small_models,

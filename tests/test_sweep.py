@@ -103,6 +103,14 @@ def test_fitter_rejects_nonpositive_values():
         fit_scaling_exponent([(-1, 1), (2, 2), (4, 4)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_fitter_rejects_non_finite_values(where, bad):
+    points = [(1.0, 2.0), (2.0, 4.0), (bad, 8.0) if where == "x" else (4.0, bad)]
+    with pytest.raises(ValidationError, match="finite"):
+        fit_scaling_exponent(points)
+
+
 @given(
     exponent=st.floats(min_value=-2, max_value=2),
     scale=st.floats(min_value=0.1, max_value=100),
@@ -380,3 +388,21 @@ def test_steps_axis_of_none_resolves_to_gen_len():
         model=LLADA, hardware=A6000, base=base, axes=(("steps", (None, 8)),)
     )
     assert [r.K for r in run_sweep(grid)] == [32, 8]
+
+
+@pytest.mark.parametrize("mode", ["dlm_naive", "dlm_block"])
+def test_null_steps_in_a_grid_tracks_each_points_gen_len(mode):
+    doc = {
+        "model": "llada-8b",
+        "hardware": "rtx-a6000",
+        "mode": mode,
+        "batch": 1,
+        "prompt_len": 8,
+        "axes": {"gen_len": [64, 128]},
+    }
+    if mode == "dlm_block":
+        doc["block_size"] = 32
+    omitted = run_sweep(grid_from_dict(doc))
+    null = run_sweep(grid_from_dict({**doc, "steps": None}))
+    assert null == omitted
+    assert [row.K for row in null] == [64, 128]
