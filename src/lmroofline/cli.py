@@ -12,10 +12,12 @@ import functools
 import itertools
 import json
 import sys
+from operator import attrgetter
 
 from .configs import HW_REGISTRY, MODEL_REGISTRY, list_hardware, list_models, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
+from .phases import arithmetic_intensity
 from .roofline import end_to_end, ridge_point
 from .sweep import emit_csv, evaluate_point, load_grid, map_grid, run_sweep
 from .svgplot import emit_line_svg, emit_roofline_svg
@@ -71,14 +73,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    row = evaluate_point(load_scenario(args.config))
-    payload = json.dumps(dataclasses.asdict(row), allow_nan=False)
-    width = max(len(f.name) for f in dataclasses.fields(row))
-    for f in dataclasses.fields(row):
-        value = getattr(row, f.name)
+    row = vars(evaluate_point(load_scenario(args.config)))  # the fields, in order
+    payload = json.dumps(row, allow_nan=False)
+    width = max(map(len, row))
+    for name, value in row.items():
         if isinstance(value, float):
             value = f"{value:.6g}"
-        print(f"{f.name:<{width}}  {value}")
+        print(f"{name:<{width}}  {value}")
     print(payload)
     return 0
 
@@ -99,10 +100,12 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     return 0
 
 
+# kind -> (the plotted value of a point's ScenarioResult, the y-axis label).
+# The values are the ones evaluate_point puts in a report row; plot builds no row.
 _PLOT_COLUMNS = {
-    "latency": ("latency_s", "latency (s)"),
-    "throughput": ("throughput_tok_s", "throughput (tokens/s)"),
-    "ai": ("ai", "arithmetic intensity (FLOP/byte)"),
+    "latency": (attrgetter("latency_s"), "latency (s)"),
+    "throughput": (attrgetter("throughput_tok_s"), "throughput (tokens/s)"),
+    "ai": (arithmetic_intensity, "arithmetic intensity (FLOP/byte)"),
 }
 
 
@@ -110,8 +113,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     grid = load_grid(args.config)
     if not grid.axes:
         raise ValidationError("plot requires at least one swept axis")
-    rows = run_sweep(grid)
-    field, ylabel = _PLOT_COLUMNS[args.kind]
+    value, ylabel = _PLOT_COLUMNS[args.kind]
+    ys = map_grid(grid, lambda scenario: value(end_to_end(scenario)))
     x_axis = grid.axes[-1][0]
     x_count = len(grid.axes[-1][1])
     series: list[tuple[str, list[tuple[float, float]]]] = []
@@ -122,8 +125,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo))
             or grid.base.mode
         )
-        chunk = rows[idx * x_count : (idx + 1) * x_count]
-        pts = [(float(x), float(getattr(r, field))) for x, r in zip(grid.axes[-1][1], chunk)]
+        chunk = ys[idx * x_count : (idx + 1) * x_count]
+        pts = [(float(x), y) for x, y in zip(grid.axes[-1][1], chunk)]
         series.append((name, pts))
     emit_line_svg(series, args.output, xlabel=x_axis, ylabel=ylabel,
                   title=f"{args.kind} vs {x_axis}")

@@ -23,7 +23,9 @@ PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
 are NamedTuples rather than frozen dataclasses: as immutable, and several
 times cheaper to build, because a frozen dataclass's __init__ sets each
 field through object.__setattr__. A type with checks runs them in a
-__new__ on its NamedTuple base.
+__new__ on its NamedTuple base. The one per-point value that stays a
+dataclass is sweep.SweepRow, the public report row, because its callers
+read it with dataclasses.asdict (the benchmark's checker among them).
 """
 
 from __future__ import annotations

@@ -200,7 +200,8 @@ def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).
 
     Requires at least three points with pairwise-distinct positive finite x
-    and positive finite y. Exact (to float precision) on pure power laws.
+    and positive finite y, and x values whose logarithms are not all equal as
+    floats. Exact (to float precision) on pure power laws.
     """
     if len(points) < 3:
         raise ValidationError(f"need at least 3 points to fit (got {len(points)})")
@@ -217,6 +218,8 @@ def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
     mx = sum(lx) / len(lx)
     my = sum(ly) / len(ly)
     sxx = sum((v - mx) ** 2 for v in lx)
+    if sxx == 0:
+        raise ValidationError("x values too close to fit: their logarithms are equal as floats")
     sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
     return sxy / sxx
 

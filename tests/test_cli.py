@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -210,6 +211,33 @@ def test_huge_integers_exit_1_without_output(tmp_path, capsys, monkeypatch, comm
     assert captured.err.startswith("error:")
     if command[0] != "analyze":
         assert captured.err.startswith("error: grid point {")
+
+
+# FLOPs, bytes and latency stay in the float range, the peak footprint does not.
+FOOTPRINT_OVERFLOW_GRID = arm_grid_doc(
+    {"prompt_len": [33 * 10**301]}, model="llada-8b", mode="dlm_block",
+    gen_len=1, steps=1, block_size=1,
+)
+SVG_COORDINATES = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "width", "height")
+
+
+def test_footprint_overflow_fails_only_the_report_row(tmp_path, capsys):
+    config = write_json(tmp_path, "grid.json", FOOTPRINT_OVERFLOW_GRID)
+    assert main(["sweep", "-c", config, "-o", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: grid point {")
+    # roofline and plot read no footprint, so they draw the point
+    plots = (["plot", "--kind", kind] for kind in ("latency", "throughput", "ai"))
+    for command in (["roofline"], *plots):
+        out_svg = tmp_path / "out.svg"
+        assert main([*command, "-c", config, "-o", str(out_svg)]) == 0
+        numbers = []
+        for element in ET.parse(out_svg).iter():
+            numbers.extend(value for name, value in element.attrib.items()
+                           if name in SVG_COORDINATES)
+            if "points" in element.attrib:
+                numbers.extend(element.attrib["points"].replace(",", " ").split())
+        assert "circle" in out_svg.read_text()
+        assert all(math.isfinite(float(number)) for number in numbers)
 
 
 def test_integer_beyond_the_json_digit_limit_exits_1(tmp_path, capsys):

@@ -14,6 +14,7 @@ from lmroofline import (
     SweepGrid,
     ValidationError,
     WorkloadSpec,
+    cli,
     emit_csv,
     fit_scaling_exponent,
     load_grid,
@@ -21,6 +22,7 @@ from lmroofline import (
 )
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, require_int, validate_workload
+from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
 from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict, map_grid
 from oracles import parse_csv, patch_everywhere
@@ -109,6 +111,25 @@ def test_fitter_rejects_non_finite_values(where, bad):
     points = [(1.0, 2.0), (2.0, 4.0), (bad, 8.0) if where == "x" else (4.0, bad)]
     with pytest.raises(ValidationError, match="finite"):
         fit_scaling_exponent(points)
+
+
+NEXT_AFTER_1E300 = math.nextafter(1e300, math.inf)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        (1e300, NEXT_AFTER_1E300, math.nextafter(NEXT_AFTER_1E300, math.inf)),
+        (10**400, 10**400 + 1, 10**400 + 2),
+    ],
+    ids=["adjacent-floats", "adjacent-huge-ints"],
+)
+def test_fitter_rejects_x_values_whose_logarithms_are_equal(xs):
+    # Pairwise distinct, but log() rounds all three to one float, so the
+    # spread of log(x) is exactly 0 and no slope exists.
+    assert len(set(xs)) == 3 and len({math.log(x) for x in xs}) == 1
+    with pytest.raises(ValidationError, match="too close"):
+        fit_scaling_exponent(list(zip(xs, (1.0, 2.0, 4.0))))
 
 
 @given(
@@ -315,6 +336,8 @@ def run_grid(command, tmp_path, doc):
         "sweep": ["sweep"],
         "roofline": ["roofline"],
         "plot": ["plot", "--kind", "latency"],
+        "plot-throughput": ["plot", "--kind", "throughput"],
+        "plot-ai": ["plot", "--kind", "ai"],
     }[command]
     assert cli_main([*argv, "-c", str(path), "-o", str(tmp_path / "out")]) == 0
 
@@ -348,6 +371,47 @@ def test_only_roofline_builds_roofline_points(monkeypatch, tmp_path, command, mo
     patch_everywhere(monkeypatch, RooflinePoint, counting)
     run_grid(command, tmp_path, GRID_DOCS[mode])
     assert len(built) == (sum(phases_per_point) if command == "roofline" else 0)
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+@pytest.mark.parametrize(
+    "command", ["run_sweep", "sweep", "roofline", "plot", "plot-throughput", "plot-ai"]
+)
+def test_only_report_rows_compute_a_footprint(monkeypatch, tmp_path, command, mode):
+    # A report row (run_sweep, sweep) needs each point's footprint; roofline
+    # and plot read nothing of a row, so they build none.
+    calls = {peak_footprint: 0, evaluate_point: 0}
+
+    def counting(original):
+        def wrapper(scenario):
+            calls[original] += 1
+            return original(scenario)
+
+        return wrapper
+
+    for original in list(calls):
+        patch_everywhere(monkeypatch, original, counting(original))
+    run_grid(command, tmp_path, GRID_DOCS[mode])
+    per_point = GRID_POINTS if command in ("run_sweep", "sweep") else 0
+    assert calls == {peak_footprint: per_point, evaluate_point: per_point}
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+def test_plot_draws_the_report_rows_values_bit_for_bit(monkeypatch, tmp_path, mode):
+    rows = run_sweep(grid_from_dict(GRID_DOCS[mode]))
+    drawn = {}
+
+    def recording(series, path, *, ylabel, **kwargs):
+        drawn[ylabel] = [y for _, points in series for _, y in points]
+
+    monkeypatch.setattr(cli, "emit_line_svg", recording)
+    for kind in ("latency", "throughput", "ai"):
+        run_grid("plot" if kind == "latency" else f"plot-{kind}", tmp_path, GRID_DOCS[mode])
+    assert drawn == {
+        "latency (s)": [row.latency_s for row in rows],
+        "throughput (tokens/s)": [row.throughput_tok_s for row in rows],
+        "arithmetic intensity (FLOP/byte)": [row.ai for row in rows],
+    }
 
 
 @pytest.mark.parametrize("mode", sorted(GRID_DOCS))
