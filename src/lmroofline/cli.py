@@ -114,20 +114,16 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if not grid.axes:
         raise ValidationError("plot requires at least one swept axis")
     value, ylabel = _PLOT_COLUMNS[args.kind]
-    ys = map_grid(grid, lambda scenario: value(end_to_end(scenario)))
-    x_axis = grid.axes[-1][0]
-    x_count = len(grid.axes[-1][1])
-    series: list[tuple[str, list[tuple[float, float]]]] = []
-    series_axes = grid.axes[:-1]
-    outer = itertools.product(*(values for _, values in series_axes))
-    for idx, combo in enumerate(outer):
-        name = (
-            ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo))
-            or grid.base.mode
-        )
-        chunk = ys[idx * x_count : (idx + 1) * x_count]
-        pts = [(float(x), y) for x, y in zip(grid.axes[-1][1], chunk)]
-        series.append((name, pts))
+    *series_axes, (x_axis, x_values) = grid.axes
+    # x is read off each point's resolved workload, where a null steps is its gen_len.
+    pts = map_grid(grid, lambda scenario: (
+        float(getattr(scenario.workload, x_axis)), value(end_to_end(scenario))))
+    names = [
+        ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo)) or grid.base.mode
+        for combo in itertools.product(*(values for _, values in series_axes))
+    ]
+    size = len(x_values)  # points per series
+    series = [(name, pts[idx * size : (idx + 1) * size]) for idx, name in enumerate(names)]
     emit_line_svg(series, args.output, xlabel=x_axis, ylabel=ylabel,
                   title=f"{args.kind} vs {x_axis}")
     print(f"wrote {args.output}")

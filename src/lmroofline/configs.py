@@ -6,6 +6,12 @@ Inputs are checked here. The dataclasses check their own fields, and
 calls `validate_workload` when it is built, so every Scenario is valid and
 nothing downstream checks it again.
 
+The keys of every JSON document are the fields of its dataclass, required
+where the field has no default. One loader reads a model or hardware by
+registry name or from a file; `read_scenario` reads a scenario document,
+and a grid's too; `resolve_workload` is where an unset `steps` gets its
+value.
+
 Registry constants are transcribed from the models' published configuration
 files and from vendor datasheets for the GPUs; see the README for the exact
 provenance of each entry.
@@ -17,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from .errors import ValidationError
@@ -312,89 +318,61 @@ def _load_json(path: str) -> Any:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _check_keys(doc: dict, required: set[str], optional: set[str], context: str) -> None:
+def _document_keys(*classes: type) -> dict[str, bool]:
+    """Key -> required for a document of `classes`' fields: those without a default."""
+    return {f.name: f.default is MISSING and f.default_factory is MISSING
+            for cls in classes for f in fields(cls)}
+
+
+def _check_keys(doc: Any, keys: dict[str, bool], context: str) -> None:
     if not isinstance(doc, dict):
         raise ValidationError(f"{context} must be a JSON object (got {type(doc).__name__})")
-    unknown = set(doc) - required - optional
+    unknown = doc.keys() - keys
     if unknown:
         raise ValidationError(f"unknown field(s) in {context}: {', '.join(sorted(unknown))}")
-    missing = required - set(doc)
+    missing = [name for name, required in keys.items() if required and name not in doc]
     if missing:
         raise ValidationError(f"missing field(s) in {context}: {', '.join(sorted(missing))}")
 
 
-_MODEL_REQUIRED = {
-    "name",
-    "num_layers",
-    "d_model",
-    "num_heads",
-    "num_kv_heads",
-    "head_dim",
-    "ffn_dim",
-    "vocab_size",
-}
-_MODEL_OPTIONAL = {"mlp_kind", "attention_kind"}
-
-
-def model_from_dict(doc: dict) -> ModelConfig:
-    _check_keys(doc, _MODEL_REQUIRED, _MODEL_OPTIONAL, "model config")
-    return ModelConfig(**doc)
-
-
-_HW_REQUIRED = {"name", "peak_flops", "mem_bandwidth", "mem_capacity"}
-
-
-def hardware_from_dict(doc: dict) -> HardwareSpec:
-    _check_keys(doc, _HW_REQUIRED, set(), "hardware spec")
-    return HardwareSpec(**doc)
-
-
-def _resolve_path(source: str, base_dir: str | None) -> str:
-    if base_dir is not None and not os.path.isabs(source):
-        candidate = os.path.join(base_dir, source)
-        if os.path.exists(candidate):
-            return candidate
-    return source
+def _load(source: str, base_dir: str | None, registry: dict, cls: type, context: str) -> Any:
+    """Resolve `source` by registry name, or load a JSON document of `cls`'s
+    fields from the file it names (first relative to `base_dir`)."""
+    name = str(source)
+    if name in registry:
+        return registry[name]
+    candidate = os.path.join(base_dir or "", name)  # an absolute name stays as it is
+    path = candidate if os.path.exists(candidate) else name
+    if not os.path.exists(path):
+        raise ValidationError(
+            f"unknown {context.split()[0]} '{name}' (registry: {', '.join(sorted(registry))}) "
+            "and no such file"
+        )
+    doc = _load_json(path)
+    _check_keys(doc, _document_keys(cls), context)
+    return cls(**doc)
 
 
 def load_model_config(source: str, base_dir: str | None = None) -> ModelConfig:
     """Resolve a model by registry name, or load it from a JSON file path."""
-    name = str(source)
-    if name in MODEL_REGISTRY:
-        return MODEL_REGISTRY[name]
-    path = _resolve_path(name, base_dir)
-    if not os.path.exists(path):
-        raise ValidationError(
-            f"unknown model '{name}' (registry: {', '.join(list_models())}) "
-            "and no such file"
-        )
-    return model_from_dict(_load_json(path))
+    return _load(source, base_dir, MODEL_REGISTRY, ModelConfig, "model config")
 
 
 def load_hardware_spec(source: str, base_dir: str | None = None) -> HardwareSpec:
     """Resolve hardware by registry name, or load it from a JSON file path."""
-    name = str(source)
-    if name in HW_REGISTRY:
-        return HW_REGISTRY[name]
-    path = _resolve_path(name, base_dir)
-    if not os.path.exists(path):
-        raise ValidationError(
-            f"unknown hardware '{name}' (registry: {', '.join(list_hardware())}) "
-            "and no such file"
-        )
-    return hardware_from_dict(_load_json(path))
+    return _load(source, base_dir, HW_REGISTRY, HardwareSpec, "hardware spec")
 
 
-_OPTION_FIELDS = {f.name for f in fields(CountingOptions)}
 # The README's names for two options; the field names stay accepted too.
 _OPTION_ALIASES = {
     "count_lm_head": "include_lm_head",
     "include_elementwise": "count_elementwise_bytes",
 }
+_OPTION_KEYS = {**_document_keys(CountingOptions), **dict.fromkeys(_OPTION_ALIASES, False)}
 
 
 def options_from_dict(doc: dict) -> CountingOptions:
-    _check_keys(doc, set(), _OPTION_FIELDS | set(_OPTION_ALIASES), "options")
+    _check_keys(doc, _OPTION_KEYS, "options")
     values = {}
     for key, value in doc.items():
         if not isinstance(value, bool):
@@ -406,39 +384,40 @@ def options_from_dict(doc: dict) -> CountingOptions:
     return CountingOptions(**values)
 
 
-_SCENARIO_REQUIRED = {"model", "hardware", "mode", "batch", "prompt_len", "gen_len"}
-_SCENARIO_OPTIONAL = {"steps", "block_size", "dtype_bytes", "options"}
+# A scenario document names its model and hardware and spells out the
+# workload's fields in place of a `workload` object.
+_SCENARIO_KEYS = _document_keys(Scenario, WorkloadSpec)
+del _SCENARIO_KEYS["workload"]
 
 
-def workload_from_dict(doc: dict, context: str = "scenario") -> WorkloadSpec:
-    """Build the workload part of a scenario document.
+def read_scenario(
+    doc: Any, context: str, base_dir: str | None
+) -> tuple[ModelConfig, HardwareSpec, WorkloadSpec]:
+    """The model, hardware and unresolved workload of a scenario document.
 
-    `steps` defaults to `gen_len` for the diffusion modes when omitted
-    (every generated token refined once per step on average).
+    The workload is not validated here, and its `steps` is left as given:
+    `resolve_workload` fills an unset one in.
     """
-    _check_keys(doc, _SCENARIO_REQUIRED - {"model", "hardware"}, _SCENARIO_OPTIONAL, context)
-    mode = doc["mode"]
-    steps = doc.get("steps")
-    if steps is None and mode in DLM_MODES:
-        steps = doc["gen_len"]
-    return WorkloadSpec(
-        mode=mode,
-        batch=doc["batch"],
-        prompt_len=doc["prompt_len"],
-        gen_len=doc["gen_len"],
-        steps=steps,
-        block_size=doc.get("block_size"),
-        dtype_bytes=doc.get("dtype_bytes", 2),
-        options=options_from_dict(doc.get("options", {})),
-    )
+    _check_keys(doc, _SCENARIO_KEYS, context)
+    workload = dict(doc)
+    model = load_model_config(workload.pop("model"), base_dir)
+    hardware = load_hardware_spec(workload.pop("hardware"), base_dir)
+    workload["options"] = options_from_dict(doc.get("options", {}))
+    return model, hardware, WorkloadSpec(**workload)
+
+
+def resolve_workload(base: WorkloadSpec, point: dict[str, Any]) -> WorkloadSpec:
+    """`base` with `point`'s fields set. An unset diffusion `steps` becomes the
+    resolved `gen_len`: every generated token refined once per step on average."""
+    values = {**vars(base), **point}
+    if values["steps"] is None and values["mode"] in DLM_MODES:
+        values["steps"] = values["gen_len"]
+    return WorkloadSpec(**values)
 
 
 def scenario_from_dict(doc: dict, base_dir: str | None = None) -> Scenario:
-    _check_keys(doc, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenario")
-    model = load_model_config(doc["model"], base_dir)
-    hardware = load_hardware_spec(doc["hardware"], base_dir)
-    workload_doc = {k: v for k, v in doc.items() if k not in ("model", "hardware")}
-    return Scenario(model=model, hardware=hardware, workload=workload_from_dict(workload_doc))
+    model, hardware, workload = read_scenario(doc, "scenario", base_dir)
+    return Scenario(model=model, hardware=hardware, workload=resolve_workload(workload, {}))
 
 
 def load_scenario(path: str) -> Scenario:

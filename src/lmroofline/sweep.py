@@ -4,10 +4,13 @@ Grid points are enumerated in lexicographic order of the axes as listed:
 the first axis varies slowest. Evaluation is pure, so re-running a sweep
 reproduces the output byte for byte.
 
+A grid document is a scenario document plus `axes`, and `read_scenario`
+reads both kinds; a field an axis supplies may be left out of a grid.
 `map_grid` is the one loop over a grid's points, used by `run_sweep` and by
-the CLI's `sweep`, `roofline` and `plot`. It builds each point's Scenario,
-which validates the point's workload once, and names the point in any error,
-from building or from evaluating it.
+the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
+with `resolve_workload`, as `scenario_from_dict` does for a scenario file,
+and builds its Scenario, which validates the workload once. Any error, from
+building the point or from evaluating it, names the point.
 """
 
 from __future__ import annotations
@@ -15,22 +18,19 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf, log
 from typing import TypeVar
 
 from .configs import (
-    DLM_MODES,
     MAX_FLOAT,
     HardwareSpec,
     ModelConfig,
     Scenario,
     WorkloadSpec,
-    _check_keys,
     _load_json,
-    load_hardware_spec,
-    load_model_config,
-    workload_from_dict,
+    read_scenario,
+    resolve_workload,
 )
 from .errors import ValidationError
 from .memory import peak_footprint
@@ -46,7 +46,14 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A base workload plus the cartesian axes to sweep over it."""
+    """A base workload plus the cartesian axes to sweep over it.
+
+    Each point is `base` with the point's axis values set, resolved by
+    `resolve_workload`. So a field of `base` (`batch`, `prompt_len`,
+    `gen_len`, `steps`, `block_size`, `dtype_bytes`) may be None where an
+    axis supplies it, and `steps` is None where it is unset: a diffusion
+    point then takes its own `gen_len` as its step count.
+    """
 
     model: ModelConfig
     hardware: HardwareSpec
@@ -88,11 +95,11 @@ class SweepRow:
 
 
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
-    """Parse a grid document: the scenario fields plus an `axes` object.
+    """Parse a grid document: a scenario document plus an `axes` object.
 
-    The base workload is not validated here; omitted or null `steps` for
-    diffusion modes resolves to the per-point gen_len, and a field supplied
-    by an axis may be absent from the base.
+    Every scenario field is required unless it has a default or an axis
+    supplies it. The base workload is not validated here: each point is,
+    when `map_grid` builds it.
     """
     if not isinstance(doc, dict):
         raise ValidationError("grid must be a JSON object")
@@ -106,42 +113,15 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
         if not isinstance(values, list):
             raise ValidationError(f"axis '{name}' must map to a list of values")
         axes.append((name, tuple(values)))
-
-    scenario_doc = {k: v for k, v in doc.items() if k != "axes"}
-    _check_keys(
-        scenario_doc,
-        {"model", "hardware", "mode"},
-        {"batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes", "options"},
-        "grid",
-    )
-    model = load_model_config(scenario_doc["model"], base_dir)
-    hardware = load_hardware_spec(scenario_doc["hardware"], base_dir)
-
-    axis_names = {name for name, _ in axes}
-    workload_doc = {k: v for k, v in scenario_doc.items() if k not in ("model", "hardware")}
-    # Placeholders for fields an axis will supply; replaced per point.
-    for name in ("batch", "prompt_len", "gen_len"):
-        if name not in workload_doc:
-            if name not in axis_names and name != "prompt_len":
-                raise ValidationError(f"missing field(s) in grid: {name}")
-            workload_doc.setdefault(name, 0 if name == "prompt_len" else 1)
-    base = workload_from_dict(workload_doc, context="grid")
-    if scenario_doc.get("steps") is None:
-        # re-resolve per point so steps tracks a swept gen_len
-        base = replace(base, steps=None)
+    # A field an axis supplies is None in the base unless the document gives it.
+    scenario_doc = {**dict.fromkeys(set(AXIS_FIELDS) & axes_doc.keys()), **doc}
+    del scenario_doc["axes"]
+    model, hardware, base = read_scenario(scenario_doc, "grid", base_dir)
     return SweepGrid(model=model, hardware=hardware, base=base, axes=tuple(axes))
 
 
 def load_grid(path: str) -> SweepGrid:
     return grid_from_dict(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def _resolve_point(grid: SweepGrid, point: dict[str, int]) -> WorkloadSpec:
-    """The workload at one grid point; unset dlm steps track the point's gen_len."""
-    fields = {**vars(grid.base), **point}
-    if fields["steps"] is None and fields["mode"] in DLM_MODES:
-        fields["steps"] = fields["gen_len"]
-    return WorkloadSpec(**fields)
 
 
 T = TypeVar("T")
@@ -158,7 +138,7 @@ def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], T]) -> list[T]:
     for combo in itertools.product(*(values for _, values in grid.axes)):
         point = dict(zip(names, combo))
         try:
-            scenario = Scenario(grid.model, grid.hardware, _resolve_point(grid, point))
+            scenario = Scenario(grid.model, grid.hardware, resolve_workload(grid.base, point))
             results.append(evaluate(scenario))
         except ValidationError as exc:
             raise ValidationError(f"grid point {point}: {exc}") from exc

@@ -392,3 +392,92 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     assert shared[0][2].startswith("usage error:") and "usage: lmroofline" in shared[0][2]
     assert shared[1][1].startswith("usage: lmroofline")
     assert "usage: lmroofline" in shared[3][2]  # a usage error once the parser exists
+
+
+NULL_STEPS_GRID = {
+    "model": "llada-8b",
+    "hardware": "rtx-a6000",
+    "mode": "dlm_naive",
+    "batch": 1,
+    "prompt_len": 8,
+    "gen_len": 32,
+    "axes": {"steps": [None, 8]},
+}
+
+
+@pytest.mark.parametrize("kind", ["latency", "throughput", "ai"])
+def test_plot_draws_a_null_steps_at_its_gen_len(tmp_path, capsys, kind):
+    # steps resolves to gen_len (32) at the null point, and x is read off the
+    # resolved workload, so the plot is the one of an explicit 32.
+    svgs = []
+    for name, steps in (("null", [None, 8]), ("explicit", [32, 8])):
+        doc = {**NULL_STEPS_GRID, "axes": {"steps": steps}}
+        config = write_json(tmp_path, f"{name}.json", doc)
+        out_svg = tmp_path / f"{name}.svg"
+        assert main(["plot", "--kind", kind, "-c", config, "-o", str(out_svg)]) == 0
+        svgs.append(out_svg.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
+def test_plot_legend_keeps_a_null_steps_of_a_series_axis(tmp_path, capsys):
+    axes = {"steps": [None, 8], "gen_len": [32, 64]}
+    config = write_json(tmp_path, "grid.json", {**NULL_STEPS_GRID, "axes": axes})
+    out_svg = tmp_path / "plot.svg"
+    assert main(["plot", "--kind", "latency", "-c", config, "-o", str(out_svg)]) == 0
+    legend = [t.text for t in ET.parse(str(out_svg)).iter() if t.tag.endswith("text")]
+    assert "steps=None" in legend
+    assert "steps=8" in legend
+
+
+GRID_COMMANDS = [["sweep"], ["roofline"], ["plot", "--kind", "latency"]]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS, ids=lambda argv: argv[0])
+def test_grid_without_prompt_len_exits_1(tmp_path, capsys, command):
+    # No axis supplies prompt_len either, so the grid misses it, as a scenario would.
+    doc = arm_grid_doc({"batch": [1, 2]})
+    del doc["prompt_len"]
+    output = tmp_path / "out"
+    assert main([*command, "-c", write_json(tmp_path, "grid.json", doc), "-o", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing field(s) in grid: prompt_len" in captured.err
+    assert not output.exists()
+
+    doc["axes"]["prompt_len"] = [16, 64]
+    assert main([*command, "-c", write_json(tmp_path, "grid.json", doc), "-o", str(output)]) == 0
+
+
+MODEL_FILE_DOC = {
+    "name": "tiny",
+    "num_layers": 2,
+    "d_model": 64,
+    "num_heads": 4,
+    "num_kv_heads": 2,
+    "head_dim": 16,
+    "ffn_dim": 128,
+    "vocab_size": 100,
+}
+
+
+@pytest.mark.parametrize(
+    "field, doc, message",
+    [
+        ("model", {**MODEL_FILE_DOC, "rope_theta": 1e4},
+         "unknown field(s) in model config: rope_theta"),
+        ("model", {k: v for k, v in MODEL_FILE_DOC.items() if k != "ffn_dim"},
+         "missing field(s) in model config: ffn_dim"),
+        ("hardware", {**hardware_doc(), "tdp_w": 300}, "unknown field(s) in hardware spec: tdp_w"),
+        ("hardware", {k: v for k, v in hardware_doc().items() if k != "mem_capacity"},
+         "missing field(s) in hardware spec: mem_capacity"),
+    ],
+    ids=["model-unknown", "model-missing", "hardware-unknown", "hardware-missing"],
+)
+def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, message):
+    # The key sets come from the ModelConfig and HardwareSpec fields.
+    write_json(tmp_path, "file.json", doc)
+    config = write_json(tmp_path, "scenario.json", arm_scenario_doc(**{field: "file.json"}))
+    assert main(["analyze", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -24,7 +24,6 @@ from lmroofline.configs import (
     options_from_dict,
     require_blocks,
     scenario_from_dict,
-    workload_from_dict,
 )
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -285,24 +284,30 @@ def workload_document(workload):
     return {key: value for key, value in asdict(workload).items() if value is not None}
 
 
+def read_workload(doc):
+    """The workload of a scenario document of `doc`'s fields, on a model that runs its mode."""
+    model = "llama3-8b" if doc["mode"] == "arm" else "llada-8b"
+    return scenario_from_dict({"model": model, "hardware": "rtx-a6000", **doc}).workload
+
+
 @given(workload=st.one_of(arm_workloads, dlm_workloads()))
 def test_workload_round_trips_through_dict(workload):
     model = LLAMA if workload.mode == "arm" else LLADA
     validate_workload(workload, model)
-    again = workload_from_dict(workload_document(workload))
+    again = read_workload(workload_document(workload))
     assert again == workload
 
 
 def test_steps_defaults_to_gen_len_for_dlm():
     doc = {"mode": "dlm_naive", "batch": 1, "prompt_len": 16, "gen_len": 64}
-    assert workload_from_dict(doc).steps == 64
+    assert read_workload(doc).steps == 64
     doc = {"mode": "dlm_block", "batch": 1, "prompt_len": 16, "gen_len": 64, "block_size": 16}
-    assert workload_from_dict(doc).steps == 64
+    assert read_workload(doc).steps == 64
 
 
 def test_dtype_bytes_defaults_to_fp16():
     doc = {"mode": "arm", "batch": 1, "prompt_len": 16, "gen_len": 64}
-    assert workload_from_dict(doc).dtype_bytes == 2
+    assert read_workload(doc).dtype_bytes == 2
 
 
 def test_unknown_scenario_field_rejected():

@@ -4,17 +4,25 @@ A malformed input must be rejected with a ValidationError, which the CLI
 turns into exit 1; it must never raise anything else or yield a NaN, an
 infinity or a count that no float can hold. So every document below either
 raises ValidationError or evaluates to rows whose numbers are all finite
-floats.
+floats, and every grid command of the CLI exits 0 or 1 on a grid document.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import os
+import re
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmroofline import HW_REGISTRY, MODEL_REGISTRY, ValidationError
+from lmroofline.cli import main as cli_main
 from lmroofline.configs import DTYPE_BYTES_ALLOWED, MODES, scenario_from_dict
 from lmroofline.sweep import AXIS_FIELDS, evaluate_point, grid_from_dict, run_sweep
 
@@ -161,3 +169,82 @@ def test_grid_document_is_rejected_or_finite(doc):
         return
     for row in rows:
         assert_finite(row)
+
+
+GRID_COMMANDS = {
+    "sweep": ["sweep"],
+    "roofline": ["roofline"],
+    **{f"plot-{kind}": ["plot", "--kind", kind] for kind in ("latency", "throughput", "ai")},
+}
+SVG_COORDINATES = ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "width", "height", "points")
+
+
+def svg_coordinates(path):
+    """Every number in the coordinate attributes of the SVG file at path."""
+    for element in ET.parse(path).iter():
+        for name in SVG_COORDINATES:
+            for token in re.split(r"[ ,]+", element.get(name, "").strip()):
+                if token:
+                    yield float(token)
+
+
+def run_grid_command(argv, config, output):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([*argv, "-c", config, "-o", output])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=grid_docs())
+@example(doc={  # a null steps on the x axis: drawn at the point's gen_len
+    "model": "llada-8b",
+    "hardware": "rtx-a6000",
+    "mode": "dlm_naive",
+    "batch": 1,
+    "prompt_len": 8,
+    "gen_len": 32,
+    "axes": {"steps": [None, 8]},
+})
+@example(doc={  # prompt_len 0 on the x axis: swept, but not on a log axis
+    "model": "llama3-8b",
+    "hardware": "a100-80g",
+    "mode": "arm",
+    "batch": 2,
+    "gen_len": 16,
+    "axes": {"prompt_len": [0, 8]},
+})
+@example(doc={  # no axes: one point, but no x axis to plot against
+    "model": "llama3-8b",
+    "hardware": "rtx-a6000",
+    "mode": "arm",
+    "batch": 1,
+    "prompt_len": 4,
+    "gen_len": 4,
+    "axes": {},
+})
+def test_every_grid_command_exits_0_or_1(doc):
+    """Each grid command exits 0 or 1 and never raises; on exit 1 it prints
+    nothing to stdout, and every SVG it writes has finite coordinates. A grid
+    that `sweep` accepts, every other grid command draws, except that `plot`
+    needs an axis to draw against, and its log x axis cannot show a
+    prompt_len of 0."""
+    with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "grid.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        codes = {}
+        for name, argv in GRID_COMMANDS.items():
+            output = os.path.join(work, f"{name}.out")
+            code, out, err = run_grid_command(argv, config, output)
+            assert code in (0, 1), (name, code, err)
+            if code == 1:
+                assert out == "", (name, out)
+            elif name != "sweep":
+                assert all(map(math.isfinite, svg_coordinates(output))), name
+            codes[name] = (code, err)
+    if codes["sweep"][0] == 0:
+        axes = list(doc["axes"].values())
+        plot_refuses = not axes or 0 in axes[-1]
+        for name, (code, err) in codes.items():
+            assert code == (1 if name.startswith("plot") and plot_refuses else 0), (name, err)
