@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
 from .phases import arithmetic_intensity
 from .roofline import end_to_end, ridge_point
-from .sweep import emit_csv, evaluate_point, load_grid, map_grid, run_sweep
+from .sweep import evaluate_point, load_grid, map_grid, row_to_csv, write_csv
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 
@@ -85,9 +85,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = run_sweep(load_grid(args.config))
-    emit_csv(rows, args.output)
-    print(f"wrote {len(rows)} rows to {args.output}")
+    # One CSV line per point, all computed before the file is opened.
+    lines = map_grid(load_grid(args.config), lambda scenario: row_to_csv(evaluate_point(scenario)))
+    write_csv(lines, args.output)
+    print(f"wrote {len(lines)} rows to {args.output}")
     return 0
 
 

@@ -11,13 +11,19 @@ the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
 with `resolve_workload`, as `scenario_from_dict` does for a scenario file,
 and builds its Scenario, which validates the workload once. Any error, from
 building the point or from evaluating it, names the point.
+
+`write_csv` writes the header and then each line as it comes, so no
+document string is built. The CLI's `sweep` turns each point straight into
+its line (`row_to_csv(evaluate_point(scenario))`), keeping no row or
+footprint per point, and opens the file only after every point is
+evaluated: a rejected point leaves an existing output file as it was.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import inf, log
 from typing import TypeVar
@@ -215,14 +221,14 @@ def row_to_csv(row: SweepRow) -> str:
     )
 
 
-def csv_text(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(row_to_csv(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def write_csv(lines: Iterable[str], path: str) -> None:
+    """Write the CSV header, then each line as it comes; a line has no newline."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(CSV_HEADER + "\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def emit_csv(rows: list[SweepRow], path: str) -> None:
     """Write rows to path; floats carry 6 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(csv_text(rows))
-
+    write_csv(map(row_to_csv, rows), path)

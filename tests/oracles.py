@@ -12,8 +12,8 @@ small shapes used in the tests; they make no attempt to be fast.
 
 `scenario` builds the validated Scenario the phase functions take,
 `patch_everywhere` replaces a function under every name the package binds
-it to, and `parse_csv` reads a sweep CSV back for the tests of the CSV
-contract.
+it to, `parse_csv` reads a sweep CSV back for the tests of the CSV
+contract, and `csv_text` renders rows to the text `emit_csv` writes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from lmroofline import (
 )
 from lmroofline.kernels import KernelCost
 from lmroofline.phases import layer_forward_cost
-from lmroofline.sweep import CSV_HEADER
+from lmroofline.sweep import CSV_HEADER, row_to_csv
 
 # A synthetic shape small enough for the brute-force loops below.
 TINY = ModelConfig(
@@ -74,6 +74,13 @@ def patch_everywhere(monkeypatch, original, replacement):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)
+
+
+def csv_text(rows: list[SweepRow]) -> str:
+    """The CSV document of rows, as one string."""
+    lines = [CSV_HEADER]
+    lines.extend(row_to_csv(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def parse_csv(path: str) -> list[SweepRow]:

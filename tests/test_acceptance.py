@@ -10,7 +10,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import oracles
-from oracles import TINY, scenario
+from oracles import TINY, csv_text, scenario
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -36,7 +36,7 @@ from lmroofline.phases import (
     blockwise_dlm_cost,
     naive_dlm_cost,
 )
-from lmroofline.sweep import SweepGrid, csv_text, run_sweep
+from lmroofline.sweep import SweepGrid, run_sweep
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]

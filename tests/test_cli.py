@@ -481,3 +481,38 @@ def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_plot_names_a_zero_x_value_and_its_axis(tmp_path, capsys):
+    # sweep and roofline accept prompt_len 0; a log x axis cannot draw it.
+    config = write_json(tmp_path, "grid.json", arm_grid_doc({"prompt_len": [0, 8]}))
+    output = tmp_path / "plot.svg"
+    assert main(["plot", "--kind", "latency", "-c", config, "-o", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "series 'arm': prompt_len=0," in captured.err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [*GRID_COMMANDS, ["plot", "--kind", "throughput"], ["plot", "--kind", "ai"]],
+    ids=["sweep", "roofline", "plot-latency", "plot-throughput", "plot-ai"],
+)
+def test_rejected_last_point_leaves_an_existing_output_as_it_was(tmp_path, capsys, command):
+    # The points before the last evaluate; nothing is written until every one has.
+    doc = {
+        "model": "llada-8b",
+        "hardware": "rtx-a6000",
+        "mode": "dlm_block",
+        "batch": 1,
+        "prompt_len": 16,
+        "block_size": 48,
+        "axes": {"gen_len": [64, 96, 32]},
+    }
+    output = tmp_path / "out"
+    output.write_bytes(b"previous output\n")
+    assert main([*command, "-c", write_json(tmp_path, "grid.json", doc), "-o", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid point {'gen_len': 32}: block size exceeds generation length" in captured.err
+    assert output.read_bytes() == b"previous output\n"

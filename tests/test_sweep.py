@@ -24,8 +24,8 @@ from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, require_int, validate_workload
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
-from lmroofline.sweep import CSV_HEADER, csv_text, evaluate_point, grid_from_dict, map_grid
-from oracles import parse_csv, patch_everywhere
+from lmroofline.sweep import CSV_HEADER, evaluate_point, grid_from_dict, map_grid
+from oracles import csv_text, parse_csv, patch_everywhere
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
