@@ -15,15 +15,11 @@ from pathlib import Path
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
-    RooflinePoint,
     Scenario,
     WorkloadSpec,
-    arithmetic_intensity,
-    classify,
     emit_roofline_svg,
-    phase_latency,
+    end_to_end,
     ridge_point,
-    scenario_phases,
 )
 
 LENGTHS = (128, 256, 512, 1024, 2048, 4096, 8192)
@@ -32,20 +28,12 @@ LENGTHS = (128, 256, 512, 1024, 2048, 4096, 8192)
 def placement(model, hw):
     points = []
     for length in LENGTHS:
-        prefill, decode = scenario_phases(Scenario(model, hw, WorkloadSpec("arm", 1, length, 128)))
-        (naive,) = scenario_phases(
-            Scenario(model, hw, WorkloadSpec("dlm_naive", 1, 0, length, steps=1))
-        )
-        for phase, cost in (("prefill", prefill), ("decode", decode), ("naive pass", naive)):
-            ai = arithmetic_intensity(cost)
-            points.append(
-                RooflinePoint(
-                    ai=ai,
-                    perf_attained=cost.flops / phase_latency(cost, hw),
-                    bound=classify(ai, hw),
-                    label=f"{phase} L={length}",
-                )
-            )
+        arm = Scenario(model, hw, WorkloadSpec("arm", 1, length, 128))
+        naive_pass = Scenario(model, hw, WorkloadSpec("dlm_naive", 1, 0, length, steps=1))
+        prefill, decode = end_to_end(arm).points
+        (naive,) = end_to_end(naive_pass).points
+        for phase, point in (("prefill", prefill), ("decode", decode), ("naive pass", naive)):
+            points.append(point._replace(label=f"{phase} L={length}"))
     return points
 
 

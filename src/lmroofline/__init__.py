@@ -2,7 +2,8 @@
 
 The cost functions exported here take a validated Scenario. The kernel,
 phase and memory functions under them take plain integers and do not check
-them; they stay importable from their modules.
+them; they stay importable from their modules. Every function the package
+defines is run by a command or a script (tests/test_reachable.py).
 """
 
 from .configs import (
@@ -20,7 +21,7 @@ from .configs import (
 )
 from .errors import ValidationError
 from .kernels import KernelCost, KernelRun
-from .memory import MemoryFootprint, max_fitting_batch, parameter_count, peak_footprint
+from .memory import MemoryFootprint, parameter_count, peak_footprint
 from .phases import PhaseCost, arithmetic_intensity
 from .roofline import (
     RooflinePoint,
@@ -32,7 +33,7 @@ from .roofline import (
     ridge_point,
     scenario_phases,
 )
-from .sweep import SweepGrid, SweepRow, emit_csv, fit_scaling_exponent, load_grid, run_sweep
+from .sweep import SweepGrid, SweepRow, emit_csv, load_grid, run_sweep
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 __all__ = [
@@ -58,13 +59,11 @@ __all__ = [
     "emit_line_svg",
     "emit_roofline_svg",
     "end_to_end",
-    "fit_scaling_exponent",
     "kernel_time",
     "load_grid",
     "load_hardware_spec",
     "load_model_config",
     "load_scenario",
-    "max_fitting_batch",
     "parameter_count",
     "peak_footprint",
     "phase_latency",

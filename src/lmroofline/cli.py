@@ -14,7 +14,7 @@ import json
 import sys
 from operator import attrgetter
 
-from .configs import HW_REGISTRY, MODEL_REGISTRY, list_hardware, list_models, load_scenario
+from .configs import HW_REGISTRY, MODEL_REGISTRY, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
 from .phases import arithmetic_intensity
@@ -133,12 +133,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_hw(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for name in list_hardware():
+        for name in sorted(HW_REGISTRY):
             print(name)
         return 0
     if args.name not in HW_REGISTRY:
         raise ValidationError(
-            f"unknown hardware '{args.name}' (registry: {', '.join(list_hardware())})"
+            f"unknown hardware '{args.name}' (registry: {', '.join(sorted(HW_REGISTRY))})"
         )
     hw = HW_REGISTRY[args.name]
     print(hw.name)
@@ -151,12 +151,12 @@ def _cmd_hw(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     if args.action == "list":
-        for name in list_models():
+        for name in sorted(MODEL_REGISTRY):
             print(name)
         return 0
     if args.name not in MODEL_REGISTRY:
         raise ValidationError(
-            f"unknown model '{args.name}' (registry: {', '.join(list_models())})"
+            f"unknown model '{args.name}' (registry: {', '.join(sorted(MODEL_REGISTRY))})"
         )
     m = MODEL_REGISTRY[args.name]
     for field in dataclasses.fields(m):

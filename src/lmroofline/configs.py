@@ -1,10 +1,10 @@
 """Model, hardware, and workload definitions plus the built-in registries.
 
 Inputs are checked here. The dataclasses check their own fields, and
-`validate_workload` holds every workload invariant, written once each in
-`require_int`, `require_causal_capable` and `require_blocks`. A `Scenario`
-calls `validate_workload` when it is built, so every Scenario is valid and
-nothing downstream checks it again.
+`validate_workload` holds every workload invariant, each written once; the
+integer and block-count checks are `require_int` and `require_blocks`. A
+`Scenario` calls `validate_workload` when it is built, so every Scenario is
+valid and nothing downstream checks it again.
 
 The keys of every JSON document are the fields of its dataclass, required
 where the field has no default. One loader reads a model or hardware by
@@ -170,14 +170,6 @@ class WorkloadSpec:
         return self.prompt_len + self.gen_len
 
 
-def require_causal_capable(model: ModelConfig, what: str) -> None:
-    """Reject running `what`, which needs causal attention, on `model`."""
-    if model.attention_kind == "bidirectional_only":
-        raise ValidationError(
-            f"model '{model.name}' has attention_kind bidirectional_only and cannot run {what}"
-        )
-
-
 def require_blocks(gen_len: int, steps: int, block_size: int) -> int:
     """Number of dlm_block blocks, after checking that each block fits the
     generation and gets at least one refinement step."""
@@ -213,7 +205,9 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
         raise ValidationError(f"options must be CountingOptions (got {type(w.options)})")
 
     if w.mode == "arm":
-        require_causal_capable(model, "mode 'arm'")
+        if model.attention_kind == "bidirectional_only":
+            raise ValidationError(f"model '{model.name}' has attention_kind bidirectional_only "
+                                  "and cannot run mode 'arm'")
         if w.steps is not None:
             raise ValidationError("steps is only meaningful for dlm modes (mode 'arm')")
         if w.block_size is not None:
@@ -300,14 +294,6 @@ HW_REGISTRY: dict[str, HardwareSpec] = {
         mem_capacity=80e9,
     ),
 }
-
-
-def list_models() -> list[str]:
-    return sorted(MODEL_REGISTRY)
-
-
-def list_hardware() -> list[str]:
-    return sorted(HW_REGISTRY)
 
 
 def _load_json(path: str) -> Any:

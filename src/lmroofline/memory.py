@@ -2,8 +2,8 @@
 
 The footprint of a scenario is weights + KV cache + transient activations.
 Fitting is a prediction, never an error: a scenario that exceeds capacity
-still evaluates, it just carries fits=False. The footprint is linear in the
-batch, which makes `max_fitting_batch` a closed form.
+still evaluates, it just carries fits=False. The largest batch that fits is
+read off a `batch` sweep axis and its `fits` column.
 
 Activation working set: ACTIVATION_BUFFER_FACTOR * batch * E * max(d_model,
 ffn_dim) * dtype_bytes, where E is the largest single-forward query extent
@@ -18,11 +18,9 @@ it was built, and do not check them again.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from math import floor
 from typing import NamedTuple
 
-from .configs import HardwareSpec, ModelConfig, Scenario, WorkloadSpec
+from .configs import ModelConfig, Scenario, WorkloadSpec
 
 ACTIVATION_BUFFER_FACTOR = 2
 
@@ -98,15 +96,3 @@ def peak_footprint(scenario: Scenario) -> MemoryFootprint:
     act = activation_bytes(m, w.batch, _activation_extent(w), w.dtype_bytes)
     total = weights + kv + act
     return MemoryFootprint(weights, kv, act, total, total <= hw.mem_capacity)
-
-
-def max_fitting_batch(model: ModelConfig, hw: HardwareSpec, workload: WorkloadSpec) -> int:
-    """Largest batch at which the workload still fits; 0 if none does.
-
-    The footprint is weights + batch x (KV cache + activations of one
-    sequence), and an integer total fits iff it is <= floor(mem_capacity),
-    so the answer is read off the footprint at batch 1.
-    """
-    one = peak_footprint(Scenario(model, hw, replace(workload, batch=1)))
-    per_sequence = one.kv_cache_bytes + one.activation_bytes
-    return max(0, (floor(hw.mem_capacity) - one.weight_bytes) // per_sequence)

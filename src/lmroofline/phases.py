@@ -50,7 +50,6 @@ Breakdown = tuple[tuple[str, KernelCost | KernelRun], ...]
 class _PhaseCostFields(NamedTuple):
     phase: str
     breakdown: Breakdown
-    steps: int
     flops: int
     bytes: int
 
@@ -58,29 +57,26 @@ class _PhaseCostFields(NamedTuple):
 class PhaseCost(_PhaseCostFields):
     """Aggregate work of one decoding phase.
 
-    Built as PhaseCost(phase, breakdown, steps); the totals are derived.
+    Built as PhaseCost(phase, breakdown); the totals are derived.
 
     Attributes:
         phase: one of PHASES.
         breakdown: (label, KernelCost | KernelRun) entries; an entry may
             aggregate many invocations.
-        steps: number of model forward passes the phase represents.
         flops: total FLOPs, summed over the breakdown when the phase is built.
         bytes: total bytes moved, likewise.
     """
 
     __slots__ = ()
 
-    def __new__(cls, phase: str, breakdown: Breakdown, steps: int) -> "PhaseCost":
+    def __new__(cls, phase: str, breakdown: Breakdown) -> "PhaseCost":
         if phase not in PHASES:
             raise ValidationError(f"phase must be one of {PHASES} (got {phase!r})")
-        if steps < 1:
-            raise ValidationError(f"steps must be >= 1 (got {steps})")
         flops = moved = 0
         for _, kernel in breakdown:
             flops += kernel.flops
             moved += kernel.bytes
-        return tuple.__new__(cls, (phase, breakdown, steps, flops, moved))
+        return tuple.__new__(cls, (phase, breakdown, flops, moved))
 
 
 def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:
@@ -183,7 +179,7 @@ def arm_prefill_cost(scenario: Scenario) -> PhaseCost:
         model, w.batch, w.prompt_len, w.prompt_len, w.dtype_bytes,
         causal=True, write_new_kv=True, opts=w.options,
     )
-    return PhaseCost("arm_prefill", tuple(entries), steps=1)
+    return PhaseCost("arm_prefill", tuple(entries))
 
 
 def arm_decode_cost(scenario: Scenario) -> PhaseCost:
@@ -199,7 +195,7 @@ def arm_decode_cost(scenario: Scenario) -> PhaseCost:
         model, w.batch, 1, w.prompt_len + 1, w.dtype_bytes,
         causal=False, write_new_kv=True, opts=w.options, run=w.gen_len, kv_step=1,
     )
-    return PhaseCost("arm_decode", tuple(entries), steps=w.gen_len)
+    return PhaseCost("arm_decode", tuple(entries))
 
 
 def naive_dlm_cost(scenario: Scenario) -> PhaseCost:
@@ -214,7 +210,7 @@ def naive_dlm_cost(scenario: Scenario) -> PhaseCost:
         model, w.batch, total, total, w.dtype_bytes,
         causal=False, write_new_kv=False, opts=w.options, count=w.steps,
     )
-    return PhaseCost("dlm_naive", tuple(entries), steps=w.steps)
+    return PhaseCost("dlm_naive", tuple(entries))
 
 
 def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
@@ -264,7 +260,6 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
                 run=end - first, kv_step=0 if full_kv else block_size,
             )
         )
-    total_steps = w.steps
     if opts.include_cache_refresh:
         cuts = sorted({0, full_width, num_blocks})
         for first, end in zip(cuts, cuts[1:]):
@@ -278,5 +273,4 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
                     q_step=block_size, kv_step=block_size,
                 )
             )
-        total_steps += num_blocks
-    return PhaseCost("dlm_block", tuple(entries), steps=total_steps)
+    return PhaseCost("dlm_block", tuple(entries))

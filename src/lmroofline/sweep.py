@@ -1,4 +1,4 @@
-"""Parameter sweeps, scaling-law fits, and the CSV report format.
+"""Parameter sweeps and the CSV report format.
 
 Grid points are enumerated in lexicographic order of the axes as listed:
 the first axis varies slowest. Evaluation is pure, so re-running a sweep
@@ -25,7 +25,7 @@ import itertools
 import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from math import inf, log
+from math import isfinite
 from typing import TypeVar
 
 from .configs import (
@@ -182,34 +182,6 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     return map_grid(grid, evaluate_point)
 
 
-def fit_scaling_exponent(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(y) against log(x).
-
-    Requires at least three points with pairwise-distinct positive finite x
-    and positive finite y, and x values whose logarithms are not all equal as
-    floats. Exact (to float precision) on pure power laws.
-    """
-    if len(points) < 3:
-        raise ValidationError(f"need at least 3 points to fit (got {len(points)})")
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValidationError("x values must be pairwise distinct")
-    for x, y in points:
-        if not (0 < x < inf and 0 < y < inf):  # also false for NaN
-            raise ValidationError(
-                f"points must be positive and finite to fit a power law (got {(x, y)})"
-            )
-    lx = [log(x) for x, _ in points]
-    ly = [log(y) for _, y in points]
-    mx = sum(lx) / len(lx)
-    my = sum(ly) / len(ly)
-    sxx = sum((v - mx) ** 2 for v in lx)
-    if sxx == 0:
-        raise ValidationError("x values too close to fit: their logarithms are equal as floats")
-    sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
-    return sxy / sxx
-
-
 def row_to_csv(row: SweepRow) -> str:
     """One CSV line: floats and the int totals to 6 significant digits, None as empty."""
     k = "" if row.K is None else row.K
@@ -230,5 +202,15 @@ def write_csv(lines: Iterable[str], path: str) -> None:
 
 
 def emit_csv(rows: list[SweepRow], path: str) -> None:
-    """Write rows to path; floats carry 6 significant digits."""
+    """Write rows to path; floats carry 6 significant digits.
+
+    Every row is checked before the file is opened, so a rejected call
+    writes nothing: each float must be finite and each total convert to one.
+    """
+    for index, row in enumerate(rows):
+        if not (isfinite(row.ai) and isfinite(row.latency_s) and isfinite(row.throughput_tok_s)
+                and row.flops <= MAX_FLOAT and row.bytes <= MAX_FLOAT
+                and row.peak_mem_bytes <= MAX_FLOAT):
+            raise ValidationError(f"row {index} has a non-finite number or a total beyond "
+                                  "the float range")
     write_csv(map(row_to_csv, rows), path)

@@ -13,11 +13,14 @@ small shapes used in the tests; they make no attempt to be fast.
 `scenario` builds the validated Scenario the phase functions take,
 `patch_everywhere` replaces a function under every name the package binds
 it to, `parse_csv` reads a sweep CSV back for the tests of the CSV
-contract, and `csv_text` renders rows to the text `emit_csv` writes.
+contract, `csv_text` renders rows to the text `emit_csv` writes, and
+`loglog_slope` fits the scaling exponents the acceptance checks read.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 import sys
 
 from lmroofline import (
@@ -354,6 +357,12 @@ def max_fitting_batch_scan(footprint_fits) -> int:
         best = batch
         batch += 1
     return best
+
+
+def loglog_slope(points) -> float:
+    """Least-squares slope of log(y) against log(x) over (x, y) points."""
+    logs = [(math.log(x), math.log(y)) for x, y in points]
+    return statistics.linear_regression(*zip(*logs)).slope
 
 
 def arm_decode_loop(

@@ -19,9 +19,8 @@ from lmroofline import (
     arithmetic_intensity,
     classify,
     end_to_end,
-    fit_scaling_exponent,
     kernel_time,
-    max_fitting_batch,
+    peak_footprint,
     phase_latency,
     ridge_point,
     scenario_phases,
@@ -77,7 +76,7 @@ def test_c2a_decode_ai_flat_in_gen_len():
         (lg, arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", 1, 8192, lg))))
         for lg in (128, 256, 512, 1024, 2048)
     ]
-    slope = fit_scaling_exponent(points)
+    slope = oracles.loglog_slope(points)
     check("2a (decode AI vs Lg, |slope| < 0.1)", abs(slope) < 0.1, f"slope {slope:.4f}")
 
 
@@ -86,7 +85,7 @@ def test_c2b_decode_ai_linear_in_batch():
         (b, arithmetic_intensity(arm_decode_cost(scenario(LLAMA, "arm", b, 64, 64))))
         for b in (1, 2, 4, 8, 16, 32)
     ]
-    slope = fit_scaling_exponent(points)
+    slope = oracles.loglog_slope(points)
     check("2b (decode AI vs B, slope in [0.8, 1.0])", 0.8 <= slope <= 1.0, f"slope {slope:.4f}")
 
 
@@ -110,7 +109,7 @@ def test_c2c_naive_dlm_ai_linear_in_length():
     for length in (8192, 16384, 32768, 65536):
         attention = dict(naive_pass(length).breakdown)["attention"]
         attention_points.append((length, arithmetic_intensity(attention)))
-    attention_slope = fit_scaling_exponent(attention_points)
+    attention_slope = oracles.loglog_slope(attention_points)
 
     kv_dim = LLAMA.num_kv_heads * LLAMA.head_dim
     p_layer = LLAMA.d_model * (2 * LLAMA.d_model + 2 * kv_dim + 3 * LLAMA.ffn_dim)
@@ -120,7 +119,7 @@ def test_c2c_naive_dlm_ai_linear_in_length():
     points = [
         (length, arithmetic_intensity(naive_pass(length))) for length in long_lengths
     ]
-    slope = fit_scaling_exponent(points)
+    slope = oracles.loglog_slope(points)
     check(
         "2c (naive attention AI vs L over 8k..64k, slope 1; "
         "pass AI vs L from 4 L*, slope in [0.8, 1.0])",
@@ -135,7 +134,7 @@ def test_c2d_prefill_ai_linear_in_short_prompts():
         (lp, arithmetic_intensity(arm_prefill_cost(scenario(LLAMA, "arm", 1, lp, 1))))
         for lp in (8, 16, 32, 64)
     ]
-    slope = fit_scaling_exponent(points)
+    slope = oracles.loglog_slope(points)
     check("2d (prefill AI vs Lp, slope in [0.8, 1.0])", 0.8 <= slope <= 1.0, f"slope {slope:.4f}")
 
 
@@ -146,7 +145,7 @@ def test_c2e_blockwise_ai_linear_in_block_size():
         )
 
     points = [(g, blockwise_ai(g)) for g in (16, 32, 64, 128, 256)]
-    slope = fit_scaling_exponent(points)
+    slope = oracles.loglog_slope(points)
     check("2e (blockwise AI vs G, slope in [0.8, 1.0])", 0.8 <= slope <= 1.0, f"slope {slope:.4f}")
 
 
@@ -276,6 +275,16 @@ def _plateau_batch(throughput, limit=4096):
     return None
 
 
+def _max_fitting_batch(prompt_len: int) -> int:
+    """Largest llada-8b dlm_block batch whose footprint fits the A100."""
+    def fits(batch):
+        w = WorkloadSpec(mode="dlm_block", batch=batch, prompt_len=prompt_len, gen_len=128,
+                         steps=128, block_size=32)
+        return peak_footprint(Scenario(LLADA, A100, w)).fits
+
+    return oracles.max_fitting_batch_scan(fits)
+
+
 def test_c6_batch_scaling():
     """ARM keeps gaining from batching long after blockwise diffusion saturates."""
     gain = _arm_throughput(16) / _arm_throughput(1)
@@ -283,20 +292,7 @@ def test_c6_batch_scaling():
     dlm_plateau = _plateau_batch(_dlm_throughput)
     arm_plateau = _plateau_batch(_arm_throughput)
     plateau_ok = dlm_plateau is not None and arm_plateau is not None and dlm_plateau < arm_plateau
-    fit_short = max_fitting_batch(
-        LLADA,
-        A100,
-        WorkloadSpec(
-            mode="dlm_block", batch=1, prompt_len=128, gen_len=128, steps=128, block_size=32
-        ),
-    )
-    fit_long = max_fitting_batch(
-        LLADA,
-        A100,
-        WorkloadSpec(
-            mode="dlm_block", batch=1, prompt_len=2048, gen_len=128, steps=128, block_size=32
-        ),
-    )
+    fit_short, fit_long = _max_fitting_batch(128), _max_fitting_batch(2048)
     fit_ok = fit_short >= fit_long
     check(
         "6 (batch scaling)",

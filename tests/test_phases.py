@@ -72,21 +72,18 @@ def test_prefill_equals_layer_forward_example():
     assert phase.flops == 688
     assert phase.bytes == tiny_layer_bytes(2, 2, write_new_kv=True) == 688
     assert phase.phase == "arm_prefill"
-    assert phase.steps == 1
 
 
 def test_single_decode_step_example():
     phase = arm_decode_cost(scenario(TINY, "arm", 1, 2, 1))
     assert phase.flops == tiny_layer_flops(1, 3, causal=False) == 368
     assert phase.bytes == tiny_layer_bytes(1, 3, write_new_kv=True) == 536
-    assert phase.steps == 1
 
 
 def test_naive_dlm_single_step_example():
     phase = naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 2, 1))
     assert phase.flops == tiny_layer_flops(4, 4, causal=False) == 1536
     assert phase.bytes == tiny_layer_bytes(4, 4, write_new_kv=False) == 992
-    assert phase.steps == 1
 
 
 def test_blockwise_single_block_beats_naive_example():
@@ -340,7 +337,7 @@ def test_forward_run_matches_loop_of_single_forwards(
         model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts,
         count=count, run=run, q_step=q_step, kv_step=kv_step,
     )
-    phase = PhaseCost("dlm_block", tuple(entries), steps=count * run)
+    phase = PhaseCost("dlm_block", tuple(entries))
     loop = [
         entry
         for i in range(run)
@@ -446,8 +443,6 @@ def test_cache_refresh_adds_full_passes_and_steps():
     refreshed = blockwise_dlm_cost(
         scenario(TINY, "dlm_block", 1, 2, 4, 4, 2, opts=CountingOptions(include_cache_refresh=True))
     )
-    assert plain.steps == 4
-    assert refreshed.steps == 4 + 2
     refresh_flops = tiny_layer_flops(4, 4, causal=False) + tiny_layer_flops(6, 6, causal=False)
     assert refreshed.flops == plain.flops + refresh_flops
 
@@ -496,12 +491,6 @@ def test_lm_head_adds_vocab_projection():
     assert with_head.flops == plain.flops + 2 * per_token
 
 
-def test_decode_steps_counts_generated_tokens():
-    assert arm_decode_cost(scenario(TINY, "arm", 1, 2, 5)).steps == 5
-    assert naive_dlm_cost(scenario(TINY, "dlm_naive", 1, 2, 4, 7)).steps == 7
-    assert blockwise_dlm_cost(scenario(TINY, "dlm_block", 1, 2, 4, 6, 2)).steps == 6
-
-
 # The phase functions take a Scenario and check nothing themselves: each
 # workload they used to reject is rejected when its Scenario is built.
 
@@ -534,15 +523,15 @@ def test_phase_cost_rejects_total_mismatch():
     # The totals are derived from the breakdown, so they cannot disagree with it.
     kernel = KernelCost(flops=4, bytes=6)
     with pytest.raises(TypeError, match="flops"):
-        PhaseCost(phase="arm_prefill", flops=5, bytes=6, breakdown=(("k", kernel),), steps=1)
-    phase = PhaseCost(phase="arm_prefill", breakdown=(("k", kernel), ("k", kernel)), steps=1)
+        PhaseCost(phase="arm_prefill", flops=5, bytes=6, breakdown=(("k", kernel),))
+    phase = PhaseCost(phase="arm_prefill", breakdown=(("k", kernel), ("k", kernel)))
     assert (phase.flops, phase.bytes) == (8, 12)
 
 
 def test_phase_cost_rejects_unknown_phase():
     kernel = KernelCost(flops=4, bytes=4)
     with pytest.raises(ValidationError, match="phase"):
-        PhaseCost(phase="warmup", breakdown=(("k", kernel),), steps=1)
+        PhaseCost(phase="warmup", breakdown=(("k", kernel),))
 
 
 def test_arithmetic_intensity_rejects_zero_bytes():

@@ -81,7 +81,7 @@ def test_kernel_time_example():
 
 
 def test_empty_phase_has_zero_latency():
-    phase = PhaseCost(phase="dlm_naive", breakdown=(), steps=1)
+    phase = PhaseCost(phase="dlm_naive", breakdown=())
     assert phase_latency(phase, A6000) == 0.0
 
 
@@ -93,7 +93,6 @@ def test_latency_sums_per_kernel_binding_sides():
     phase = PhaseCost(
         phase="dlm_naive",
         breakdown=(("a", compute_heavy), ("b", memory_heavy)),
-        steps=1,
     )
     split = phase_latency(phase, A6000)
     merged = kernel_time(phase, A6000)
@@ -248,7 +247,6 @@ def test_kernelwise_compute_bound_is_sufficient_for_phase(flops, ratio):
     phase = PhaseCost(
         phase="dlm_naive",
         breakdown=tuple(kernels),
-        steps=1,
     )
     assert classify(arithmetic_intensity(phase), A6000) == "compute_bound"
 
