@@ -15,8 +15,8 @@ All counts are exact Python integers.
 
 The kernel functions take plain integers and do not check them: phase
 assembly calls them only with the shapes of a Scenario, which was validated
-when it was built (`configs`). Each takes a `count` that builds the
-aggregate of that many identical invocations in one step.
+when it was built (`configs`). Each takes a `count`, the one way to
+aggregate that many identical invocations in one step.
 
 The value types a grid point builds -- KernelCost and KernelRun here, and
 PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
@@ -59,12 +59,6 @@ class KernelCost(_KernelCostFields):
         if flops > 0 and bytes == 0:
             raise ValidationError(f"kernel computes but moves no data (flops={flops})")
         return tuple.__new__(cls, (flops, bytes))
-
-    def scaled(self, count: int) -> "KernelCost":
-        """Aggregate cost of `count` back-to-back invocations of this exact kernel."""
-        if count < 1:
-            raise ValidationError(f"count must be >= 1 (got {count})")
-        return KernelCost(self.flops * count, self.bytes * count)
 
 
 class KernelRun(NamedTuple):
@@ -109,16 +103,14 @@ class KernelRun(NamedTuple):
         return self.prefix(self.count)[1]
 
 
-def kernel_run(count: int, samples: list[KernelCost]) -> KernelCost | KernelRun:
-    """The run of `count` invocations whose first min(count, 3) are `samples`.
+def kernel_run(count: int, samples: list[KernelCost]) -> KernelRun:
+    """The run of `count` >= 2 invocations whose first min(count, 3) are `samples`.
 
     Exact whenever the cost is a polynomial of degree <= 2 in the index: the
-    samples fix its Newton form. A run of identical invocations is returned
-    as `samples[0].scaled(count)`, so it is timed exactly as that aggregate.
+    samples fix its Newton form. Phase assembly calls this only where a
+    shape grows along the run, so the samples differ; identical invocations
+    are aggregated by the kernel functions' `count` instead.
     """
-    first = samples[0]
-    if all(s.flops == first.flops and s.bytes == first.bytes for s in samples):
-        return first.scaled(count)
     return KernelRun(
         count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])
     )

@@ -5,29 +5,31 @@ one builder of their kernels: forward i of a run processes q_len + i * q_step
 query tokens against kv_len + i * kv_step keys, repeated `count` times. A
 phase's breakdown entries therefore do not grow with gen_len or the block
 count. A kernel whose shape is the same in every forward of the run is one
-KernelCost scaled by its invocation count, which is exact for both totals
-and roofline time because per-kernel time is homogeneous in (flops, bytes).
-A kernel whose shape changes along the run is one `KernelRun`: its cost is a
-polynomial of degree <= 2 in the forward index, fixed exactly by sampling
-the kernel functions at up to three forwards, and its arithmetic intensity
-is non-decreasing along the run, which `roofline.kernel_time` relies on.
+KernelCost built with its whole invocation count, which is exact for both
+totals and roofline time because per-kernel time is homogeneous in
+(flops, bytes). Only a kernel whose shape changes along a run of two or
+more forwards is a `KernelRun`: its cost is a polynomial of degree <= 2 in
+the forward index, fixed exactly by sampling the kernel functions at up to
+three forwards, and its arithmetic intensity is non-decreasing along the
+run, which `roofline.kernel_time` relies on.
 
 Entries come in one order: q_proj, k_proj, v_proj, out_proj, attention,
 mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head. The
 block-wise phase tags them with the range of blocks or refresh passes a run
 covers (`block0..14:q_proj`, `refresh1:attention`).
 
-Each phase function takes a Scenario of its mode and reads the model, the
-workload and the counting options from it. A Scenario is valid once built,
-so nothing here checks its numbers again; `roofline.scenario_phases` picks
-the phase functions a scenario's mode runs.
+Each phase function takes a Scenario of its mode and passes it to
+`layer_forward_cost` with the shapes of its forwards; the builder reads the
+model, batch, dtype_bytes and counting options from it. A Scenario is valid
+once built, so nothing here checks its numbers again;
+`roofline.scenario_phases` picks the phase functions a scenario's mode runs.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .configs import CountingOptions, ModelConfig, Scenario
+from .configs import Scenario
 from .errors import ValidationError
 from .kernels import (
     KernelCost,
@@ -89,14 +91,11 @@ def arithmetic_intensity(cost: PhaseCost | KernelCost | KernelRun) -> float:
 
 
 def layer_forward_cost(
-    model: ModelConfig,
-    batch: int,
+    scenario: Scenario,
     q_len: int,
     kv_len: int,
-    dtype_bytes: int,
     causal: bool,
     write_new_kv: bool,
-    opts: CountingOptions,
     count: int = 1,
     run: int = 1,
     q_step: int = 0,
@@ -105,11 +104,12 @@ def layer_forward_cost(
     """Kernels of `run` consecutive full-model forwards, each repeated `count` times.
 
     Forward i (0 <= i < run) runs q_len + i * q_step query tokens against
-    kv_len + i * kv_step keys. Returns one entry per kernel kind in the
+    kv_len + i * kv_step keys; the model, batch, dtype_bytes and counting
+    options are the scenario's. Returns one entry per kernel kind in the
     module's entry order, already scaled by num_layers, plus the LM head
-    once per forward when opts.include_lm_head is set. With q_step set every
-    kernel changes along the run, so min(run, 3) whole forwards are sampled;
-    with only kv_step set, attention alone is.
+    once per forward when include_lm_head is set. With q_step set and
+    run > 1 every kernel changes along the run, so min(run, 3) whole
+    forwards are sampled; with only kv_step set, attention alone is.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
@@ -117,13 +117,14 @@ def layer_forward_cost(
         samples = []
         for i in range(min(run, 3)):
             samples.append(layer_forward_cost(
-                model, batch, q_len + i * q_step, kv_len + i * kv_step, dtype_bytes,
-                causal, write_new_kv, opts, count,
+                scenario, q_len + i * q_step, kv_len + i * kv_step, causal, write_new_kv, count,
             ))
         entries = []
         for column in zip(*samples):
             entries.append((column[0][0], kernel_run(run, [kernel for _, kernel in column])))
         return entries
+    model, w = scenario.model, scenario.workload
+    batch, dtype_bytes, opts = w.batch, w.dtype_bytes, w.options
     d = model.d_model
     heads, kv_heads, head_dim = model.num_heads, model.num_kv_heads, model.head_dim
     forwards = count * run
@@ -135,7 +136,7 @@ def layer_forward_cost(
     # With causal_exact off, causal passes fall back to the full q_len x
     # kv_len rectangle, which is the same pair count as non-causal.
     causal = causal and opts.causal_exact
-    if kv_step:
+    if kv_step and run > 1:
         samples = []
         for i in range(min(run, 3)):
             samples.append(attention_cost(
@@ -174,11 +175,8 @@ def arm_prefill_cost(scenario: Scenario) -> PhaseCost:
     An arm scenario with an empty prompt has no prefill phase, and
     scenario_phases does not call this for it.
     """
-    model, w = scenario.model, scenario.workload
-    entries = layer_forward_cost(
-        model, w.batch, w.prompt_len, w.prompt_len, w.dtype_bytes,
-        causal=True, write_new_kv=True, opts=w.options,
-    )
+    prompt_len = scenario.workload.prompt_len
+    entries = layer_forward_cost(scenario, prompt_len, prompt_len, causal=True, write_new_kv=True)
     return PhaseCost("arm_prefill", tuple(entries))
 
 
@@ -190,10 +188,9 @@ def arm_decode_cost(scenario: Scenario) -> PhaseCost:
     Weights are re-read every step, so the per-step linear traffic never
     amortizes. Attention over all steps is one run, affine in the KV length.
     """
-    model, w = scenario.model, scenario.workload
+    w = scenario.workload
     entries = layer_forward_cost(
-        model, w.batch, 1, w.prompt_len + 1, w.dtype_bytes,
-        causal=False, write_new_kv=True, opts=w.options, run=w.gen_len, kv_step=1,
+        scenario, 1, w.prompt_len + 1, causal=False, write_new_kv=True, run=w.gen_len, kv_step=1,
     )
     return PhaseCost("arm_decode", tuple(entries))
 
@@ -204,11 +201,10 @@ def naive_dlm_cost(scenario: Scenario) -> PhaseCost:
     No KV cache exists in this mode: every step recomputes attention over
     all prompt_len + gen_len positions and writes nothing back.
     """
-    model, w = scenario.model, scenario.workload
+    w = scenario.workload
     total = w.total_len
     entries = layer_forward_cost(
-        model, w.batch, total, total, w.dtype_bytes,
-        causal=False, write_new_kv=False, opts=w.options, count=w.steps,
+        scenario, total, total, causal=False, write_new_kv=False, count=w.steps,
     )
     return PhaseCost("dlm_naive", tuple(entries))
 
@@ -233,11 +229,8 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
     forwards (`block0..14:q_proj`), as do consecutive refresh passes over
     full-width blocks (`refresh0..14:attention`).
     """
-    model, w = scenario.model, scenario.workload
-    batch, prompt_len, gen_len, dtype_bytes, opts = (
-        w.batch, w.prompt_len, w.gen_len, w.dtype_bytes, w.options
-    )
-    block_size = w.block_size
+    w = scenario.workload
+    prompt_len, gen_len, block_size, opts = w.prompt_len, w.gen_len, w.block_size, w.options
     num_blocks = -(-gen_len // block_size)
     steps_per_block, extra = divmod(w.steps, num_blocks)
     # Only the last block can be narrower than block_size, and blocks before
@@ -255,8 +248,8 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
         entries.extend(
             (tag + label, kernel)
             for label, kernel in layer_forward_cost(
-                model, batch, width, kv_len, dtype_bytes, causal=False, write_new_kv=False,
-                opts=opts, count=steps_per_block + (1 if first < extra else 0),
+                scenario, width, kv_len, causal=False, write_new_kv=False,
+                count=steps_per_block + (1 if first < extra else 0),
                 run=end - first, kv_step=0 if full_kv else block_size,
             )
         )
@@ -268,9 +261,8 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
             entries.extend(
                 (tag + label, kernel)
                 for label, kernel in layer_forward_cost(
-                    model, batch, covered, covered, dtype_bytes, causal=False,
-                    write_new_kv=True, opts=opts, run=end - first,
-                    q_step=block_size, kv_step=block_size,
+                    scenario, covered, covered, causal=False, write_new_kv=True,
+                    run=end - first, q_step=block_size, kv_step=block_size,
                 )
             )
     return PhaseCost("dlm_block", tuple(entries))

@@ -46,8 +46,6 @@ def _f(value: float) -> str:
 
 class _LogScale:
     def __init__(self, lo_log: float, hi_log: float, px_lo: float, px_hi: float):
-        if hi_log <= lo_log:
-            hi_log = lo_log + 1.0
         self.lo_log, self.hi_log = lo_log, hi_log
         self.px_lo, self.px_hi = px_lo, px_hi
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 from typing import TypeVar
 
@@ -44,11 +44,6 @@ from .phases import arithmetic_intensity
 from .roofline import classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
-
-CSV_HEADER = (
-    "mode,B,Lp,Lg,K,G,flops,bytes,ai,latency_s,throughput_tok_s,bound,peak_mem_bytes,fits"
-)
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -82,7 +77,7 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point. Field names match the CSV header."""
+    """One evaluated grid point. Its field names are the CSV header."""
 
     mode: str
     B: int
@@ -98,6 +93,9 @@ class SweepRow:
     bound: str
     peak_mem_bytes: int
     fits: bool
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:

@@ -10,7 +10,7 @@ assemble a phase one model forward at a time from `layer_forward_cost`
 closed-form run assembly in phases.py.  These oracles are only meant for the
 small shapes used in the tests; they make no attempt to be fast.
 
-`scenario` builds the validated Scenario the phase functions take,
+`scenario` builds the validated Scenario the phase functions and loops take,
 `patch_everywhere` replaces a function under every name the package binds
 it to, `parse_csv` reads a sweep CSV back for the tests of the CSV
 contract, `csv_text` renders rows to the text `emit_csv` writes, and
@@ -365,39 +365,27 @@ def loglog_slope(points) -> float:
     return statistics.linear_regression(*zip(*logs)).slope
 
 
-def arm_decode_loop(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    gen_len: int,
-    dtype_bytes: int,
-    opts: CountingOptions,
-) -> list[tuple[str, KernelCost]]:
-    """arm_decode as gen_len separate one-token forwards, step t attending
-    to prompt_len + t cached positions and writing its own KV entry."""
+def arm_decode_loop(scenario: Scenario) -> list[tuple[str, KernelCost]]:
+    """An arm scenario's decode as gen_len separate one-token forwards, step
+    t attending to prompt_len + t cached positions and writing its own KV
+    entry."""
+    w = scenario.workload
     entries = []
-    for t in range(1, gen_len + 1):
+    for t in range(1, w.gen_len + 1):
         step = layer_forward_cost(
-            model, batch, 1, prompt_len + t, dtype_bytes,
-            causal=False, write_new_kv=True, opts=opts,
+            scenario, 1, w.prompt_len + t, causal=False, write_new_kv=True
         )
         entries.extend((f"step{t}:{label}", kernel) for label, kernel in step)
     return entries
 
 
-def blockwise_dlm_loop(
-    model: ModelConfig,
-    batch: int,
-    prompt_len: int,
-    gen_len: int,
-    steps: int,
-    block_size: int,
-    dtype_bytes: int,
-    opts: CountingOptions,
-) -> list[tuple[str, KernelCost]]:
-    """dlm_block as one forward per refinement step of every block, then
-    (with include_cache_refresh) one full pass per block over the prompt
-    and every block decoded so far."""
+def blockwise_dlm_loop(scenario: Scenario) -> list[tuple[str, KernelCost]]:
+    """A dlm_block scenario as one forward per refinement step of every
+    block, then (with include_cache_refresh) one full pass per block over
+    the prompt and every block decoded so far."""
+    w = scenario.workload
+    prompt_len, gen_len, steps, block_size = w.prompt_len, w.gen_len, w.steps, w.block_size
+    opts = w.options
     num_blocks = -(-gen_len // block_size)
     entries = []
     for j in range(num_blocks):
@@ -407,16 +395,14 @@ def blockwise_dlm_loop(
         kv_len = prompt_len + gen_len if opts.full_kv_each_step else prompt_len + start + width
         for s in range(block_steps):
             step = layer_forward_cost(
-                model, batch, width, kv_len, dtype_bytes,
-                causal=False, write_new_kv=False, opts=opts,
+                scenario, width, kv_len, causal=False, write_new_kv=False
             )
             entries.extend((f"block{j}.{s}:{label}", kernel) for label, kernel in step)
     if opts.include_cache_refresh:
         for j in range(num_blocks):
             covered = prompt_len + min((j + 1) * block_size, gen_len)
             refresh = layer_forward_cost(
-                model, batch, covered, covered, dtype_bytes,
-                causal=False, write_new_kv=True, opts=opts,
+                scenario, covered, covered, causal=False, write_new_kv=True
             )
             entries.extend((f"refresh{j}:{label}", kernel) for label, kernel in refresh)
     return entries

@@ -130,9 +130,10 @@ def hardware_doc(**overrides):
 
 
 @pytest.mark.parametrize("field", ["peak_flops", "mem_bandwidth", "mem_capacity"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
 def test_non_finite_hardware_exits_1(tmp_path, capsys, field, bad):
-    # json.dumps writes NaN and Infinity literals, which json.load reads back.
+    # json.dumps writes NaN and Infinity literals, which json.load reads back;
+    # 10**400 reads back as an int that no float can hold.
     write_json(tmp_path, "hw.json", hardware_doc(**{field: bad}))
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc(hardware="hw.json"))
     assert main(["analyze", "-c", config]) == 1
@@ -314,6 +315,11 @@ def test_hw_show_unknown_name_exits_1(capsys):
     assert "unknown hardware" in capsys.readouterr().err
 
 
+def test_model_show_unknown_name_exits_1(capsys):
+    assert main(["model", "show", "no-such-model"]) == 1
+    assert "unknown model 'no-such-model'" in capsys.readouterr().err
+
+
 def test_model_list_names_registry(capsys):
     assert main(["model", "list"]) == 0
     names = capsys.readouterr().out.split()
@@ -470,11 +476,21 @@ MODEL_FILE_DOC = {
         ("hardware", {**hardware_doc(), "tdp_w": 300}, "unknown field(s) in hardware spec: tdp_w"),
         ("hardware", {k: v for k, v in hardware_doc().items() if k != "mem_capacity"},
          "missing field(s) in hardware spec: mem_capacity"),
+        ("model", {**MODEL_FILE_DOC, "name": ""}, "name must be a nonempty string (got '')"),
+        ("model", {**MODEL_FILE_DOC, "attention_kind": "sliding"},
+         "attention_kind must be one of ('causal_capable', 'bidirectional_only') "
+         "(got 'sliding')"),
+        ("hardware", hardware_doc(name=""), "name must be a nonempty string (got '')"),
+        ("hardware", hardware_doc(peak_flops="1e14"),
+         "peak_flops must be a positive finite number (got '1e14')"),
     ],
-    ids=["model-unknown", "model-missing", "hardware-unknown", "hardware-missing"],
+    ids=["model-unknown", "model-missing", "hardware-unknown", "hardware-missing",
+         "model-empty-name", "model-attention-kind", "hardware-empty-name",
+         "hardware-string-number"],
 )
 def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, message):
-    # The key sets come from the ModelConfig and HardwareSpec fields.
+    # The key sets come from the ModelConfig and HardwareSpec fields, and
+    # each dataclass checks its own values.
     write_json(tmp_path, "file.json", doc)
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc(**{field: "file.json"}))
     assert main(["analyze", "-c", config]) == 1

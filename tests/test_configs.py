@@ -176,6 +176,17 @@ def test_workload_rejects_non_int_values(field, bad):
         validate_workload(WorkloadSpec(**doc), LLADA)
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("dtype_bytes", 3), ("options", {"causal_exact": True})]
+)
+def test_workload_rejects_a_value_outside_its_domain(field, bad):
+    # Through the Python API an options dict is not read into CountingOptions.
+    doc = dict(mode="arm", batch=1, prompt_len=4, gen_len=8)
+    doc[field] = bad
+    with pytest.raises(ValidationError, match=field):
+        validate_workload(WorkloadSpec(**doc), LLAMA)
+
+
 def test_hardware_allows_zero_capacity():
     hw = HardwareSpec(name="hw", peak_flops=1e12, mem_bandwidth=1e9, mem_capacity=0)
     assert hw.mem_capacity == 0
@@ -432,6 +443,12 @@ def test_options_accept_the_documented_and_the_field_names():
 def test_options_reject_one_option_under_both_names(documented, field_name):
     with pytest.raises(ValidationError, match=f"{field_name} twice"):
         options_from_dict({documented: True, field_name: True})
+
+
+@pytest.mark.parametrize("bad", [1, "true", None])
+def test_options_reject_a_non_boolean_value(bad):
+    with pytest.raises(ValidationError, match="options.causal_exact must be a boolean"):
+        options_from_dict({"causal_exact": bad})
 
 
 @pytest.mark.parametrize("field", ["batch", "prompt_len", "gen_len"])

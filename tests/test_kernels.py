@@ -262,17 +262,3 @@ def test_per_point_values_are_immutable(kind):
         setattr(value, value._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = 0
-
-
-@given(count=st.integers(min_value=1, max_value=9))
-def test_scaled_multiplies_both_counts(count):
-    base = KernelCost(flops=6, bytes=10)
-    scaled = base.scaled(count)
-    assert scaled.flops == 6 * count
-    assert scaled.bytes == 10 * count
-    assert arithmetic_intensity(scaled) == arithmetic_intensity(base)
-
-
-def test_scaled_rejects_zero_count():
-    with pytest.raises(ValidationError, match="count"):
-        KernelCost(flops=2, bytes=2).scaled(0)

@@ -22,7 +22,7 @@ from lmroofline import (
     ridge_point,
     scenario_phases,
 )
-from lmroofline.kernels import KernelCost, KernelRun, kernel_run
+from lmroofline.kernels import KernelCost, KernelRun
 from lmroofline.phases import (
     arm_decode_cost,
     arm_prefill_cost,
@@ -53,7 +53,7 @@ def tiny_layer_bytes(q_len, kv_len, write_new_kv):
 
 def test_layer_forward_causal_square_example():
     entries = layer_forward_cost(
-        TINY, 1, 2, 2, 2, causal=True, write_new_kv=True, opts=CountingOptions()
+        scenario(TINY, "arm", 1, 2, 1), 2, 2, causal=True, write_new_kv=True
     )
     flops = sum(k.flops for _label, k in entries)
     assert flops == tiny_layer_flops(2, 2, causal=True) == 688
@@ -61,7 +61,7 @@ def test_layer_forward_causal_square_example():
 
 def test_layer_forward_single_query_example():
     entries = layer_forward_cost(
-        TINY, 1, 1, 3, 2, causal=False, write_new_kv=True, opts=CountingOptions()
+        scenario(TINY, "arm", 1, 2, 1), 1, 3, causal=False, write_new_kv=True
     )
     flops = sum(k.flops for _label, k in entries)
     assert flops == tiny_layer_flops(1, 3, causal=False) == 368
@@ -250,10 +250,9 @@ def assert_matches_loop(phase, loop, hw):
 def test_decode_runs_match_per_step_loop(
     model, batch, prompt_len, gen_len, dtype_bytes, opts, data
 ):
-    phase = arm_decode_cost(
-        scenario(model, "arm", batch, prompt_len, gen_len, dtype_bytes=dtype_bytes, opts=opts)
-    )
-    loop = oracles.arm_decode_loop(model, batch, prompt_len, gen_len, dtype_bytes, opts)
+    s = scenario(model, "arm", batch, prompt_len, gen_len, dtype_bytes=dtype_bytes, opts=opts)
+    phase = arm_decode_cost(s)
+    loop = oracles.arm_decode_loop(s)
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
 
 
@@ -273,12 +272,9 @@ def test_blockwise_runs_match_per_step_loop(
 ):
     block_size = min(block_size, gen_len)
     steps = -(-gen_len // block_size) + steps_extra
-    phase = blockwise_dlm_cost(
-        scenario(model, "dlm_block", batch, prompt_len, gen_len, steps, block_size, opts=opts)
-    )
-    loop = oracles.blockwise_dlm_loop(
-        model, batch, prompt_len, gen_len, steps, block_size, 2, opts
-    )
+    s = scenario(model, "dlm_block", batch, prompt_len, gen_len, steps, block_size, opts=opts)
+    phase = blockwise_dlm_cost(s)
+    loop = oracles.blockwise_dlm_loop(s)
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
 
 
@@ -333,8 +329,11 @@ def test_forward_run_matches_loop_of_single_forwards(
     dtype_bytes, opts, data,
 ):
     kv_len, kv_step = q_len + kv_extra, q_step + kv_step_extra
+    # A dlm_naive scenario is valid for every model; only its model, batch,
+    # dtype_bytes and options reach the builder.
+    s = scenario(model, "dlm_naive", batch, 0, 1, 1, dtype_bytes=dtype_bytes, opts=opts)
     entries = layer_forward_cost(
-        model, batch, q_len, kv_len, dtype_bytes, causal, write_new_kv, opts,
+        s, q_len, kv_len, causal, write_new_kv,
         count=count, run=run, q_step=q_step, kv_step=kv_step,
     )
     phase = PhaseCost("dlm_block", tuple(entries))
@@ -343,8 +342,7 @@ def test_forward_run_matches_loop_of_single_forwards(
         for i in range(run)
         for _ in range(count)
         for entry in layer_forward_cost(
-            model, batch, q_len + i * q_step, kv_len + i * kv_step, dtype_bytes, causal,
-            write_new_kv, opts,
+            s, q_len + i * q_step, kv_len + i * kv_step, causal, write_new_kv
         )
     ]
     assert_matches_loop(phase, loop, hardware_switching_inside_a_run(phase, data))
@@ -377,18 +375,35 @@ def test_every_phase_lists_its_kernels_in_one_order(mlp_kind):
                     assert [name for _, _, name in group] == expected, phase.phase
 
 
-@settings(max_examples=40)
+@settings(max_examples=100, deadline=None)
 @given(
-    flops=st.integers(min_value=0, max_value=10**12),
-    nbytes=st.integers(min_value=1, max_value=10**12),
-    count=st.integers(min_value=1, max_value=10**6),
+    model=small_models,
+    mode=st.sampled_from(["arm", "dlm_naive", "dlm_block"]),
+    batch=st.integers(min_value=1, max_value=3),
+    prompt_len=st.integers(min_value=0, max_value=8),
+    gen_len=st.integers(min_value=1, max_value=12),
+    block_size=st.integers(min_value=1, max_value=12),
+    steps_extra=st.integers(min_value=0, max_value=8),
+    opts=all_options,
 )
-def test_constant_run_is_the_scaled_kernel(flops, nbytes, count):
-    kernel = KernelCost(flops, nbytes)
-    run = kernel_run(count, [kernel] * min(count, 3))
-    assert run == kernel.scaled(count)
-    assert kernel_time(run, A6000) == max(flops * count / A6000.peak_flops,
-                                          nbytes * count / A6000.mem_bandwidth)
+def test_every_run_has_two_or_more_forwards_that_differ(
+    model, mode, batch, prompt_len, gen_len, block_size, steps_extra, opts
+):
+    # A kernel whose shape is the same in every forward is one KernelCost;
+    # only a shape that grows along a run of at least two forwards is a run.
+    block_size = min(block_size, gen_len)
+    steps = -(-gen_len // block_size) + steps_extra
+    s = scenario(
+        model, mode, batch, prompt_len, gen_len,
+        steps=None if mode == "arm" else steps,
+        block_size=block_size if mode == "dlm_block" else None,
+        opts=opts,
+    )
+    for phase in scenario_phases(s):
+        for label, kernel in phase.breakdown:
+            if isinstance(kernel, KernelRun):
+                assert kernel.count >= 2, label
+                assert kernel.newton_flops[1] or kernel.newton_bytes[1], label
 
 
 def test_entry_count_does_not_grow_with_gen_len_or_blocks():

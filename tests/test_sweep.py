@@ -249,6 +249,26 @@ def test_grid_requires_axes_object():
         grid_from_dict({"model": "llama3-8b", "hardware": "rtx-a6000", "mode": "arm"})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([{"batch": [1]}], "grid must be a JSON object"),
+        ({"model": "llama3-8b", "hardware": "rtx-a6000", "mode": "arm", "axes": [1]},
+         "axes must be a JSON object"),
+    ],
+    ids=["list-document", "list-axes"],
+)
+def test_grid_document_shape_exits_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    output = tmp_path / "out.csv"
+    assert cli_main(["sweep", "-c", str(path), "-o", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not output.exists()
+
+
 def test_grid_rejects_unknown_fields():
     doc = {
         "model": "llama3-8b",
