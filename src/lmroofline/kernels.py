@@ -67,18 +67,23 @@ class KernelRun(NamedTuple):
 
     Stored in exact-integer Newton form: invocation i (0 <= i < count) costs
     flops[0] + i * flops[1] + C(i, 2) * flops[2] FLOPs, and likewise for
-    bytes. `flops` and `bytes` of the run itself are the exact totals, so a
-    run stands wherever a KernelCost's totals are summed.
+    bytes. `flops` and `bytes` are the run's exact totals, stored when
+    kernel_run builds it, so a run stands wherever a KernelCost's totals are
+    summed.
 
     Attributes:
         count: number of invocations, at least 2 (see kernel_run).
         newton_flops: (value at 0, first difference, second difference).
         newton_bytes: likewise for bytes moved.
+        flops: total FLOPs, prefix(count)[0].
+        bytes: total bytes moved, prefix(count)[1].
     """
 
     count: int
     newton_flops: tuple[int, int, int]
     newton_bytes: tuple[int, int, int]
+    flops: int
+    bytes: int
 
     def at(self, i: int) -> tuple[int, int]:
         """(flops, bytes) of invocation i."""
@@ -89,31 +94,32 @@ class KernelRun(NamedTuple):
 
     def prefix(self, k: int) -> tuple[int, int]:
         """(flops, bytes) summed over invocations 0 .. k-1."""
-        c2, c3 = comb(k, 2), comb(k, 3)
-        f0, f1, f2 = self.newton_flops
-        b0, b1, b2 = self.newton_bytes
-        return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
-
-    @property
-    def flops(self) -> int:
-        return self.prefix(self.count)[0]
-
-    @property
-    def bytes(self) -> int:
-        return self.prefix(self.count)[1]
+        return _prefix(self.newton_flops, self.newton_bytes, k)
 
 
 def kernel_run(count: int, samples: list[KernelCost]) -> KernelRun:
     """The run of `count` >= 2 invocations whose first min(count, 3) are `samples`.
 
     Exact whenever the cost is a polynomial of degree <= 2 in the index: the
-    samples fix its Newton form. Phase assembly calls this only where a
-    shape grows along the run, so the samples differ; identical invocations
-    are aggregated by the kernel functions' `count` instead.
+    samples fix its Newton form, and with it the run's totals. Phase
+    assembly calls this only where a shape grows along the run, so the
+    samples differ; identical invocations are aggregated by the kernel
+    functions' `count` instead.
     """
-    return KernelRun(
-        count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])
-    )
+    newton_flops = _newton([s.flops for s in samples])
+    newton_bytes = _newton([s.bytes for s in samples])
+    return KernelRun(count, newton_flops, newton_bytes,
+                     *_prefix(newton_flops, newton_bytes, count))
+
+
+def _prefix(
+    newton_flops: tuple[int, int, int], newton_bytes: tuple[int, int, int], k: int
+) -> tuple[int, int]:
+    """(flops, bytes) summed over invocations 0 .. k-1 of a run in Newton form."""
+    c2, c3 = comb(k, 2), comb(k, 3)
+    f0, f1, f2 = newton_flops
+    b0, b1, b2 = newton_bytes
+    return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
 
 
 def _newton(values: list[int]) -> tuple[int, int, int]:

@@ -68,14 +68,26 @@ def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> f
     arithmetic intensity is non-decreasing in the index, as this requires
     (attention's intensity grows with both its query and its KV length; a
     linear layer's grows with its token count). Then the invocations before
-    the first compute-bound one, found by bisection on the same test
-    F(i)/P >= B(i)/W, are memory-bound, and the run takes
-    prefix_bytes/W + suffix_flops/P.
+    the first compute-bound one, under the test F(i)/P >= B(i)/W, are
+    memory-bound, and the run takes prefix_bytes/W + suffix_flops/P.
+
+    The two ends settle most runs: if invocation 0 is compute-bound, so is
+    the whole run, which takes F/P; if the last invocation is memory-bound,
+    so is the whole run, which takes B/W. These are the prefix formula at
+    index 0 and at count, whose zero term adds exactly nothing. Only a run
+    that crosses the ridge bisects, between its two ends.
     """
     peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
     if not isinstance(cost, KernelRun):
         return max(cost.flops / peak, cost.bytes / bandwidth)
-    lo, hi = 0, cost.count
+    # Invocation 0 costs the first terms of the Newton forms.
+    if cost.newton_flops[0] / peak >= cost.newton_bytes[0] / bandwidth:
+        return cost.flops / peak
+    hi = cost.count - 1
+    flops, moved = cost.at(hi)
+    if flops / peak < moved / bandwidth:
+        return cost.bytes / bandwidth
+    lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
         flops, moved = cost.at(mid)
@@ -91,7 +103,8 @@ def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
     """Seconds for a phase: kernels run back to back.
 
     Entries that hold the same kernel object (k_proj and v_proj, mlp_gate
-    and mlp_up) are timed once; the sum keeps the breakdown's order.
+    and mlp_up) are timed once. The times are added with math.fsum, the
+    correctly rounded sum, so the result does not depend on their order.
     """
     times = []
     last = seconds = None
@@ -100,7 +113,7 @@ def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
             seconds = kernel_time(kernel, hw)
             last = kernel
         times.append(seconds)
-    return sum(times)
+    return math.fsum(times)
 
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
@@ -158,7 +171,7 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     # Every kernel's and phase's counts, and batch * gen_len (at most the
     # FLOPs), now convert to a float; only the float arithmetic can overflow.
     latencies = tuple(phase_latency(p, hw) for p in phases)
-    latency = sum(latencies)
+    latency = math.fsum(latencies)
     throughput = w.batch * w.gen_len / latency
     if not (math.isfinite(latency) and math.isfinite(throughput)):
         raise ValidationError(

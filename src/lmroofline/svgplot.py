@@ -10,9 +10,9 @@ An emitter runs every check and computes its scales before it opens the
 file, so a rejected plot creates no file and leaves an existing one as it
 was. It then writes as it renders: the head and axes frame in one write,
 then one write per mark (a roofline point with its label, a polyline, a
-circle, a legend entry). No document string is built, so memory stays
-flat in the number of points, apart from the coordinates of the one
-polyline being written.
+circle, a legend entry). A polyline of more than POLYLINE_CHUNK points is
+written in pieces of that many coordinates. No document string is built,
+so memory stays flat in the number of points.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .roofline import RooflinePoint, ridge_point
 
 WIDTH, HEIGHT = 860, 560
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 84, 36, 48, 72
+
+# Coordinates per write of a polyline: a longer series is written in pieces,
+# so its coordinate text is never held whole.
+POLYLINE_CHUNK = 256
 
 _MEMORY_COLOR = "#1f77b4"
 _COMPUTE_COLOR = "#d62728"
@@ -219,10 +223,17 @@ def emit_line_svg(
         handle.write("\n".join(frame) + "\n")
         for idx, (name, pts) in enumerate(series):
             color = _SERIES_PALETTE[idx % len(_SERIES_PALETTE)]
-            coords = " ".join(f"{_f(x.map(px))},{_f(y.map(py))}" for px, py in sorted(pts))
-            handle.write(
-                f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>\n'
-            )
+            ordered = sorted(pts)
+            text = f'<polyline fill="none" stroke="{color}" stroke-width="2" points="'
+            for start in range(0, len(ordered), POLYLINE_CHUNK):
+                if start:
+                    handle.write(text)
+                    text = " "
+                text += " ".join(
+                    f"{_f(x.map(px))},{_f(y.map(py))}"
+                    for px, py in ordered[start:start + POLYLINE_CHUNK]
+                )
+            handle.write(text + '"/>\n')
             for px, py in pts:
                 handle.write(
                     f'<circle cx="{_f(x.map(px))}" cy="{_f(y.map(py))}" r="3" fill="{color}"/>\n'

@@ -7,8 +7,10 @@ small grid per mode (grid_<mode>.json) and what the grid commands make of
 it: `sweep` (sweep_<mode>.csv), `roofline` (roofline_<mode>.svg) and
 `plot --kind <kind>` (plot_<kind>_<mode>.svg), with the stdout of each
 command in stdout.txt. A refactor must reproduce the CSV, SVG, the grid
-commands' stdout and the analyze table byte for byte; the analyze JSON line
-prints floats at full precision, so those may move within GOLDEN_REL_TOL.
+commands' stdout and the analyze table byte for byte. The analyze JSON line
+prints floats at full precision and is compared value by value with
+GOLDEN_REL_TOL 0: latencies are added with math.fsum, whose correctly
+rounded sum does not depend on the order of the terms, so no float may move.
 
 Re-record (only when an output is meant to change) with
 
@@ -34,7 +36,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CLI = GOLDEN / "cli"
 SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
 MODES = ("arm", "dlm_naive", "dlm_block")
-GOLDEN_REL_TOL = 1e-12
+GOLDEN_REL_TOL = 0.0
 PLOT_KINDS = ("latency", "throughput", "ai")
 
 

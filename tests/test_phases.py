@@ -1,10 +1,11 @@
 """Phase-level cost aggregation for the four decoding strategies."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -294,7 +295,8 @@ def test_phase_latency_is_the_sum_of_its_kernel_times_bit_for_bit(
     model, mode, batch, prompt_len, gen_len, block_size, steps_extra, opts, data
 ):
     # phase_latency times an entry that holds the same kernel object as the
-    # entry before it only once; that must not change the sum by one bit.
+    # entry before it only once, and adds the times with math.fsum; neither
+    # may change the correctly rounded sum of every entry's time by one bit.
     block_size = min(block_size, gen_len)
     steps = -(-gen_len // block_size) + steps_extra
     s = scenario(
@@ -305,7 +307,135 @@ def test_phase_latency_is_the_sum_of_its_kernel_times_bit_for_bit(
     )
     for phase in scenario_phases(s):
         hw = hardware_switching_inside_a_run(phase, data)
-        assert phase_latency(phase, hw) == sum(kernel_time(k, hw) for _, k in phase.breakdown)
+        want = math.fsum(kernel_time(k, hw) for _, k in phase.breakdown)
+        assert phase_latency(phase, hw) == want
+
+
+RIDGES = ("first", "last", "below", "above", "between")
+
+
+def ridge_hardware(run, where, data):
+    """Hardware whose ridge lies exactly at the intensity of the run's first
+    or last invocation, below both, above both, or between them.
+
+    At an end the peak and bandwidth are that invocation's own FLOPs and
+    bytes, so F/P and B/W are both exactly 1.0: a tie on the ridge.
+    """
+    (f0, b0), (f1, b1) = run.at(0), run.at(run.count - 1)
+    if where == "first":
+        return HardwareSpec("ridge-hw", float(f0), float(b0), 0)
+    if where == "last":
+        return HardwareSpec("ridge-hw", float(f1), float(b1), 0)
+    first, last = f0 / b0, f1 / b1
+    if where == "below":
+        ridge = first * data.draw(st.floats(0.01, 0.99))
+    elif where == "above":
+        ridge = last * data.draw(st.floats(1.01, 100.0))
+    else:
+        ridge = first + data.draw(st.floats(0.0, 1.0)) * (last - first)
+    bandwidth = data.draw(st.sampled_from([1.0, 768e9, 2.039e12]))
+    return HardwareSpec("ridge-hw", ridge * bandwidth, bandwidth, 0)
+
+
+def counting_run_method(calls, name):
+    original = getattr(KernelRun, name)
+
+    def counted(self, i):
+        calls[name] += 1
+        return original(self, i)
+
+    return counted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=small_models,
+    mode=st.sampled_from(["arm", "dlm_block"]),
+    batch=st.integers(min_value=1, max_value=3),
+    prompt_len=st.integers(min_value=0, max_value=8),
+    gen_len=st.integers(min_value=2, max_value=12),
+    block_size=st.integers(min_value=1, max_value=6),
+    steps_extra=st.integers(min_value=0, max_value=4),
+    opts=all_options,
+    where=st.sampled_from(RIDGES),
+    data=st.data(),
+)
+def test_run_time_is_the_prefix_formula_at_the_first_compute_bound_invocation(
+    model, mode, batch, prompt_len, gen_len, block_size, steps_extra, opts, where, data
+):
+    # kernel_time settles a run from its two ends when one roofline side
+    # binds all of it, and bisects only a run that crosses the ridge. Either
+    # way it must give, bit for bit, prefix_bytes/W + suffix_flops/P at the
+    # first compute-bound invocation a linear scan finds (ties count as
+    # compute-bound), and a one-sided run must read no more than its ends:
+    # no bisection and no prefix sum.
+    block_size = min(block_size, gen_len)
+    steps = -(-gen_len // block_size) + steps_extra
+    s = scenario(
+        model, mode, batch, prompt_len, gen_len,
+        steps=None if mode == "arm" else steps,
+        block_size=block_size if mode == "dlm_block" else None,
+        opts=opts,
+    )
+    runs = [
+        kernel
+        for phase in scenario_phases(s)
+        for _, kernel in phase.breakdown
+        if isinstance(kernel, KernelRun) and kernel.at(0)[0] > 0
+    ]
+    assume(runs)
+    run = data.draw(st.sampled_from(runs))
+    assert (run.flops, run.bytes) == run.prefix(run.count)
+    hw = ridge_hardware(run, where, data)
+    peak, bandwidth = hw.peak_flops, hw.mem_bandwidth
+    lo = run.count
+    for i in range(run.count):
+        flops, moved = run.at(i)
+        if flops / peak >= moved / bandwidth:
+            lo = i
+            break
+    if where in ("first", "below"):
+        assert lo == 0
+    elif where == "above":
+        assert lo == run.count
+    prefix_flops, prefix_bytes = run.prefix(lo)
+    calls = {"at": 0, "prefix": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(KernelRun, name, counting_run_method(calls, name))
+        seconds = kernel_time(run, hw)
+    assert seconds == prefix_bytes / bandwidth + (run.flops - prefix_flops) / peak
+    if lo == 0:  # read off the Newton forms' first terms
+        assert calls == {"at": 0, "prefix": 0}
+    elif lo == run.count:
+        assert calls == {"at": 1, "prefix": 0}
+
+
+def test_refresh_runs_hold_one_run_per_shared_kernel(monkeypatch):
+    # Every refresh forward shares k_proj's kernel with v_proj and mlp_gate's
+    # with mlp_up; so must the runs built from them, and phase_latency then
+    # times each distinct adjacent kernel once.
+    refresh = CountingOptions(include_cache_refresh=True, count_elementwise_bytes=True)
+    phase = blockwise_dlm_cost(scenario(LLADA, "dlm_block", 1, 16, 36, 36, 8, opts=refresh))
+    kernels = dict(phase.breakdown)
+    tags = sorted({label.split(":")[0] for label in kernels if label.startswith("refresh")})
+    assert tags == ["refresh0..3", "refresh4"]
+    assert isinstance(kernels["refresh0..3:k_proj"], KernelRun)
+    for tag in tags:
+        assert kernels[f"{tag}:k_proj"] is kernels[f"{tag}:v_proj"]
+        assert kernels[f"{tag}:mlp_gate"] is kernels[f"{tag}:mlp_up"]
+    timed = []
+
+    def counting(kernel, hw):
+        timed.append(kernel)
+        return kernel_time(kernel, hw)
+
+    oracles.patch_everywhere(monkeypatch, kernel_time, counting)
+    phase_latency(phase, A6000)
+    entries = [kernel for _, kernel in phase.breakdown]
+    distinct = [k for k, before in zip(entries, [None, *entries]) if k is not before]
+    assert len(timed) == len(distinct) < len(entries)
+    assert all(t is d for t, d in zip(timed, distinct))
 
 
 @settings(max_examples=100, deadline=None)

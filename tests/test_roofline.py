@@ -1,5 +1,7 @@
 """Ridge points, bound classification, latency, and throughput behavior."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,18 @@ def test_latency_sums_per_kernel_binding_sides():
     assert split > merged
 
 
+def test_phase_latency_is_the_correctly_rounded_sum():
+    # Times 1.0, 2**-53 and 2**-53: compute binds each kernel, since
+    # 1 / 2**60 s of traffic is below its 2**-53 s of work. Added left to
+    # right, each 2**-53 is half an ulp of 1.0 and rounds away (ties to
+    # even), giving 1.0; the exact sum 1 + 2**-52 is a float.
+    hw = HardwareSpec("fsum-hw", 2.0**53, 2.0**60, 0)
+    kernels = (KernelCost(2**53, 1), KernelCost(1, 1), KernelCost(1, 1))
+    assert [kernel_time(k, hw) for k in kernels] == [1.0, 2.0**-53, 2.0**-53]
+    phase = PhaseCost("dlm_naive", tuple(zip("abc", kernels)))
+    assert phase_latency(phase, hw) == 1.0000000000000002 == 1.0 + 2.0**-52
+
+
 def small_arm_scenario(batch=1, prompt_len=64, gen_len=32):
     w = WorkloadSpec(mode="arm", batch=batch, prompt_len=prompt_len, gen_len=gen_len)
     return Scenario(model=LLAMA, hardware=A6000, workload=w)
@@ -119,8 +133,8 @@ def test_arm_scenario_without_prompt_skips_prefill():
 def test_end_to_end_latency_is_sum_of_phase_latencies():
     scenario = small_arm_scenario()
     result = end_to_end(scenario)
-    expected = sum(phase_latency(p, A6000) for p in scenario_phases(scenario))
-    assert result.latency_s == pytest.approx(expected, rel=1e-12)
+    expected = math.fsum(phase_latency(p, A6000) for p in scenario_phases(scenario))
+    assert result.latency_s == expected
     assert result.throughput_tok_s == pytest.approx(32 / expected, rel=1e-12)
     assert len(result.points) == 2
     assert result.points[0].label.startswith("arm_prefill")

@@ -62,10 +62,15 @@ WRITERS = {
         lambda: roofline_points(POINTS),
         lambda points, path: emit_roofline_svg(points, A6000, path),
     ),
-    # The grid's shape: one series per value of the slower axes. A polyline
-    # is one write, so its coordinates are held whole while it is written.
+    # The grid's shape: one series per value of the slower axes.
     "emit_line_svg": (
         lambda: line_series(POINTS, per_series=250),
+        lambda series, path: emit_line_svg(series, path, "gen_len", "latency (s)", "t"),
+    ),
+    # One long series: its polyline is written in pieces of POLYLINE_CHUNK
+    # coordinates, so its coordinate text is never held whole.
+    "emit_line_svg-one-series": (
+        lambda: line_series(POINTS, per_series=POINTS),
         lambda series, path: emit_line_svg(series, path, "gen_len", "latency (s)", "t"),
     ),
     "emit_csv": (lambda: sweep_rows(POINTS), emit_csv),
