@@ -22,10 +22,11 @@ The value types a grid point builds -- KernelCost and KernelRun here, and
 PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
 are NamedTuples rather than frozen dataclasses: as immutable, and several
 times cheaper to build, because a frozen dataclass's __init__ sets each
-field through object.__setattr__. A type with checks runs them in a
-__new__ on its NamedTuple base. The one per-point value that stays a
-dataclass is sweep.SweepRow, the public report row, because its callers
-read it with dataclasses.asdict (the benchmark's checker among them).
+field through object.__setattr__. A type with checks or derived fields
+runs them in a __new__ on its NamedTuple base. The one per-point value
+that stays a dataclass is sweep.SweepRow, the public report row, because
+its callers read it with dataclasses.asdict (the benchmark's checker among
+them).
 """
 
 from __future__ import annotations
@@ -61,15 +62,24 @@ class KernelCost(_KernelCostFields):
         return tuple.__new__(cls, (flops, bytes))
 
 
-class KernelRun(NamedTuple):
+class _KernelRunFields(NamedTuple):
+    count: int
+    newton_flops: tuple[int, int, int]
+    newton_bytes: tuple[int, int, int]
+    flops: int
+    bytes: int
+
+
+class KernelRun(_KernelRunFields):
     """`count` consecutive invocations whose cost is a polynomial of degree <= 2
     in the invocation index.
 
     Stored in exact-integer Newton form: invocation i (0 <= i < count) costs
     flops[0] + i * flops[1] + C(i, 2) * flops[2] FLOPs, and likewise for
-    bytes. `flops` and `bytes` are the run's exact totals, stored when
-    kernel_run builds it, so a run stands wherever a KernelCost's totals are
-    summed.
+    bytes. Built as KernelRun(count, newton_flops, newton_bytes): the
+    constructor stores the run's exact totals as `flops` and `bytes`, so a
+    run stands wherever a KernelCost's totals are summed, and a read of them
+    costs no prefix sum.
 
     Attributes:
         count: number of invocations, at least 2 (see kernel_run).
@@ -79,11 +89,13 @@ class KernelRun(NamedTuple):
         bytes: total bytes moved, prefix(count)[1].
     """
 
-    count: int
-    newton_flops: tuple[int, int, int]
-    newton_bytes: tuple[int, int, int]
-    flops: int
-    bytes: int
+    __slots__ = ()
+
+    def __new__(
+        cls, count: int, newton_flops: tuple[int, int, int], newton_bytes: tuple[int, int, int]
+    ) -> "KernelRun":
+        totals = _prefix(newton_flops, newton_bytes, count)
+        return tuple.__new__(cls, (count, newton_flops, newton_bytes, *totals))
 
     def at(self, i: int) -> tuple[int, int]:
         """(flops, bytes) of invocation i."""
@@ -97,21 +109,6 @@ class KernelRun(NamedTuple):
         return _prefix(self.newton_flops, self.newton_bytes, k)
 
 
-def kernel_run(count: int, samples: list[KernelCost]) -> KernelRun:
-    """The run of `count` >= 2 invocations whose first min(count, 3) are `samples`.
-
-    Exact whenever the cost is a polynomial of degree <= 2 in the index: the
-    samples fix its Newton form, and with it the run's totals. Phase
-    assembly calls this only where a shape grows along the run, so the
-    samples differ; identical invocations are aggregated by the kernel
-    functions' `count` instead.
-    """
-    newton_flops = _newton([s.flops for s in samples])
-    newton_bytes = _newton([s.bytes for s in samples])
-    return KernelRun(count, newton_flops, newton_bytes,
-                     *_prefix(newton_flops, newton_bytes, count))
-
-
 def _prefix(
     newton_flops: tuple[int, int, int], newton_bytes: tuple[int, int, int], k: int
 ) -> tuple[int, int]:
@@ -120,6 +117,19 @@ def _prefix(
     f0, f1, f2 = newton_flops
     b0, b1, b2 = newton_bytes
     return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
+
+
+def kernel_run(count: int, samples: list[KernelCost]) -> KernelRun:
+    """The run of `count` >= 2 invocations whose first min(count, 3) are `samples`.
+
+    Exact whenever the cost is a polynomial of degree <= 2 in the index: the
+    samples fix its Newton form. Phase assembly calls this only where a
+    shape grows along the run, so the samples differ; identical invocations
+    are aggregated by the kernel functions' `count` instead.
+    """
+    return KernelRun(
+        count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])
+    )
 
 
 def _newton(values: list[int]) -> tuple[int, int, int]:

@@ -27,7 +27,6 @@ once built, so nothing here checks its numbers again;
 
 from __future__ import annotations
 
-from operator import is_
 from typing import NamedTuple
 
 from .configs import Scenario
@@ -112,9 +111,8 @@ def layer_forward_cost(
     run > 1 every kernel changes along the run, so min(run, 3) whole
     forwards are sampled; with only kv_step set, attention alone is.
     Kernels one forward shares between adjacent entries (k_proj and v_proj,
-    mlp_gate and mlp_up) stay shared in a sampled run: the entries hold one
-    KernelRun, which roofline.phase_latency then times once, as it does the
-    shared KernelCost of a constant forward.
+    mlp_gate and mlp_up) give equal runs, which roofline.phase_latency times
+    once, as it does the shared KernelCost of a constant forward.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
@@ -125,13 +123,8 @@ def layer_forward_cost(
                 scenario, q_len + i * q_step, kv_len + i * kv_step, causal, write_new_kv, count,
             ))
         entries = []
-        previous = shared = None
         for column in zip(*samples):
-            kernels = [kernel for _, kernel in column]
-            if shared is None or not all(map(is_, kernels, previous)):
-                shared = kernel_run(run, kernels)
-            entries.append((column[0][0], shared))
-            previous = kernels
+            entries.append((column[0][0], kernel_run(run, [kernel for _, kernel in column])))
         return entries
     model, w = scenario.model, scenario.workload
     batch, dtype_bytes, opts = w.batch, w.dtype_bytes, w.options

@@ -102,18 +102,28 @@ def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> f
 def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
     """Seconds for a phase: kernels run back to back.
 
-    Entries that hold the same kernel object (k_proj and v_proj, mlp_gate
-    and mlp_up) are timed once. The times are added with math.fsum, the
-    correctly rounded sum, so the result does not depend on their order.
+    An entry whose kernel equals the one before it (k_proj and v_proj,
+    mlp_gate and mlp_up) is not timed again: equal kernels take equal
+    time. The times are added with math.fsum, the correctly rounded sum, so
+    the result does not depend on their order; a sum past the float range
+    is inf, as with built-in sum.
     """
     times = []
     last = seconds = None
     for _, kernel in cost.breakdown:
-        if kernel is not last:
+        if kernel != last:
             seconds = kernel_time(kernel, hw)
             last = kernel
         times.append(seconds)
-    return math.fsum(times)
+    return _sum_seconds(times)
+
+
+def _sum_seconds(times: list[float] | tuple[float, ...]) -> float:
+    """math.fsum of nonnegative seconds, inf where fsum raises OverflowError."""
+    try:
+        return math.fsum(times)
+    except OverflowError:
+        return math.inf
 
 
 def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
@@ -171,7 +181,7 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     # Every kernel's and phase's counts, and batch * gen_len (at most the
     # FLOPs), now convert to a float; only the float arithmetic can overflow.
     latencies = tuple(phase_latency(p, hw) for p in phases)
-    latency = math.fsum(latencies)
+    latency = _sum_seconds(latencies)
     throughput = w.batch * w.gen_len / latency
     if not (math.isfinite(latency) and math.isfinite(throughput)):
         raise ValidationError(

@@ -9,9 +9,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lmroofline import SweepRow, cli
+from lmroofline import SweepRow, cli, kernel_time, scenario_phases
 from oracles import parse_csv
 from lmroofline.cli import main
+from lmroofline.configs import scenario_from_dict
 
 
 def write_json(tmp_path, name, doc):
@@ -147,6 +148,33 @@ def test_non_finite_result_exits_1_without_printing_a_row(tmp_path, capsys):
     write_json(tmp_path, "hw.json", hardware_doc(mem_bandwidth=1e-310))
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc(hardware="hw.json"))
     assert main(["analyze", "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["sweep", "-o", "out.csv"], ["roofline", "-o", "out.svg"],
+     ["plot", "--kind", "latency", "-o", "out.svg"]],
+    ids=["analyze", "sweep", "roofline", "plot"],
+)
+def test_finite_kernel_times_whose_sum_overflows_exit_1(tmp_path, capsys, monkeypatch, command):
+    # The bandwidth puts the costliest kernel's time just under the float
+    # maximum: every kernel time is finite, and their sum is not.
+    phases = scenario_phases(scenario_from_dict(arm_scenario_doc()))
+    most = max(kernel.bytes for phase in phases for _, kernel in phase.breakdown)
+    hw_path = write_json(tmp_path, "hw.json", hardware_doc(mem_bandwidth=most / 1e308))
+    scenario = scenario_from_dict(arm_scenario_doc(hardware=hw_path))
+    for phase in scenario_phases(scenario):
+        assert all(math.isfinite(kernel_time(kernel, scenario.hardware))
+                   for _, kernel in phase.breakdown)
+    monkeypatch.chdir(tmp_path)
+    doc = arm_scenario_doc(hardware=hw_path)
+    if command[0] != "analyze":
+        doc = arm_grid_doc({"batch": [1]}, hardware=hw_path)
+    config = write_json(tmp_path, "input.json", doc)
+    assert main([*command, "-c", config]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
