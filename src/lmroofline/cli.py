@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error (including bad usage),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -159,8 +158,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
             f"unknown model '{args.name}' (registry: {', '.join(sorted(MODEL_REGISTRY))})"
         )
     m = MODEL_REGISTRY[args.name]
-    for field in dataclasses.fields(m):
-        print(f"  {field.name:<16} {getattr(m, field.name)}")
+    for name, value in zip(m._fields, m):
+        print(f"  {name:<16} {value}")
     print(f"  {'parameters':<16} {parameter_count(m)}")
     print(f"  {'fp16 weights':<16} {weight_bytes(m, 2)} bytes")
     return 0

@@ -1,12 +1,16 @@
 """Model, hardware, and workload definitions plus the built-in registries.
 
-Inputs are checked here. The dataclasses check their own fields, and
-`validate_workload` holds every workload invariant, each written once; the
-integer and block-count checks are `require_int` and `require_blocks`. A
-`Scenario` calls `validate_workload` when it is built, so every Scenario is
-valid and nothing downstream checks it again.
+Inputs are checked here. The records are namedtuple subclasses: as
+immutable as frozen dataclasses, and far cheaper to define and to build. A
+record with checks runs them in its `__new__`. `_replace` and `_make` build
+around `__new__` and check nothing, so the package never calls them: a
+changed record is built by calling its class. `validate_workload` holds
+every workload invariant, each written once; the integer and block-count
+checks are `require_int` and `require_blocks`. A `Scenario` calls
+`validate_workload` when it is built, so every Scenario is valid and
+nothing downstream checks it again.
 
-The keys of every JSON document are the fields of its dataclass, required
+The keys of every JSON document are the `_fields` of its record, required
 where the field has no default. One loader reads a model or hardware by
 registry name or from a file; `read_scenario` reads a scenario document,
 and a grid's too; `resolve_workload` is where an unset `steps` gets its
@@ -23,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from collections import namedtuple
 from typing import Any
 
 from .errors import ValidationError
@@ -59,22 +63,15 @@ def _is_finite_number(value: Any) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(namedtuple("ModelConfig", (
+        "name", "num_layers", "d_model", "num_heads", "num_kv_heads", "head_dim", "ffn_dim",
+        "vocab_size", "mlp_kind", "attention_kind"), defaults=("swiglu", "causal_capable"))):
     """Shape constants of a decoder-style transformer."""
 
-    name: str
-    num_layers: int
-    d_model: int
-    num_heads: int
-    num_kv_heads: int
-    head_dim: int
-    ffn_dim: int
-    vocab_size: int
-    mlp_kind: str = "swiglu"
-    attention_kind: str = "causal_capable"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> ModelConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"name must be a nonempty string (got {self.name!r})")
         for fname in (
@@ -105,18 +102,17 @@ class ModelConfig:
                 "num_kv_heads must divide num_heads "
                 f"({self.num_kv_heads} does not divide {self.num_heads})"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class HardwareSpec:
+class HardwareSpec(namedtuple("HardwareSpec", (
+        "name", "peak_flops", "mem_bandwidth", "mem_capacity"))):
     """Peak compute, bandwidth, and capacity of one accelerator."""
 
-    name: str
-    peak_flops: float
-    mem_bandwidth: float
-    mem_capacity: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> HardwareSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"name must be a nonempty string (got {self.name!r})")
         for fname in ("peak_flops", "mem_bandwidth"):
@@ -126,11 +122,13 @@ class HardwareSpec:
         cap = self.mem_capacity
         if not _is_finite_number(cap) or cap < 0:
             raise ValidationError(f"mem_capacity must be a finite number >= 0 (got {cap!r})")
+        return self
 
 
-@dataclass(frozen=True)
-class CountingOptions:
-    """Switches for the optional cost terms.
+class CountingOptions(namedtuple("CountingOptions", (
+        "include_lm_head", "include_cache_refresh", "count_elementwise_bytes", "causal_exact",
+        "full_kv_each_step"), defaults=(False, False, False, True, False))):
+    """Switches for the optional cost terms, all booleans.
 
     Defaults reproduce the bare counting conventions: no LM head, no
     cache-refresh passes, no elementwise traffic, exact triangular causal
@@ -139,30 +137,21 @@ class CountingOptions:
     prompt+generation length instead).
     """
 
-    include_lm_head: bool = False
-    include_cache_refresh: bool = False
-    count_elementwise_bytes: bool = False
-    causal_exact: bool = True
-    full_kv_each_step: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(namedtuple("WorkloadSpec", (
+        "mode", "batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes",
+        "options"), defaults=(None, None, 2, CountingOptions()))):
     """One decoding workload: mode, shape of the request, and step budget.
 
     `steps` is the number of refinement steps for the diffusion modes and
     must be absent for `arm`. `block_size` is only meaningful for
-    `dlm_block`.
+    `dlm_block`. Every workload without options shares one default
+    CountingOptions. The record does not check itself: a Scenario does.
     """
 
-    mode: str
-    batch: int
-    prompt_len: int
-    gen_len: int
-    steps: int | None = None
-    block_size: int | None = None
-    dtype_bytes: int = 2
-    options: CountingOptions = field(default_factory=CountingOptions)
+    __slots__ = ()
 
     @property
     def total_len(self) -> int:
@@ -230,20 +219,20 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
     return w
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", ("model", "hardware", "workload"))):
     """A fully resolved analysis request: model + hardware + workload.
 
     Building one validates the workload against the model, so a Scenario
     that exists is valid.
     """
 
-    model: ModelConfig
-    hardware: HardwareSpec
-    workload: WorkloadSpec
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate_workload(self.workload, self.model)
+    def __new__(
+        cls, model: ModelConfig, hardware: HardwareSpec, workload: WorkloadSpec
+    ) -> Scenario:
+        validate_workload(workload, model)
+        return super().__new__(cls, model, hardware, workload)
 
 
 # Shape constants from the published model configs:
@@ -304,10 +293,9 @@ def _load_json(path: str) -> Any:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _document_keys(*classes: type) -> dict[str, bool]:
+def _document_keys(*classes: Any) -> dict[str, bool]:
     """Key -> required for a document of `classes`' fields: those without a default."""
-    return {f.name: f.default is MISSING and f.default_factory is MISSING
-            for cls in classes for f in fields(cls)}
+    return {name: name not in cls._field_defaults for cls in classes for name in cls._fields}
 
 
 def _check_keys(doc: Any, keys: dict[str, bool], context: str) -> None:
@@ -392,13 +380,25 @@ def read_scenario(
     return model, hardware, WorkloadSpec(**workload)
 
 
+_WORKLOAD_INDEX = {name: index for index, name in enumerate(WorkloadSpec._fields)}
+_MODE, _GEN_LEN, _STEPS = (_WORKLOAD_INDEX[name] for name in ("mode", "gen_len", "steps"))
+
+
 def resolve_workload(base: WorkloadSpec, point: dict[str, Any]) -> WorkloadSpec:
     """`base` with `point`'s fields set. An unset diffusion `steps` becomes the
-    resolved `gen_len`: every generated token refined once per step on average."""
-    values = {**vars(base), **point}
-    if values["steps"] is None and values["mode"] in DLM_MODES:
-        values["steps"] = values["gen_len"]
-    return WorkloadSpec(**values)
+    resolved `gen_len`: every generated token refined once per step on average.
+
+    The workload is built from a list display, not by `_replace` or
+    `list(base)`. In CPython, a tuple built from an iterator (as `_replace`
+    builds one) and a list made by calling `list` are not drawn from the free
+    list they are freed onto, so each grid point would leave one more spare
+    object on it: up to 2,000 tuples, or 80 lists (tests/test_sweep.py)."""
+    values = [*base]
+    for name, value in point.items():
+        values[_WORKLOAD_INDEX[name]] = value
+    if values[_STEPS] is None and values[_MODE] in DLM_MODES:
+        values[_STEPS] = values[_GEN_LEN]
+    return WorkloadSpec(*values)
 
 
 def scenario_from_dict(doc: dict, base_dir: str | None = None) -> Scenario:

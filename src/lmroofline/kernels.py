@@ -22,8 +22,10 @@ The value types a grid point builds -- KernelCost and KernelRun here, and
 PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
 are NamedTuples rather than frozen dataclasses: as immutable, and several
 times cheaper to build, because a frozen dataclass's __init__ sets each
-field through object.__setattr__. A type with checks or derived fields
-runs them in a __new__ on its NamedTuple base. The one per-point value
+field through object.__setattr__. So are the input records (the configs
+records and sweep.SweepGrid), which are namedtuple subclasses because a
+dataclass is also costly to define at import. A type with checks or
+derived fields runs them in a __new__ on its tuple base. The one record
 that stays a dataclass is sweep.SweepRow, the public report row, because
 its callers read it with dataclasses.asdict (the benchmark's checker among
 them).

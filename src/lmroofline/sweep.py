@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from math import isfinite
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from .configs import (
     MAX_FLOAT,
-    HardwareSpec,
-    ModelConfig,
     Scenario,
-    WorkloadSpec,
     _load_json,
     read_scenario,
     resolve_workload,
@@ -45,23 +43,22 @@ from .roofline import classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
-@dataclass(frozen=True)
-class SweepGrid:
+
+class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes"))):
     """A base workload plus the cartesian axes to sweep over it.
 
-    Each point is `base` with the point's axis values set, resolved by
-    `resolve_workload`. So a field of `base` (`batch`, `prompt_len`,
-    `gen_len`, `steps`, `block_size`, `dtype_bytes`) may be None where an
-    axis supplies it, and `steps` is None where it is unset: a diffusion
-    point then takes its own `gen_len` as its step count.
+    `axes` is a tuple of (field name, tuple of values) pairs. Each point is
+    `base` with the point's axis values set, resolved by `resolve_workload`.
+    So a field of `base` (`batch`, `prompt_len`, `gen_len`, `steps`,
+    `block_size`, `dtype_bytes`) may be None where an axis supplies it, and
+    `steps` is None where it is unset: a diffusion point then takes its own
+    `gen_len` as its step count.
     """
 
-    model: ModelConfig
-    hardware: HardwareSpec
-    base: WorkloadSpec
-    axes: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> SweepGrid:
+        self = super().__new__(cls, *args, **kwargs)
         seen = set()
         for name, values in self.axes:
             if name not in AXIS_FIELDS:
@@ -73,6 +70,7 @@ class SweepGrid:
             seen.add(name)
             if len(values) == 0:
                 raise ValidationError(f"sweep axis '{name}' has no values")
+        return self
 
 
 @dataclass(frozen=True)

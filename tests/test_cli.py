@@ -338,6 +338,17 @@ def test_hw_show_reports_peak_bandwidth_and_ridge(capsys):
     assert "201.6 FLOP/byte" in out
 
 
+def test_hw_show_output_is_pinned(capsys):
+    assert main(["hw", "show", "rtx-a6000"]) == 0
+    assert capsys.readouterr().out == (
+        "rtx-a6000\n"
+        "  peak compute      154.8 TFLOP/s\n"
+        "  memory bandwidth  768 GB/s\n"
+        "  memory capacity   48 GB\n"
+        "  ridge point       201.6 FLOP/byte\n"
+    )
+
+
 def test_hw_show_unknown_name_exits_1(capsys):
     assert main(["hw", "show", "abacus"]) == 1
     assert "unknown hardware" in capsys.readouterr().err
@@ -365,6 +376,25 @@ def test_model_show_reports_shape_and_parameters(capsys):
     out = capsys.readouterr().out
     assert "8029995008" in out
     assert "16059990016" in out
+
+
+def test_model_show_output_is_pinned(capsys):
+    # Every field, in declaration order, then the derived counts.
+    assert main(["model", "show", "llama3-8b"]) == 0
+    assert capsys.readouterr().out == (
+        "  name             llama3-8b\n"
+        "  num_layers       32\n"
+        "  d_model          4096\n"
+        "  num_heads        32\n"
+        "  num_kv_heads     8\n"
+        "  head_dim         128\n"
+        "  ffn_dim          14336\n"
+        "  vocab_size       128256\n"
+        "  mlp_kind         swiglu\n"
+        "  attention_kind   causal_capable\n"
+        "  parameters       8029995008\n"
+        "  fp16 weights     16059990016 bytes\n"
+    )
 
 
 def test_unknown_subcommand_exits_1(capsys):

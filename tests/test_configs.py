@@ -1,7 +1,7 @@
 """Model/hardware registries, workload validation, and scenario (de)serialization."""
 
 import json
-from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from lmroofline import (
     ModelConfig,
     ValidationError,
     WorkloadSpec,
+    load_grid,
     load_hardware_spec,
     load_model_config,
     load_scenario,
@@ -69,8 +70,69 @@ def test_hardware_registry_constants():
 def test_registry_models_all_pass_validation():
     for name, model in MODEL_REGISTRY.items():
         assert model.name == name
-        rebuilt = ModelConfig(**{f: getattr(model, f) for f in model.__dataclass_fields__})
+        rebuilt = ModelConfig(**{f: getattr(model, f) for f in model._fields})
         assert rebuilt == model
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def input_records():
+    """One instance of each of the six input records, built afresh from files."""
+    scenario = load_scenario(GOLDEN / "analyze_dlm_block.json")
+    return {
+        "ModelConfig": ModelConfig(**LLAMA._asdict()),
+        "HardwareSpec": HardwareSpec(*HW_REGISTRY["rtx-a6000"]),
+        "CountingOptions": scenario.workload.options,
+        "WorkloadSpec": scenario.workload,
+        "Scenario": scenario,
+        "SweepGrid": load_grid(GOLDEN / "cli" / "grid_arm.json"),
+    }
+
+
+INPUT_RECORDS = ("CountingOptions", "HardwareSpec", "ModelConfig", "Scenario", "SweepGrid",
+                 "WorkloadSpec")
+
+
+@pytest.mark.parametrize("kind", INPUT_RECORDS)
+def test_input_records_are_immutable_values(kind):
+    value, again = input_records()[kind], input_records()[kind]
+    assert type(value).__name__ == kind
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    assert value == again
+    assert hash(value) == hash(again)
+
+
+def test_record_reprs_are_pinned():
+    # As printed when these records were frozen dataclasses.
+    assert repr(LLAMA) == (
+        "ModelConfig(name='llama3-8b', num_layers=32, d_model=4096, num_heads=32, "
+        "num_kv_heads=8, head_dim=128, ffn_dim=14336, vocab_size=128256, "
+        "mlp_kind='swiglu', attention_kind='causal_capable')"
+    )
+    assert repr(load_scenario(GOLDEN / "analyze_dlm_block.json")) == (
+        "Scenario(model=ModelConfig(name='llada-8b', num_layers=32, d_model=4096, "
+        "num_heads=32, num_kv_heads=32, head_dim=128, ffn_dim=12288, vocab_size=126464, "
+        "mlp_kind='swiglu', attention_kind='bidirectional_only'), "
+        "hardware=HardwareSpec(name='rtx-a6000', peak_flops=154800000000000.0, "
+        "mem_bandwidth=768000000000.0, mem_capacity=48000000000.0), "
+        "workload=WorkloadSpec(mode='dlm_block', batch=1, prompt_len=16, gen_len=1000, "
+        "steps=1000, block_size=24, dtype_bytes=2, options=CountingOptions("
+        "include_lm_head=True, include_cache_refresh=True, count_elementwise_bytes=False, "
+        "causal_exact=True, full_kv_each_step=False)))"
+    )
+
+
+def test_a_record_is_a_tuple_of_its_values():
+    # Records iterate, unpack and compare as the tuple of their field values.
+    name, peak, bandwidth, capacity = HW_REGISTRY["a100-80g"]
+    assert (name, peak, bandwidth, capacity) == HW_REGISTRY["a100-80g"]
+    assert CountingOptions() == (False, False, False, True, False)
+    assert WorkloadSpec("arm", 1, 2, 3).options is WorkloadSpec("arm", 4, 5, 6).options
 
 
 def test_head_dim_mismatch_rejected():
@@ -292,7 +354,8 @@ def dlm_workloads(draw):
 
 def workload_document(workload):
     """The scenario fields of a workload, with every option spelled out."""
-    return {key: value for key, value in asdict(workload).items() if value is not None}
+    document = {**workload._asdict(), "options": workload.options._asdict()}
+    return {key: value for key, value in document.items() if value is not None}
 
 
 def read_workload(doc):

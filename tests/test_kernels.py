@@ -5,8 +5,6 @@ rejection tests below show that every bad value a kernel could be given is
 rejected where it enters: by ModelConfig, or when the Scenario is built.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +13,7 @@ import oracles
 from oracles import TINY, patch_everywhere, scenario
 from lmroofline import (
     KernelCost,
+    ModelConfig,
     ValidationError,
     arithmetic_intensity,
     end_to_end,
@@ -82,7 +81,7 @@ def test_linear_rejects_nonpositive_arguments(field, bad):
     source, name = LINEAR_ARGUMENT_SOURCES[field]
     with pytest.raises(ValidationError, match=name):
         if source == "model":
-            dataclasses.replace(TINY, **{name: bad})
+            ModelConfig(**{**TINY._asdict(), name: bad})
         else:
             scenario(TINY, "arm", **{"batch": 1, "prompt_len": 2, "gen_len": 2, name: bad})
 
@@ -148,7 +147,7 @@ def test_attention_rejects_causal_query_longer_than_keys(monkeypatch):
 
 def test_attention_rejects_more_kv_heads_than_heads():
     with pytest.raises(ValidationError, match="num_kv_heads"):
-        dataclasses.replace(TINY, num_kv_heads=4 * TINY.num_heads)
+        ModelConfig(**{**TINY._asdict(), "num_kv_heads": 4 * TINY.num_heads})
 
 
 @given(

@@ -1,7 +1,5 @@
 """Parameter counts, KV-cache sizing, and out-of-memory boundaries."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,7 +146,7 @@ def largest_fitting_batch(model, hw, workload):
     """The largest batch whose footprint fits, as a `batch` sweep axis reads it off
     the `fits` column; 0 if none does."""
     return oracles.max_fitting_batch_scan(
-        lambda batch: peak_footprint(Scenario(model, hw, replace(workload, batch=batch))).fits
+        lambda batch: peak_footprint(Scenario(model, hw, workload._replace(batch=batch))).fits
     )
 
 
@@ -206,7 +204,7 @@ def with_capacity(capacity):
 def test_max_fitting_batch_is_exact_at_the_capacity_boundary(mode, k):
     # An integer total fits a float capacity iff it is <= that capacity.
     model, w = BOUNDARY_WORKLOADS[mode]
-    total = peak_footprint(Scenario(model, A100, replace(w, batch=k))).total
+    total = peak_footprint(Scenario(model, A100, w._replace(batch=k))).total
     assert largest_fitting_batch(model, with_capacity(total), w) == k
     assert largest_fitting_batch(model, with_capacity(total + 0.5), w) == k
     assert largest_fitting_batch(model, with_capacity(total - 1), w) == k - 1

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -486,7 +485,7 @@ KERNEL_ORDER = (
 
 @pytest.mark.parametrize("mlp_kind", ["swiglu", "gelu_2mat"])
 def test_every_phase_lists_its_kernels_in_one_order(mlp_kind):
-    model = replace(TINY, mlp_kind=mlp_kind)
+    model = TINY._replace(mlp_kind=mlp_kind)
     workloads = [("arm", 3, 5, None, None), ("dlm_naive", 3, 5, 4, None),
                  ("dlm_block", 3, 7, 9, 2)]
     for flags in itertools.product([False, True], repeat=5):

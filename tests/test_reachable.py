@@ -47,7 +47,7 @@ def file_scenario(out_dir: Path) -> Path:
     """golden/analyze_arm.json, with its model and hardware read from files beside it."""
     scenario = json.loads((GOLDEN / "analyze_arm.json").read_text(encoding="utf-8"))
     for key, registry in (("model", MODEL_REGISTRY), ("hardware", HW_REGISTRY)):
-        (out_dir / f"{key}.json").write_text(json.dumps(vars(registry[scenario[key]])))
+        (out_dir / f"{key}.json").write_text(json.dumps(registry[scenario[key]]._asdict()))
         scenario[key] = f"{key}.json"
     path = out_dir / "scenario.json"
     path.write_text(json.dumps(scenario))

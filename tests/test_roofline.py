@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
+    CountingOptions,
     HardwareSpec,
+    ModelConfig,
     PhaseCost,
     Scenario,
     ValidationError,
@@ -147,6 +149,61 @@ def test_perf_attained_never_exceeds_peak():
     ]:
         for point in end_to_end(scenario).points:
             assert point.perf_attained <= A6000.peak_flops * (1 + 1e-12)
+
+
+@st.composite
+def any_scenario(draw):
+    """A valid scenario of a random model, GPU, mode and options."""
+    kv_heads, group = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    heads, head_dim = kv_heads * group, draw(st.integers(16, 128))
+    model = ModelConfig(
+        "random", draw(st.integers(1, 48)), heads * head_dim, heads, kv_heads, head_dim,
+        draw(st.integers(1, 65536)), draw(st.integers(1, 262144)),
+        draw(st.sampled_from(["swiglu", "gelu_2mat"])),
+    )
+    hw = HardwareSpec(
+        "random", 10 ** draw(st.floats(11, 16)), 10 ** draw(st.floats(9, 13)), 80e9,
+    )
+    mode = draw(st.sampled_from(["arm", "dlm_naive", "dlm_block"]))
+    gen_len = draw(st.integers(1, 4096))
+    steps = block_size = None
+    if mode == "dlm_block":
+        block_size = draw(st.integers(1, gen_len))
+        steps = draw(st.integers(-(-gen_len // block_size), 2 * gen_len))
+    elif mode == "dlm_naive":
+        steps = draw(st.integers(1, 2 * gen_len))
+    options = CountingOptions(*draw(st.lists(st.booleans(), min_size=5, max_size=5)))
+    workload = WorkloadSpec(
+        mode, draw(st.integers(1, 64)), draw(st.integers(0, 4096)), gen_len, steps, block_size,
+        draw(st.sampled_from([1, 2, 4])), options,
+    )
+    return Scenario(model, hw, workload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario())
+def test_phase_latency_lies_between_the_roofline_bounds(scenario):
+    """max(F/P, B/W) <= phase latency <= F/P + B/W, within 1e-12 relative.
+
+    Proof. A phase's latency is the sum over its kernel invocations i of
+    t_i = max(f_i/P, b_i/W); a KernelRun's time is that same sum, split at
+    its first compute-bound invocation. The phase totals are F = sum f_i
+    and B = sum b_i. Lower: t_i >= f_i/P for every i, so the sum is at least
+    F/P, and likewise at least B/W. Upper: f_i, b_i >= 0, so
+    max(f_i/P, b_i/W) <= f_i/P + b_i/W, which sums to F/P + B/W. Each side
+    is computed with a few correctly rounded float operations and
+    math.fsum, so 1e-12 relative is far above the rounding error.
+
+    The left half fails when a kernel is timed on one side of the roof
+    only, or by min; the right half when a kernel's time counts either
+    side more than once.
+    """
+    hw = scenario.hardware
+    for phase in scenario_phases(scenario):
+        compute, memory = phase.flops / hw.peak_flops, phase.bytes / hw.mem_bandwidth
+        latency = phase_latency(phase, hw)
+        assert max(compute, memory) <= latency * (1 + 1e-12), phase.phase
+        assert latency <= (compute + memory) * (1 + 1e-12), phase.phase
 
 
 def test_perf_attained_hits_peak_for_exactly_balanced_kernel():

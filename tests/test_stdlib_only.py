@@ -42,3 +42,18 @@ def test_cli_import_pulls_in_no_xml_or_network_modules():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_sweep_row_is_the_only_dataclass():
+    """Every other record is a namedtuple subclass, much cheaper to define at
+    import. SweepRow stays a dataclass while the benchmark reads its rows
+    with dataclasses.asdict (bench/workloads.py; ROADMAP item 1)."""
+    found = []
+    for path in sorted(pathlib.Path(lmroofline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if "dataclass" in ast.unparse(target):
+                        found.append(f"{path.stem}.{node.name}")
+    assert found == ["sweep.SweepRow"]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,38 @@ def test_invalid_point_error_names_the_point():
     )
     with pytest.raises(ValidationError, match=r"grid point \{'block_size': 256\}"):
         run_sweep(grid)
+
+
+def test_grid_points_leave_no_spare_objects_on_the_free_lists():
+    """map_grid over 2,000 points leaves under 16 KB traced.
+
+    CPython keeps freed tuples on one free list per size, up to 2,000 each,
+    and freed lists and dicts on free lists of 80. A tuple built from an
+    iterator, as a namedtuple's `_replace` builds one, is not drawn from
+    the free list it is freed onto; neither is a list made by calling
+    `list`. So resolving each point's WorkloadSpec with `_replace` leaves
+    one more spare 8-slot tuple per point: 166 KB over this grid, all of it
+    counted by tracemalloc and so by the benchmark's peak_alloc_mb. The
+    bounded lists and dicts hold at most about 5 KB each. The warm-up grid
+    has 200 points: a full-size one would fill the tuple free list before
+    tracing starts, and hide the growth.
+    """
+    def grid(gen_lens):
+        base = WorkloadSpec("dlm_naive", None, None, None)
+        axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(range(10))),
+                ("gen_len", gen_lens))
+        return SweepGrid(LLADA, A6000, base, axes)
+
+    map_grid(grid((1,)), lambda scenario: None)
+    full = grid(tuple(range(1, 11)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        map_grid(full, lambda scenario: None)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 16_000
 
 
 def test_row_ai_consistent_with_totals():
