@@ -33,6 +33,7 @@ them).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
 from typing import NamedTuple
 
@@ -121,13 +122,15 @@ def _prefix(
     return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
 
 
-def kernel_run(count: int, samples: list[KernelCost]) -> KernelRun:
-    """The run of `count` >= 2 invocations whose first min(count, 3) are `samples`.
+def kernel_run(count: int, samples: Sequence[KernelCost]) -> KernelRun:
+    """The run of `count` >= 2 invocations whose first 2 or 3 are `samples`.
 
-    Exact whenever the cost is a polynomial of degree <= 2 in the index: the
-    samples fix its Newton form. Phase assembly calls this only where a
-    shape grows along the run, so the samples differ; identical invocations
-    are aggregated by the kernel functions' `count` instead.
+    Exact when the cost is a polynomial in the index of degree at most
+    len(samples) - 1: 2 samples fix an affine cost, whose Newton form gets a
+    zero second difference, and 3 a quadratic one. Phase assembly passes
+    degree + 1 samples, at most `count`, and calls this only where a shape
+    grows along the run, so the samples differ; identical invocations are
+    aggregated by the kernel functions' `count` instead.
     """
     return KernelRun(
         count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])

@@ -9,9 +9,10 @@ KernelCost built with its whole invocation count, which is exact for both
 totals and roofline time because per-kernel time is homogeneous in
 (flops, bytes). Only a kernel whose shape changes along a run of two or
 more forwards is a `KernelRun`: its cost is a polynomial of degree <= 2 in
-the forward index, fixed exactly by sampling the kernel functions at up to
-three forwards, and its arithmetic intensity is non-decreasing along the
-run, which `roofline.kernel_time` relies on.
+the forward index, fixed exactly by sampling its kernel function at
+degree + 1 forwards (2 where the cost is affine, 3 where it is quadratic),
+and its arithmetic intensity is non-decreasing along the run, which
+`roofline.kernel_time` relies on.
 
 Entries come in one order: q_proj, k_proj, v_proj, out_proj, attention,
 mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head. The
@@ -107,41 +108,60 @@ def layer_forward_cost(
     kv_len + i * kv_step keys; the model, batch, dtype_bytes and counting
     options are the scenario's. Returns one entry per kernel kind in the
     module's entry order, already scaled by num_layers, plus the LM head
-    once per forward when include_lm_head is set. With q_step set and
-    run > 1 every kernel changes along the run, so min(run, 3) whole
-    forwards are sampled; with only kv_step set, attention alone is.
-    Kernels one forward shares between adjacent entries (k_proj and v_proj,
-    mlp_gate and mlp_up) give equal runs, which roofline.phase_latency times
-    once, as it does the shared KernelCost of a constant forward.
+    once per forward when include_lm_head is set.
+
+    A kernel that changes along a run of two or more forwards is sampled at
+    degree + 1 of them. With q_step set, every kernel changes: the linear,
+    elementwise and lm_head kernels are affine in the token count (2
+    forwards), and attention, whose queries and keys grow together, is
+    quadratic (3, or 2 in a run of 2). With only kv_step set, attention
+    alone changes, and is affine in its KV length (2). The kernels one
+    forward shares (q_proj and out_proj, k_proj and v_proj, mlp_gate and
+    mlp_up) are one KernelCost in a constant forward and one KernelRun in a
+    run; roofline.phase_latency times equal adjacent entries once.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
-    if q_step and run > 1:
-        samples = []
-        for i in range(min(run, 3)):
-            samples.append(layer_forward_cost(
-                scenario, q_len + i * q_step, kv_len + i * kv_step, causal, write_new_kv, count,
-            ))
-        entries = []
-        for column in zip(*samples):
-            entries.append((column[0][0], kernel_run(run, [kernel for _, kernel in column])))
-        return entries
     model, w = scenario.model, scenario.workload
     batch, dtype_bytes, opts = w.batch, w.dtype_bytes, w.options
     d = model.d_model
     heads, kv_heads, head_dim = model.num_heads, model.num_kv_heads, model.head_dim
+    # With causal_exact off, causal passes fall back to the full q_len x
+    # kv_len rectangle, which is the same pair count as non-causal.
+    causal = causal and opts.causal_exact
+    if q_step and run > 1:
+        # Two forwards fix every run but attention's, which is quadratic and
+        # in a run of three or more takes the third forward's attention too.
+        # Runs through equal samples are one object.
+        runs = {}
+        entries = []
+        for (label, first), (_, second) in zip(
+            layer_forward_cost(scenario, q_len, kv_len, causal, write_new_kv, count),
+            layer_forward_cost(
+                scenario, q_len + q_step, kv_len + kv_step, causal, write_new_kv, count,
+            ),
+        ):
+            samples = (first, second)
+            if label == "attention" and run > 2:
+                samples += (attention_cost(
+                    batch, heads, kv_heads, head_dim, q_len + 2 * q_step, kv_len + 2 * kv_step,
+                    dtype_bytes, causal, write_new_kv, count * model.num_layers,
+                ),)
+            kernel = runs.get(samples)
+            if kernel is None:
+                kernel = runs[samples] = kernel_run(run, samples)
+            entries.append((label, kernel))
+        return entries
     forwards = count * run
     per_layer = forwards * model.num_layers
     square = linear_cost(batch, q_len, d, d, dtype_bytes, per_layer)
     narrow = linear_cost(batch, q_len, d, kv_heads * head_dim, dtype_bytes, per_layer)
     up = linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes, per_layer)
     down = linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes, per_layer)
-    # With causal_exact off, causal passes fall back to the full q_len x
-    # kv_len rectangle, which is the same pair count as non-causal.
-    causal = causal and opts.causal_exact
     if kv_step and run > 1:
+        # Attention over a fixed query length is affine in its KV length.
         samples = []
-        for i in range(min(run, 3)):
+        for i in range(2):
             samples.append(attention_cost(
                 batch, heads, kv_heads, head_dim, q_len, kv_len + i * kv_step, dtype_bytes,
                 causal, write_new_kv, count * model.num_layers,

@@ -160,12 +160,13 @@ class ScenarioResult(NamedTuple):
     def points(self) -> tuple[RooflinePoint, ...]:
         m, w, hw = self.scenario.model, self.scenario.workload, self.scenario.hardware
         prefix = f"{m.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
-        return tuple(
+        # A list display, for the reason given at end_to_end's latencies.
+        return tuple([
             RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
             for p, t, ai in zip(
                 self.phases, self.phase_latencies, map(arithmetic_intensity, self.phases)
             )
-        )
+        ])
 
 
 def end_to_end(scenario: Scenario) -> ScenarioResult:
@@ -180,7 +181,11 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
         raise ValidationError("result has a non-finite number: a total beyond the float range")
     # Every kernel's and phase's counts, and batch * gen_len (at most the
     # FLOPs), now convert to a float; only the float arithmetic can overflow.
-    latencies = tuple(phase_latency(p, hw) for p in phases)
+    # Built from a list display, not a generator: in CPython a tuple built
+    # from an iterator is not drawn from the free list it is freed onto, so
+    # each point would leave one more spare tuple on it, up to 2,000
+    # (tests/test_sweep.py).
+    latencies = tuple([phase_latency(p, hw) for p in phases])
     latency = _sum_seconds(latencies)
     throughput = w.batch * w.gen_len / latency
     if not (math.isfinite(latency) and math.isfinite(throughput)):

@@ -10,7 +10,10 @@ reads both kinds; a field an axis supplies may be left out of a grid.
 the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
 with `resolve_workload`, as `scenario_from_dict` does for a scenario file,
 and builds its Scenario, which validates the workload once. Any error, from
-building the point or from evaluating it, names the point.
+building the point or from evaluating it, names the point. It yields each
+point's result as it is evaluated and keeps none, so each caller keeps only
+what it needs: `run_sweep` a row per point, `roofline` the flattened
+RooflinePoints, with no tuple per point.
 
 `write_csv` writes the header and then each line as it comes, so no
 document string is built. The CLI's `sweep` turns each point straight into
@@ -24,10 +27,9 @@ from __future__ import annotations
 import itertools
 import os
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from math import isfinite
-from typing import Any, TypeVar
 
 from .configs import (
     MAX_FLOAT,
@@ -57,7 +59,7 @@ class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes"))):
 
     __slots__ = ()
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> SweepGrid:
+    def __new__(cls, *args: object, **kwargs: object) -> SweepGrid:
         self = super().__new__(cls, *args, **kwargs)
         seen = set()
         for name, values in self.axes:
@@ -126,25 +128,21 @@ def load_grid(path: str) -> SweepGrid:
     return grid_from_dict(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-T = TypeVar("T")
-
-
-def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], T]) -> list[T]:
-    """evaluate(scenario) at every grid point, first listed axis varying slowest.
+def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], object]) -> Iterator[object]:
+    """Yield evaluate(scenario) at every grid point, first listed axis varying slowest.
 
     A ValidationError from building the point's Scenario, or from
     evaluating it, names the point.
     """
     names = [name for name, _ in grid.axes]
-    results = []
     for combo in itertools.product(*(values for _, values in grid.axes)):
         point = dict(zip(names, combo))
         try:
             scenario = Scenario(grid.model, grid.hardware, resolve_workload(grid.base, point))
-            results.append(evaluate(scenario))
+            result = evaluate(scenario)
         except ValidationError as exc:
             raise ValidationError(f"grid point {point}: {exc}") from exc
-    return results
+        yield result
 
 
 def evaluate_point(scenario: Scenario) -> SweepRow:
@@ -175,7 +173,7 @@ def evaluate_point(scenario: Scenario) -> SweepRow:
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every grid point, first listed axis varying slowest."""
-    return map_grid(grid, evaluate_point)
+    return list(map_grid(grid, evaluate_point))
 
 
 def row_to_csv(row: SweepRow) -> str:

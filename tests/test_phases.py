@@ -1,5 +1,6 @@
 """Phase-level cost aggregation for the four decoding strategies."""
 
+import collections
 import itertools
 import math
 
@@ -22,7 +23,13 @@ from lmroofline import (
     ridge_point,
     scenario_phases,
 )
-from lmroofline.kernels import KernelCost, KernelRun
+from lmroofline.kernels import (
+    KernelCost,
+    KernelRun,
+    attention_cost,
+    elementwise_bytes,
+    linear_cost,
+)
 from lmroofline.phases import (
     arm_decode_cost,
     arm_prefill_cost,
@@ -435,6 +442,68 @@ def test_refresh_runs_of_shared_kernels_are_timed_once(monkeypatch):
     distinct = [k for k, before in zip(entries, [None, *entries]) if k != before]
     assert len(timed) == len(distinct) < len(entries)
     assert timed == distinct
+
+
+def counting_kernel_calls(monkeypatch):
+    """Record each call of the three kernel functions: name -> list of args."""
+    calls = {}
+    for kernel in (linear_cost, attention_cost, elementwise_bytes):
+        calls[kernel.__name__] = []
+
+        def counting(*args, _kernel=kernel):
+            calls[_kernel.__name__].append(args)
+            return _kernel(*args)
+
+        oracles.patch_everywhere(monkeypatch, kernel, counting)
+    return calls
+
+
+# llama3-8b's five linear shapes (d_in, d_out) are distinct: q_proj/out_proj,
+# k_proj/v_proj (grouped-query), mlp_gate/mlp_up, mlp_down and lm_head.
+LLAMA_LINEAR_SHAPES = (
+    (4096, 4096), (4096, 1024), (4096, 14336), (14336, 4096), (4096, 128256),
+)
+
+
+@pytest.mark.parametrize(
+    "run, q_step, kv_step, linear_per_shape, attention_calls, elementwise_calls",
+    [
+        # Refresh passes: queries and keys grow together. Linear and
+        # elementwise kernels are affine in the token count, attention is
+        # quadratic: degree + 1 forwards each, at most the run's.
+        (5, 8, 8, 2, 3, 2),
+        (2, 8, 8, 2, 2, 2),
+        # Decode and block refinement: only the KV length grows, and
+        # attention is affine in it.
+        (5, 0, 1, 1, 2, 1),
+        (2, 0, 64, 1, 2, 1),
+        # A constant forward, repeated: each kernel once, with its count.
+        (1, 0, 0, 1, 1, 1),
+        (5, 0, 0, 1, 1, 1),
+    ],
+)
+def test_each_kernel_is_sampled_at_degree_plus_one_forwards(
+    monkeypatch, run, q_step, kv_step, linear_per_shape, attention_calls, elementwise_calls,
+):
+    opts = CountingOptions(include_lm_head=True, count_elementwise_bytes=True)
+    s = scenario(LLAMA, "dlm_naive", 2, 0, 1, 1, opts=opts)
+    calls = counting_kernel_calls(monkeypatch)
+    entries = dict(layer_forward_cost(
+        s, 40, 48, False, True, count=3, run=run, q_step=q_step, kv_step=kv_step,
+    ))
+    shapes = collections.Counter(args[2:4] for args in calls["linear_cost"])
+    assert shapes == {shape: linear_per_shape for shape in LLAMA_LINEAR_SHAPES}
+    assert [args[4:6] for args in calls["attention_cost"]] == [
+        (40 + i * q_step, 48 + i * kv_step) for i in range(attention_calls)
+    ]
+    assert len(calls["elementwise_bytes"]) == elementwise_calls
+    # A kernel the forward shares is one object, a KernelCost or a KernelRun.
+    assert entries["q_proj"] is entries["out_proj"]
+    assert entries["k_proj"] is entries["v_proj"]
+    assert entries["mlp_gate"] is entries["mlp_up"]
+    grows = q_step and run > 1
+    assert isinstance(entries["q_proj"], KernelRun) == bool(grows)
+    assert isinstance(entries["attention"], KernelRun) == bool((q_step or kv_step) and run > 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -24,7 +25,7 @@ from lmroofline import (
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, require_int, validate_workload
 from lmroofline.memory import peak_footprint
-from lmroofline.roofline import scenario_phases
+from lmroofline.roofline import end_to_end, scenario_phases
 from lmroofline.sweep import CSV_HEADER, evaluate_point, grid_from_dict, map_grid
 from oracles import csv_text, loglog_slope, parse_csv, patch_everywhere
 
@@ -68,6 +69,44 @@ def test_invalid_point_error_names_the_point():
         run_sweep(grid)
 
 
+def free_list_grid(gen_lens):
+    """A dlm_naive grid of 20 batches x 10 prompt lengths x `gen_lens`."""
+    base = WorkloadSpec("dlm_naive", None, None, None)
+    axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(range(10))),
+            ("gen_len", gen_lens))
+    return SweepGrid(LLADA, A6000, base, axes)
+
+
+def traced_growth_over_grid(evaluate):
+    """(traced bytes left, evaluations, results) of map_grid over 2,000 points.
+
+    Each result is dropped as it comes. The warm-up grid has 200 points: a
+    full-size one would fill the tuple free list before tracing starts, and
+    hide the growth.
+    """
+    calls = 0
+
+    def counting(scenario):
+        nonlocal calls
+        calls += 1
+        return evaluate(scenario)
+
+    for _ in map_grid(free_list_grid((1,)), counting):
+        pass
+    full = free_list_grid(tuple(range(1, 11)))
+    calls = results = 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in map_grid(full, counting):
+            results += 1
+        del _
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return left, calls, results
+
+
 def test_grid_points_leave_no_spare_objects_on_the_free_lists():
     """map_grid over 2,000 points leaves under 16 KB traced.
 
@@ -78,26 +117,68 @@ def test_grid_points_leave_no_spare_objects_on_the_free_lists():
     `list`. So resolving each point's WorkloadSpec with `_replace` leaves
     one more spare 8-slot tuple per point: 166 KB over this grid, all of it
     counted by tracemalloc and so by the benchmark's peak_alloc_mb. The
-    bounded lists and dicts hold at most about 5 KB each. The warm-up grid
-    has 200 points: a full-size one would fill the tuple free list before
-    tracing starts, and hide the growth.
+    bounded lists and dicts hold at most about 5 KB each. The evaluator
+    must run once per point, so that a lazy map_grid cannot pass unevaluated.
     """
-    def grid(gen_lens):
-        base = WorkloadSpec("dlm_naive", None, None, None)
-        axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(range(10))),
-                ("gen_len", gen_lens))
-        return SweepGrid(LLADA, A6000, base, axes)
+    left, calls, results = traced_growth_over_grid(lambda scenario: None)
+    assert calls == results == 2_000
+    assert left < 16_000
 
-    map_grid(grid((1,)), lambda scenario: None)
-    full = grid(tuple(range(1, 11)))
+
+def test_evaluated_points_leave_no_spare_objects_on_the_free_lists():
+    """end_to_end at each of 2,000 points leaves under 16 KB traced, as
+    resolving them does (the test above). Its phase latencies were a tuple
+    built from a generator, which left one spare 2-slot tuple per point:
+    86 KB over this grid."""
+    left, calls, results = traced_growth_over_grid(end_to_end)
+    assert calls == results == 2_000
+    assert left < 16_000
+
+
+def test_roofline_holds_its_points_and_a_fixed_working_set(tmp_path):
+    """The traced peak of `roofline` over 2,000 points is within a fixed
+    margin of its RooflinePoint list built alone.
+
+    The command keeps the flattened points until the SVG is written. Beyond
+    them it holds a working set that does not grow with the grid:
+    - the output file's buffers, st_blksize bytes of binary buffer and up to
+      8,192 bytes of text pending encoding (io's chunk size);
+    - the parsed grid, one point's evaluation and the SVG frame, measured at
+      about 21 KB on a 10-point grid whose SVG never fills the text chunk.
+      The margin allows 32,000 bytes for them, half again as much.
+    Here that measures 33 KB in all. Any object kept per point is at least
+    24 bytes traced (a float); one 1-tuple per point, 48 bytes with its GC
+    header, adds 96 KB over this grid, as the points of each point kept in
+    a tuple until the SVG is written did.
+    """
+    def write_grid(name, gen_lens):
+        doc = {"model": "llada-8b", "hardware": "rtx-a6000", "mode": "dlm_naive",
+               "axes": {"batch": list(range(1, 21)), "prompt_len": list(range(10)),
+                        "gen_len": gen_lens}}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    out = str(tmp_path / "roofline.svg")
+    assert cli_main(["roofline", "-c", write_grid("warm.json", [1]), "-o", out]) == 0
+    full = write_grid("full.json", list(range(1, 11)))
+    grid = load_grid(full)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        map_grid(full, lambda scenario: None)
-        left = tracemalloc.get_traced_memory()[0] - before
+        points = [point for scenario in map_grid(grid, lambda scenario: scenario)
+                  for point in end_to_end(scenario).points]
+        alone = tracemalloc.get_traced_memory()[0] - before
+        assert len(points) == 2_000
+        del points
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli_main(["roofline", "-c", full, "-o", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert left < 16_000
+    margin = os.stat(tmp_path).st_blksize + 8_192 + 32_000
+    assert alone < peak < alone + margin
 
 
 def test_row_ai_consistent_with_totals():
@@ -408,7 +489,7 @@ def test_only_roofline_builds_roofline_points(monkeypatch, tmp_path, command, mo
         return RooflinePoint(*args, **kwargs)
 
     grid = grid_from_dict(GRID_DOCS[mode])
-    phases_per_point = map_grid(grid, lambda scenario: len(scenario_phases(scenario)))
+    phases_per_point = list(map_grid(grid, lambda scenario: len(scenario_phases(scenario))))
     patch_everywhere(monkeypatch, RooflinePoint, counting)
     run_grid(command, tmp_path, GRID_DOCS[mode])
     assert len(built) == (sum(phases_per_point) if command == "roofline" else 0)
