@@ -285,11 +285,28 @@ HW_REGISTRY: dict[str, HardwareSpec] = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a key given twice is an error, not a silent overwrite."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValidationError(f"repeated key {next(k for k in doc if keys.count(k) > 1)!r}")
+    return doc
+
+
+# One decoder for every load: json.load given a hook builds a decoder per
+# call, whose scanner refers back to it, so each would wait for the cycle
+# collector.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except ValueError as exc:  # bad syntax, or an int beyond Python's digit limit
+            return _DECODER.decode(handle.read())
+        # Bad syntax, a repeated key, an int beyond Python's digit limit, or
+        # nesting deeper than the parser recurses.
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 

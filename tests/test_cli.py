@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lmroofline import SweepRow, cli, kernel_time, scenario_phases
+from lmroofline import MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
 from oracles import parse_csv
 from lmroofline.cli import main
 from lmroofline.configs import scenario_from_dict
@@ -278,6 +278,70 @@ def test_integer_beyond_the_json_digit_limit_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid JSON" in captured.err
+
+
+REPEATED_KEYS = {
+    # case: (file written, its JSON with one key given twice, the key, command)
+    "scenario": ("scenario.json", json.dumps(arm_scenario_doc(batch=1)).replace(
+        '"batch": 1', '"batch": 1, "batch": 64'), "batch", ["analyze"]),
+    "options": ("scenario.json", json.dumps(arm_scenario_doc(options={"include_lm_head": True}))
+                .replace('"include_lm_head": true', '"include_lm_head": true, '
+                         '"include_lm_head": false'), "include_lm_head", ["analyze"]),
+    "model-file": ("model.json", json.dumps(MODEL_REGISTRY["llama3-8b"]._asdict()).replace(
+        '"num_layers": 32', '"num_layers": 32, "num_layers": 16'), "num_layers", ["analyze"]),
+    "grid-axes": ("grid.json", json.dumps(arm_grid_doc({"batch": [1, 2], "gen_len": [32]}))
+                  .replace('"gen_len": [32]', '"gen_len": [32], "batch": [4]'), "batch",
+                  ["sweep", "-o", "out.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_a_repeated_json_key_exits_1_naming_it_and_the_file(tmp_path, capsys, monkeypatch, case):
+    # json.load keeps the last value of a repeated key; the loader rejects it.
+    name, text, key, command = REPEATED_KEYS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    config = str(tmp_path / name)
+    if name == "model.json":
+        config = write_json(tmp_path, "scenario.json", arm_scenario_doc(model="model.json"))
+    assert main([*command, "-c", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid JSON in {tmp_path / name}: repeated key '{key}'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "-o", "out.csv"]])
+def test_json_nested_past_the_parser_depth_exits_1(tmp_path, capsys, monkeypatch, command):
+    # The parser recurses once per level and raises RecursionError; in a grid
+    # the nesting sits inside the axes.
+    monkeypatch.chdir(tmp_path)
+    deep = "[" * 100_000 + "]" * 100_000
+    text = deep
+    if command[0] == "sweep":
+        text = json.dumps(arm_grid_doc({"gen_len": [32]})).replace("[32]", deep)
+    config = tmp_path / "input.json"
+    config.write_text(text)
+    assert main([*command, "-c", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid JSON in {config}: maximum recursion depth")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_range_check_runs_on_a_reused_prefill(tmp_path, capsys):
+    # The later points of this gen_len axis reuse the first point's prefill;
+    # the decode at 10**300 tokens still takes the total past the float range.
+    config = write_json(tmp_path, "grid.json", arm_grid_doc({"gen_len": [16, 32, 10**300]}))
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    assert main(["sweep", "-c", config, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: grid point {{'gen_len': {10**300}}}: result has a non-finite number"
+    )
+    assert out.read_text() == "kept\n"
 
 
 def test_bool_dtype_bytes_exits_1(tmp_path, capsys):

@@ -23,6 +23,7 @@ from lmroofline import (
     phase_latency,
     ridge_point,
 )
+from lmroofline import roofline
 from lmroofline.kernels import KernelCost
 from lmroofline.phases import (
     arm_decode_cost,
@@ -32,8 +33,8 @@ from lmroofline.phases import (
 )
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
-from lmroofline.sweep import evaluate_point
-from oracles import scenario
+from lmroofline.sweep import SweepGrid, evaluate_point, map_grid
+from oracles import patch_everywhere, scenario
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -360,3 +361,103 @@ def test_scenario_rejects_an_invalid_workload_when_built(case):
     model, workload = INVALID_WORKLOADS[case]
     with pytest.raises(ValidationError):
         Scenario(model=model, hardware=A6000, workload=workload)
+
+
+# Two specs that compare equal and time differently: dividing the int FLOPs
+# by an int peak is exact, by the same peak as a float rounds them first.
+ODD = ModelConfig("odd", 33, 4191, 33, 11, 127, 14337, 128257)
+INT_PEAKS = HardwareSpec("odd", 154800000000001, 768000000001, 48e9)
+FLOAT_PEAKS = HardwareSpec("odd", 154800000000001.0, 768000000001.0, 48e9)
+
+
+def fresh_end_to_end(scenario):
+    """end_to_end on an empty prefill slot; the slot is left as it was."""
+    kept = roofline._last_prefill
+    roofline._last_prefill = None
+    try:
+        return end_to_end(scenario)
+    finally:
+        roofline._last_prefill = kept
+
+
+def test_equal_specs_with_int_and_float_peaks_keep_their_own_prefill():
+    w = WorkloadSpec("arm", 1001, 77777, 1, options=CountingOptions(include_lm_head=True))
+    assert INT_PEAKS == FLOAT_PEAKS
+    roofline._last_prefill = None
+    assert end_to_end(Scenario(ODD, INT_PEAKS, w)).latency_s == 18917.87533945734
+    assert end_to_end(Scenario(ODD, FLOAT_PEAKS, w)).latency_s == 18917.875339457336
+    assert fresh_end_to_end(Scenario(ODD, FLOAT_PEAKS, w)).latency_s == 18917.875339457336
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_reused_prefill_gives_the_result_of_an_empty_slot(data):
+    """Arm scenarios drawn from small pools, so that many reuse the prefill
+    of the one before, each equal (==) to its evaluation on an empty slot.
+    Each drawn peak and bandwidth is an int below 2**53, given once as an
+    int and once as the equal float."""
+    def pool(values):
+        return data.draw(st.lists(values, min_size=1, max_size=3, unique=True))
+
+    hardware = [
+        HardwareSpec("gpu", kind(peak), kind(bandwidth), 48e9)
+        for peak, bandwidth in pool(st.tuples(st.integers(10**12, 2**53),
+                                              st.integers(10**11, 2**53)))
+        for kind in (int, float)
+    ]
+    models = [LLAMA, ModelConfig(*LLAMA), ODD]
+    batches, prompts = pool(st.integers(1, 1024)), pool(st.integers(0, 100_000))
+    options = pool(st.builds(CountingOptions, *[st.booleans()] * 5))
+    roofline._last_prefill = None
+    for _ in range(data.draw(st.integers(2, 10))):
+        workload = WorkloadSpec(
+            "arm", data.draw(st.sampled_from(batches)), data.draw(st.sampled_from(prompts)),
+            data.draw(st.integers(1, 64)), dtype_bytes=data.draw(st.sampled_from([1, 2, 4])),
+            options=data.draw(st.sampled_from(options)),
+        )
+        scenario = Scenario(data.draw(st.sampled_from(models)),
+                            data.draw(st.sampled_from(hardware)), workload)
+        assert end_to_end(scenario) == fresh_end_to_end(scenario)
+
+
+def count_prefills(monkeypatch):
+    """A list that gets one entry per arm_prefill_cost call from here on."""
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return arm_prefill_cost(scenario)
+
+    patch_everywhere(monkeypatch, arm_prefill_cost, counting)
+    return calls
+
+
+def test_an_arm_grid_builds_one_prefill_per_row(monkeypatch):
+    calls = count_prefills(monkeypatch)
+    base = WorkloadSpec("arm", None, 64, None)
+    grid = SweepGrid(LLAMA, A6000, base, (("batch", (1, 2, 3)), ("gen_len", (1, 2, 3, 4))))
+    assert len(list(map_grid(grid, end_to_end))) == 12
+    assert [s.workload.batch for s in calls] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("change", [
+    {"model": ModelConfig(*LLAMA)},
+    {"hardware": HardwareSpec(*A6000)},
+    {"batch": 2},
+    {"prompt_len": 65},
+    {"dtype_bytes": 4},
+    {"options": CountingOptions(include_lm_head=True)},
+], ids=["equal-model", "equal-hardware", "batch", "prompt_len", "dtype_bytes", "options"])
+def test_a_new_model_or_hardware_object_or_workload_field_rebuilds_the_prefill(
+        monkeypatch, change):
+    calls = count_prefills(monkeypatch)
+
+    def arm(gen_len, model=LLAMA, hardware=A6000, **fields):
+        return Scenario(model, hardware, WorkloadSpec(
+            "arm", **{"batch": 1, "prompt_len": 64, "gen_len": gen_len, **fields}))
+
+    end_to_end(arm(16))
+    end_to_end(arm(32))
+    assert len(calls) == 1
+    end_to_end(arm(32, **change))
+    assert len(calls) == 2

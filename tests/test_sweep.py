@@ -69,16 +69,18 @@ def test_invalid_point_error_names_the_point():
         run_sweep(grid)
 
 
-def free_list_grid(gen_lens):
-    """A dlm_naive grid of 20 batches x 10 prompt lengths x `gen_lens`."""
-    base = WorkloadSpec("dlm_naive", None, None, None)
-    axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(range(10))),
+def free_list_grid(gen_lens, mode="dlm_naive"):
+    """A grid of 20 batches x 10 prompt lengths x `gen_lens`: llada-8b
+    dlm_naive over prompts 0..9, or llama3-8b arm over prompts 1..10, so
+    that every arm point has a prefill."""
+    model, prompts = (LLAMA, range(1, 11)) if mode == "arm" else (LLADA, range(10))
+    axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(prompts)),
             ("gen_len", gen_lens))
-    return SweepGrid(LLADA, A6000, base, axes)
+    return SweepGrid(model, A6000, WorkloadSpec(mode, None, None, None), axes)
 
 
-def traced_growth_over_grid(evaluate):
-    """(traced bytes left, evaluations, results) of map_grid over 2,000 points.
+def traced_growth_over_grid(evaluate, mode="dlm_naive"):
+    """(traced bytes left, evaluations, results) of map_grid over 2,000 `mode` points.
 
     Each result is dropped as it comes. The warm-up grid has 200 points: a
     full-size one would fill the tuple free list before tracing starts, and
@@ -91,9 +93,9 @@ def traced_growth_over_grid(evaluate):
         calls += 1
         return evaluate(scenario)
 
-    for _ in map_grid(free_list_grid((1,)), counting):
+    for _ in map_grid(free_list_grid((1,), mode), counting):
         pass
-    full = free_list_grid(tuple(range(1, 11)))
+    full = free_list_grid(tuple(range(1, 11)), mode)
     calls = results = 0
     tracemalloc.start()
     try:
@@ -131,6 +133,15 @@ def test_evaluated_points_leave_no_spare_objects_on_the_free_lists():
     built from a generator, which left one spare 2-slot tuple per point:
     86 KB over this grid."""
     left, calls, results = traced_growth_over_grid(end_to_end)
+    assert calls == results == 2_000
+    assert left < 16_000
+
+
+def test_arm_points_reusing_a_prefill_leave_no_spare_objects_on_the_free_lists():
+    """end_to_end over an arm grid along gen_len leaves under 16 KB traced.
+    Nine in ten of its points reuse the prefill of the point before, and
+    that path builds its phases and latencies as tuples too."""
+    left, calls, results = traced_growth_over_grid(end_to_end, "arm")
     assert calls == results == 2_000
     assert left < 16_000
 
