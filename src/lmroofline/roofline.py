@@ -14,18 +14,16 @@ convert to a float is at most one of those totals, so none overflows later.
 end_to_end does not place phases on the roofline: ScenarioResult.points are
 built on each read, from the phase latencies the result keeps.
 
-An arm prefill reads nothing of gen_len, and a grid along gen_len repeats
-it at every point. So end_to_end keeps one slot: the last arm prefill it
-built and timed, with its seconds. An arm scenario with a prompt takes them
-from the slot when its model and hardware are the slot's objects (`is`)
-and its workload's other fields equal the slot's (`==`); it then builds and
-times only its decode. Model and hardware compare by identity, because two
-specs can compare equal and still time differently: a peak given as an int
-divides the int FLOPs exactly, the same value given as a float rounds them
-first. Every record is immutable, so a reused prefill equals the one the
-scenario would build, and so does the result. The totals, the range check
-and the sum run on a reused prefill as on a new one, and the slot is
-written only once a scenario has passed them. Nothing else is cached.
+An arm prefill reads nothing of gen_len, so end_to_end keeps one slot: the
+last arm prefill it built and timed, with its seconds. An arm scenario with
+a prompt reuses them, building and timing only its decode, when its model
+and hardware are the slot's objects and its other workload fields equal
+the slot's. Model and hardware compare by identity, as two equal specs can
+time differently: a peak given as an int divides the int FLOPs exactly, the
+same peak as a float rounds them first. The records are immutable, so the
+result equals a fresh evaluation's. The totals, the range check and the sum
+run on either path, and the slot is written only once a scenario has passed
+them. Nothing else is cached.
 """
 
 from __future__ import annotations
