@@ -14,7 +14,9 @@ The keys of every JSON document are the `_fields` of its record, required
 where the field has no default. One loader reads a model or hardware by
 registry name or from a file; `read_scenario` reads a scenario document,
 and a grid's too; `resolve_workload` is where an unset `steps` gets its
-value.
+value. `_load_json` reads every input file and `_write_text` writes every
+report. An error message quotes an input value through `echo`, which cuts
+it at ECHO_LIMIT characters.
 
 Registry constants are transcribed from the models' published configuration
 files and from vendor datasheets for the GPUs; see the README for the exact
@@ -26,8 +28,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from typing import Any
 
 from .errors import ValidationError
@@ -40,6 +44,23 @@ DTYPE_BYTES_ALLOWED = (1, 2, 4)
 MAX_FLOAT = sys.float_info.max
 
 
+# Characters of an input value an error message quotes: enough for any int
+# in the float range (at most 309 digits) and its sign.
+ECHO_LIMIT = 320
+
+
+def echo(value: Any) -> str:
+    """repr(value) for an error message, cut after ECHO_LIMIT characters.
+
+    A value as long or as deeply nested as the JSON parser accepts still
+    gives a message of one short line.
+    """
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 def require_int(name: str, value: Any, minimum: int) -> int:
     """Return value if it is an int >= minimum, else raise naming `name`.
 
@@ -48,7 +69,7 @@ def require_int(name: str, value: Any, minimum: int) -> int:
     float result, which could not hold it.
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum} (got {value!r})")
+        raise ValidationError(f"{name} must be an integer >= {minimum} (got {echo(value)})")
     if value > MAX_FLOAT:
         raise ValidationError(f"{name} is beyond the float range (> {MAX_FLOAT:.4g})")
     return value
@@ -73,7 +94,7 @@ class ModelConfig(namedtuple("ModelConfig", (
     def __new__(cls, *args: Any, **kwargs: Any) -> ModelConfig:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"name must be a nonempty string (got {self.name!r})")
+            raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
         for fname in (
             "num_layers",
             "d_model",
@@ -86,11 +107,12 @@ class ModelConfig(namedtuple("ModelConfig", (
             require_int(fname, getattr(self, fname), 1)
         if self.mlp_kind not in MLP_KINDS:
             raise ValidationError(
-                f"mlp_kind must be one of {MLP_KINDS} (got {self.mlp_kind!r})"
+                f"mlp_kind must be one of {MLP_KINDS} (got {echo(self.mlp_kind)})"
             )
         if self.attention_kind not in ATTENTION_KINDS:
             raise ValidationError(
-                f"attention_kind must be one of {ATTENTION_KINDS} (got {self.attention_kind!r})"
+                f"attention_kind must be one of {ATTENTION_KINDS} "
+                f"(got {echo(self.attention_kind)})"
             )
         if self.num_heads * self.head_dim != self.d_model:
             raise ValidationError(
@@ -114,14 +136,16 @@ class HardwareSpec(namedtuple("HardwareSpec", (
     def __new__(cls, *args: Any, **kwargs: Any) -> HardwareSpec:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"name must be a nonempty string (got {self.name!r})")
+            raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
         for fname in ("peak_flops", "mem_bandwidth"):
             value = getattr(self, fname)
             if not _is_finite_number(value) or value <= 0:
-                raise ValidationError(f"{fname} must be a positive finite number (got {value!r})")
+                raise ValidationError(
+                    f"{fname} must be a positive finite number (got {echo(value)})"
+                )
         cap = self.mem_capacity
         if not _is_finite_number(cap) or cap < 0:
-            raise ValidationError(f"mem_capacity must be a finite number >= 0 (got {cap!r})")
+            raise ValidationError(f"mem_capacity must be a finite number >= 0 (got {echo(cap)})")
         return self
 
 
@@ -182,13 +206,13 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
     """
     w = workload
     if w.mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES} (got {w.mode!r})")
+        raise ValidationError(f"mode must be one of {MODES} (got {echo(w.mode)})")
     require_int("batch", w.batch, 1)
     require_int("prompt_len", w.prompt_len, 0)
     require_int("gen_len", w.gen_len, 1)
     if require_int("dtype_bytes", w.dtype_bytes, 1) not in DTYPE_BYTES_ALLOWED:
         raise ValidationError(
-            f"dtype_bytes must be one of {DTYPE_BYTES_ALLOWED} (got {w.dtype_bytes!r})"
+            f"dtype_bytes must be one of {DTYPE_BYTES_ALLOWED} (got {echo(w.dtype_bytes)})"
         )
     if not isinstance(w.options, CountingOptions):
         raise ValidationError(f"options must be CountingOptions (got {type(w.options)})")
@@ -290,7 +314,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValidationError(f"repeated key {next(k for k in doc if keys.count(k) > 1)!r}")
+        raise ValidationError(f"repeated key {echo(next(k for k in doc if keys.count(k) > 1))}")
     return doc
 
 
@@ -308,6 +332,27 @@ def _load_json(path: str) -> Any:
         # nesting deeper than the parser recurses.
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _write_text(path: str, chunks: Iterable[str], newline: str | None = None) -> None:
+    """Write `chunks` to path as UTF-8 over what it held, then cut it where they end.
+
+    Every report goes through here. The file is opened without O_TRUNC, so
+    an existing one keeps its inode, mode and links, and is written in
+    place: on ext4 (`auto_da_alloc`), writing into a file just truncated to
+    zero and closing it costs about ten times as much. Writing stops at the
+    end or at an error; a regular file is then cut at the position reached,
+    so it holds exactly what was written. Anything else, such as
+    /dev/stdout on a pipe or /dev/null, cannot be cut and is not. A process
+    killed mid-write leaves the new text followed by the old file's tail.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline=newline) as handle:
+        try:
+            handle.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
 
 
 def _document_keys(*classes: Any) -> dict[str, bool]:
@@ -367,7 +412,7 @@ def options_from_dict(doc: dict) -> CountingOptions:
     values = {}
     for key, value in doc.items():
         if not isinstance(value, bool):
-            raise ValidationError(f"options.{key} must be a boolean (got {value!r})")
+            raise ValidationError(f"options.{key} must be a boolean (got {echo(value)})")
         name = _OPTION_ALIASES.get(key, key)
         if name in values:
             raise ValidationError(f"options give {name} twice, under two names")

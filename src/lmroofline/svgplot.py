@@ -12,14 +12,17 @@ was. It then writes as it renders: the head and axes frame in one write,
 then one write per mark (a roofline point with its label, a polyline, a
 circle, a legend entry). A polyline of more than POLYLINE_CHUNK points is
 written in pieces of that many coordinates. No document string is built,
-so memory stays flat in the number of points.
+so memory stays flat in the number of points. The text goes through
+`configs._write_text`, which writes over an existing file in place and
+cuts it where the document ends.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import ceil, floor, inf, log10, log2
 
-from .configs import HardwareSpec
+from .configs import HardwareSpec, _write_text
 from .errors import ValidationError
 from .roofline import RooflinePoint, ridge_point
 
@@ -164,17 +167,22 @@ def emit_roofline_svg(
         f"ridge {ridge:.4g} FLOP/B</text>"
     )
 
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(frame) + "\n")
-        for p in points:
-            color = _COMPUTE_COLOR if p.bound == "compute_bound" else _MEMORY_COLOR
-            px, py = x.map(p.ai), y.map(p.perf_attained)
-            handle.write(
-                f'<circle cx="{_f(px)}" cy="{_f(py)}" r="4" fill="{color}"/>\n'
-                f'<text x="{_f(px + 6)}" y="{_f(py - 6)}" font-size="10">'
-                f"{_escape(p.label)}</text>\n"
-            )
-        handle.write("</svg>\n")
+    _write_text(path, _roofline_document(frame, points, x, y))
+
+
+def _roofline_document(
+    frame: list[str], points: list[RooflinePoint], x: _LogScale, y: _LogScale
+) -> Iterator[str]:
+    yield "\n".join(frame) + "\n"
+    for p in points:
+        color = _COMPUTE_COLOR if p.bound == "compute_bound" else _MEMORY_COLOR
+        px, py = x.map(p.ai), y.map(p.perf_attained)
+        yield (
+            f'<circle cx="{_f(px)}" cy="{_f(py)}" r="4" fill="{color}"/>\n'
+            f'<text x="{_f(px + 6)}" y="{_f(py - 6)}" font-size="10">'
+            f"{_escape(p.label)}</text>\n"
+        )
+    yield "</svg>\n"
 
 
 def emit_line_svg(
@@ -218,30 +226,34 @@ def emit_line_svg(
     y = _LogScale(float(y_lo), float(y_hi), HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     frame = _frame(title, x, y, x_ticks, y_ticks, xlabel, ylabel)
 
+    _write_text(path, _line_document(frame, series, x, y))
+
+
+def _line_document(
+    frame: list[str], series: list[tuple[str, list[tuple[float, float]]]], x: _LogScale,
+    y: _LogScale,
+) -> Iterator[str]:
+    yield "\n".join(frame) + "\n"
     legend_x = WIDTH - MARGIN_RIGHT - 140
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(frame) + "\n")
-        for idx, (name, pts) in enumerate(series):
-            color = _SERIES_PALETTE[idx % len(_SERIES_PALETTE)]
-            ordered = sorted(pts)
-            text = f'<polyline fill="none" stroke="{color}" stroke-width="2" points="'
-            for start in range(0, len(ordered), POLYLINE_CHUNK):
-                if start:
-                    handle.write(text)
-                    text = " "
-                text += " ".join(
-                    f"{_f(x.map(px))},{_f(y.map(py))}"
-                    for px, py in ordered[start:start + POLYLINE_CHUNK]
-                )
-            handle.write(text + '"/>\n')
-            for px, py in pts:
-                handle.write(
-                    f'<circle cx="{_f(x.map(px))}" cy="{_f(y.map(py))}" r="3" fill="{color}"/>\n'
-                )
-            ly = MARGIN_TOP + 16 + 18 * idx
-            handle.write(
-                f'<line x1="{legend_x}" y1="{ly - 4}" x2="{legend_x + 22}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>\n'
-                f'<text x="{legend_x + 28}" y="{ly}" font-size="11">{_escape(name)}</text>\n'
+    for idx, (name, pts) in enumerate(series):
+        color = _SERIES_PALETTE[idx % len(_SERIES_PALETTE)]
+        ordered = sorted(pts)
+        text = f'<polyline fill="none" stroke="{color}" stroke-width="2" points="'
+        for start in range(0, len(ordered), POLYLINE_CHUNK):
+            if start:
+                yield text
+                text = " "
+            text += " ".join(
+                f"{_f(x.map(px))},{_f(y.map(py))}"
+                for px, py in ordered[start:start + POLYLINE_CHUNK]
             )
-        handle.write("</svg>\n")
+        yield text + '"/>\n'
+        for px, py in pts:
+            yield f'<circle cx="{_f(x.map(px))}" cy="{_f(y.map(py))}" r="3" fill="{color}"/>\n'
+        ly = MARGIN_TOP + 16 + 18 * idx
+        yield (
+            f'<line x1="{legend_x}" y1="{ly - 4}" x2="{legend_x + 22}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="2"/>\n'
+            f'<text x="{legend_x + 28}" y="{ly}" font-size="11">{_escape(name)}</text>\n'
+        )
+    yield "</svg>\n"

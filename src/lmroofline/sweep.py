@@ -19,7 +19,9 @@ RooflinePoints, with no tuple per point.
 document string is built. The CLI's `sweep` turns each point straight into
 its line (`row_to_csv(evaluate_point(scenario))`), keeping no row or
 footprint per point, and opens the file only after every point is
-evaluated: a rejected point leaves an existing output file as it was.
+evaluated: a rejected point leaves an existing output file as it was. The
+file is written by `configs._write_text`: over an existing file in place,
+then cut where the CSV ends.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .configs import (
     MAX_FLOAT,
     Scenario,
     _load_json,
+    _write_text,
+    echo,
     read_scenario,
     resolve_workload,
 )
@@ -141,7 +145,7 @@ def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], object]) -> Iterato
             scenario = Scenario(grid.model, grid.hardware, resolve_workload(grid.base, point))
             result = evaluate(scenario)
         except ValidationError as exc:
-            raise ValidationError(f"grid point {point}: {exc}") from exc
+            raise ValidationError(f"grid point {echo(point)}: {exc}") from exc
         yield result
 
 
@@ -187,12 +191,15 @@ def row_to_csv(row: SweepRow) -> str:
     )
 
 
+def _csv_text(lines: Iterable[str]) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    for line in lines:
+        yield line + "\n"
+
+
 def write_csv(lines: Iterable[str], path: str) -> None:
     """Write the CSV header, then each line as it comes; a line has no newline."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for line in lines:
-            handle.write(line + "\n")
+    _write_text(path, _csv_text(lines), newline="")
 
 
 def emit_csv(rows: list[SweepRow], path: str) -> None:

@@ -5,10 +5,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import lmroofline
 from lmroofline import MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
 from oracles import parse_csv
 from lmroofline.cli import main
@@ -654,3 +659,53 @@ def test_rejected_last_point_leaves_an_existing_output_as_it_was(tmp_path, capsy
     assert captured.out == ""
     assert "grid point {'gen_len': 32}: block size exceeds generation length" in captured.err
     assert output.read_bytes() == b"previous output\n"
+
+
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m lmroofline argv` in a new process, its stdout and stderr into pipes."""
+    src = str(Path(lmroofline.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "lmroofline", *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS, ids=lambda argv: argv[0])
+def test_reports_to_dev_stdout_and_dev_null_are_written_whole(tmp_path, command):
+    # A regular file is cut where the report ends. A pipe or /dev/null cannot
+    # be cut (ftruncate fails with ESPIPE or EINVAL), so neither is.
+    doc = arm_grid_doc({"batch": [1, 2], "gen_len": [16, 32]})
+    config = write_json(tmp_path, "grid.json", doc)
+    report = tmp_path / "report"
+    to_file = run_module([*command, "-c", config, "-o", str(report)])
+    assert to_file.returncode == 0, to_file.stderr
+    for special in ("/dev/stdout", "/dev/null"):
+        run = run_module([*command, "-c", config, "-o", special])
+        assert (run.returncode, run.stderr) == (0, b"")
+        message = to_file.stdout.replace(str(report).encode(), special.encode())
+        written = report.read_bytes() if special == "/dev/stdout" else b""
+        assert run.stdout == written + message
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "-o", "out.csv"]])
+def test_a_rejected_value_is_echoed_in_one_short_line(tmp_path, capsys, monkeypatch, command):
+    # A gen_len nested 900 deep, which the parser accepts, and a 100,000-character
+    # batch: each value is quoted up to ECHO_LIMIT characters, in the grid
+    # point and again in the check that rejects it.
+    monkeypatch.chdir(tmp_path)
+    deep = "[" * 900 + "]" * 900
+    if command[0] == "sweep":
+        text = json.dumps(arm_grid_doc({"gen_len": [32]})).replace("[32]", f"[{deep}]")
+    else:
+        text = json.dumps(arm_scenario_doc(batch="x" * 100_000))
+    config = tmp_path / "input.json"
+    config.write_text(text)
+    assert main([*command, "-c", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) < 1_000
+    field = "gen_len" if command[0] == "sweep" else "batch"
+    assert f"{field} must be an integer >= 1 (got " in captured.err
+    assert " characters)" in captured.err
+    assert not (tmp_path / "out.csv").exists()

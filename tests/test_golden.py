@@ -7,7 +7,8 @@ small grid per mode (grid_<mode>.json) and what the grid commands make of
 it: `sweep` (sweep_<mode>.csv), `roofline` (roofline_<mode>.svg) and
 `plot --kind <kind>` (plot_<kind>_<mode>.svg), with the stdout of each
 command in stdout.txt. A refactor must reproduce the CSV, SVG, the grid
-commands' stdout and the analyze table byte for byte. The analyze JSON line
+commands' stdout and the analyze table byte for byte, also when the scripts
+run a second time into the same directory and write over their reports. The analyze JSON line
 prints floats at full precision and is compared value by value with
 GOLDEN_REL_TOL 0: latencies are added with math.fsum, whose correctly
 rounded sum does not depend on the order of the terms, so no float may move.
@@ -126,6 +127,23 @@ def test_golden_corpus_lists_every_script_output(produced):
 @pytest.mark.parametrize("name", artifact_names())
 def test_script_output_is_byte_identical(produced, name):
     assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def rewritten(tmp_path_factory) -> Path:
+    """The scripts' files after a second run into the same directory: each
+    report is written over the one the first run left."""
+    out_dir = tmp_path_factory.mktemp("golden_rewritten")
+    for _ in range(2):
+        for script in SCRIPTS:
+            run_script(script, out_dir)
+    return out_dir
+
+
+@pytest.mark.parametrize("name", artifact_names())
+def test_script_output_written_over_itself_is_byte_identical(rewritten, name):
+    assert sorted(p.name for p in rewritten.iterdir()) == artifact_names()
+    assert (rewritten / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,13 @@
 The package is driven as a user drives it: `cli.main` over the golden grids
 (`sweep`, `roofline` and `plot` of each kind), one `analyze` of a scenario
 whose model and hardware are files, `hw` and `model` `list` and `show`, one
-usage error, and the four scripts. A `sys.setprofile` hook records every
-Python function entered, by file and first line (a decorated function's code
-starts at its first decorator), and each `def` in `src/lmroofline/*.py` must
-be among them. A function that none of these runs is code no user reaches:
-delete it, or run it here if it is a new entry point. ENTRY_POINTS lists the
-functions these calls stand in for.
+usage error, one `analyze` of a scenario it rejects, and the four scripts.
+A `sys.setprofile` hook records every Python function entered, by file and
+first line (a decorated function's code starts at its first decorator), and
+each `def` in `src/lmroofline/*.py` must be among them. A function that
+none of these runs is code no user reaches: delete it, or run it here if it
+is a new entry point. ENTRY_POINTS lists the functions these calls stand in
+for.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def file_scenario(out_dir: Path) -> Path:
     return path
 
 
+def rejected_scenario(out_dir: Path) -> Path:
+    """golden/analyze_arm.json with a batch of 0, which analyze rejects, quoting it."""
+    scenario = json.loads((GOLDEN / "analyze_arm.json").read_text(encoding="utf-8"))
+    path = out_dir / "rejected.json"
+    path.write_text(json.dumps({**scenario, "batch": 0}))
+    return path
+
+
 def drive_package(out_dir: Path) -> None:
     """Run every command and script once, writing their files into out_dir."""
     grid_argv = [argv for mode in MODES for _, argv in grid_commands(mode)]
@@ -69,6 +78,7 @@ def drive_package(out_dir: Path) -> None:
         for argv in calls:
             assert cli.main(argv) == 0, argv
         assert cli.main(["no-such-command"]) == 1
+        assert cli.main(["analyze", "-c", str(rejected_scenario(out_dir))]) == 1
     for script in SCRIPTS:
         run_script(script, out_dir)
 
