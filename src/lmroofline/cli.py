@@ -13,7 +13,7 @@ import json
 import sys
 from operator import attrgetter
 
-from .configs import HW_REGISTRY, MODEL_REGISTRY, load_scenario
+from .configs import HW_REGISTRY, MODEL_REGISTRY, echo, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
 from .phases import arithmetic_intensity
@@ -139,7 +139,7 @@ def _cmd_hw(args: argparse.Namespace) -> int:
         return 0
     if args.name not in HW_REGISTRY:
         raise ValidationError(
-            f"unknown hardware '{args.name}' (registry: {', '.join(sorted(HW_REGISTRY))})"
+            f"unknown hardware {echo(args.name)} (registry: {', '.join(sorted(HW_REGISTRY))})"
         )
     hw = HW_REGISTRY[args.name]
     print(hw.name)
@@ -157,7 +157,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         return 0
     if args.name not in MODEL_REGISTRY:
         raise ValidationError(
-            f"unknown model '{args.name}' (registry: {', '.join(sorted(MODEL_REGISTRY))})"
+            f"unknown model {echo(args.name)} (registry: {', '.join(sorted(MODEL_REGISTRY))})"
         )
     m = MODEL_REGISTRY[args.name]
     for name, value in zip(m._fields, m):

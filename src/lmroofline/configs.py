@@ -15,8 +15,8 @@ where the field has no default. One loader reads a model or hardware by
 registry name or from a file; `read_scenario` reads a scenario document,
 and a grid's too; `resolve_workload` is where an unset `steps` gets its
 value. `_load_json` reads every input file and `_write_text` writes every
-report. An error message quotes an input value through `echo`, which cuts
-it at ECHO_LIMIT characters.
+report. An error message quotes input values, names and keys through
+`echo`, on one line and cut at ECHO_LIMIT characters.
 
 Registry constants are transcribed from the models' published configuration
 files and from vendor datasheets for the GPUs; see the README for the exact
@@ -32,7 +32,6 @@ import stat
 import sys
 from collections import namedtuple
 from collections.abc import Iterable
-from typing import Any
 
 from .errors import ValidationError
 
@@ -44,24 +43,27 @@ DTYPE_BYTES_ALLOWED = (1, 2, 4)
 MAX_FLOAT = sys.float_info.max
 
 
-# Characters of an input value an error message quotes: enough for any int
-# in the float range (at most 309 digits) and its sign.
+# Characters of input an error message quotes: enough for any int in the
+# float range (at most 309 digits) and its sign.
 ECHO_LIMIT = 320
 
 
-def echo(value: Any) -> str:
-    """repr(value) for an error message, cut after ECHO_LIMIT characters.
+def echo(*values: object, quote: str = "'") -> str:
+    """Input values, names or keys for an error message, joined by commas and
+    cut after ECHO_LIMIT characters: a printable string in `quote`s, anything
+    else by its repr, which escapes a newline or an escape sequence.
 
-    A value as long or as deeply nested as the JSON parser accepts still
-    gives a message of one short line.
+    So a value as long or as deeply nested as the JSON parser accepts, or a
+    name of any length or characters, still gives one short printable line.
     """
-    text = repr(value)
+    text = ", ".join(f"{quote}{value}{quote}" if isinstance(value, str) and value.isprintable()
+                     else repr(value) for value in values)
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
-def require_int(name: str, value: Any, minimum: int) -> int:
+def require_int(name: str, value: object, minimum: int) -> int:
     """Return value if it is an int >= minimum, else raise naming `name`.
 
     A bool is not accepted as an int, and neither is an integral float. An
@@ -75,7 +77,7 @@ def require_int(name: str, value: Any, minimum: int) -> int:
     return value
 
 
-def _is_finite_number(value: Any) -> bool:
+def _is_finite_number(value: object) -> bool:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
     try:
@@ -91,7 +93,7 @@ class ModelConfig(namedtuple("ModelConfig", (
 
     __slots__ = ()
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> ModelConfig:
+    def __new__(cls, *args: object, **kwargs: object) -> ModelConfig:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
@@ -133,7 +135,7 @@ class HardwareSpec(namedtuple("HardwareSpec", (
 
     __slots__ = ()
 
-    def __new__(cls, *args: Any, **kwargs: Any) -> HardwareSpec:
+    def __new__(cls, *args: object, **kwargs: object) -> HardwareSpec:
         self = super().__new__(cls, *args, **kwargs)
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
@@ -219,8 +221,8 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
 
     if w.mode == "arm":
         if model.attention_kind == "bidirectional_only":
-            raise ValidationError(f"model '{model.name}' has attention_kind bidirectional_only "
-                                  "and cannot run mode 'arm'")
+            raise ValidationError(f"model {echo(model.name)} has attention_kind "
+                                  "bidirectional_only and cannot run mode 'arm'")
         if w.steps is not None:
             raise ValidationError("steps is only meaningful for dlm modes (mode 'arm')")
         if w.block_size is not None:
@@ -309,7 +311,7 @@ HW_REGISTRY: dict[str, HardwareSpec] = {
 }
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object as a dict; a key given twice is an error, not a silent overwrite."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
@@ -324,14 +326,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return _DECODER.decode(handle.read())
         # Bad syntax, a repeated key, an int beyond Python's digit limit, or
         # nesting deeper than the parser recurses.
         except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+            raise ValidationError(f"invalid JSON in {echo(path, quote='')}: {exc}") from exc
 
 
 def _write_text(path: str, chunks: Iterable[str], newline: str | None = None) -> None:
@@ -355,23 +357,23 @@ def _write_text(path: str, chunks: Iterable[str], newline: str | None = None) ->
                 handle.truncate()
 
 
-def _document_keys(*classes: Any) -> dict[str, bool]:
+def _document_keys(*classes: type) -> dict[str, bool]:
     """Key -> required for a document of `classes`' fields: those without a default."""
     return {name: name not in cls._field_defaults for cls in classes for name in cls._fields}
 
 
-def _check_keys(doc: Any, keys: dict[str, bool], context: str) -> None:
+def _check_keys(doc: object, keys: dict[str, bool], context: str) -> None:
     if not isinstance(doc, dict):
         raise ValidationError(f"{context} must be a JSON object (got {type(doc).__name__})")
     unknown = doc.keys() - keys
     if unknown:
-        raise ValidationError(f"unknown field(s) in {context}: {', '.join(sorted(unknown))}")
+        raise ValidationError(f"unknown field(s) in {context}: {echo(*sorted(unknown), quote='')}")
     missing = [name for name, required in keys.items() if required and name not in doc]
     if missing:
         raise ValidationError(f"missing field(s) in {context}: {', '.join(sorted(missing))}")
 
 
-def _load(source: str, base_dir: str | None, registry: dict, cls: type, context: str) -> Any:
+def _load(source: str, base_dir: str | None, registry: dict, cls: type, context: str) -> object:
     """Resolve `source` by registry name, or load a JSON document of `cls`'s
     fields from the file it names (first relative to `base_dir`)."""
     name = str(source)
@@ -381,7 +383,7 @@ def _load(source: str, base_dir: str | None, registry: dict, cls: type, context:
     path = candidate if os.path.exists(candidate) else name
     if not os.path.exists(path):
         raise ValidationError(
-            f"unknown {context.split()[0]} '{name}' (registry: {', '.join(sorted(registry))}) "
+            f"unknown {context.split()[0]} {echo(name)} (registry: {', '.join(sorted(registry))}) "
             "and no such file"
         )
     doc = _load_json(path)
@@ -427,7 +429,7 @@ del _SCENARIO_KEYS["workload"]
 
 
 def read_scenario(
-    doc: Any, context: str, base_dir: str | None
+    doc: object, context: str, base_dir: str | None
 ) -> tuple[ModelConfig, HardwareSpec, WorkloadSpec]:
     """The model, hardware and unresolved workload of a scenario document.
 
@@ -446,7 +448,7 @@ _WORKLOAD_INDEX = {name: index for index, name in enumerate(WorkloadSpec._fields
 _MODE, _GEN_LEN, _STEPS = (_WORKLOAD_INDEX[name] for name in ("mode", "gen_len", "steps"))
 
 
-def resolve_workload(base: WorkloadSpec, point: dict[str, Any]) -> WorkloadSpec:
+def resolve_workload(base: WorkloadSpec, point: dict[str, object]) -> WorkloadSpec:
     """`base` with `point`'s fields set. An unset diffusion `steps` becomes the
     resolved `gen_len`: every generated token refined once per step on average.
 

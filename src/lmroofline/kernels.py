@@ -18,39 +18,31 @@ assembly calls them only with the shapes of a Scenario, which was validated
 when it was built (`configs`). Each takes a `count`, the one way to
 aggregate that many identical invocations in one step.
 
-The value types a grid point builds -- KernelCost and KernelRun here, and
-PhaseCost, ScenarioResult, RooflinePoint and MemoryFootprint downstream --
-are NamedTuples rather than frozen dataclasses: as immutable, and several
-times cheaper to build, because a frozen dataclass's __init__ sets each
-field through object.__setattr__. So are the input records (the configs
-records and sweep.SweepGrid), which are namedtuple subclasses because a
-dataclass is also costly to define at import. A type with checks or
-derived fields runs them in a __new__ on its tuple base. The one record
-that stays a dataclass is sweep.SweepRow, the public report row, because
-its callers read it with dataclasses.asdict (the benchmark's checker among
-them).
+Every record the package builds, KernelCost and KernelRun here included,
+subclasses a collections.namedtuple and sets `__slots__ = ()`: immutable,
+with no per-instance dict. A frozen dataclass is several times dearer to
+build, as its __init__ sets each field through object.__setattr__, and a
+dataclass or a typing.NamedTuple is dearer to define at import. A record
+with checks or derived fields runs them in its __new__. The one dataclass
+is sweep.SweepRow, the public report row, because its callers read it with
+dataclasses.asdict (the benchmark's checker among them).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
-from typing import NamedTuple
 
 from .errors import ValidationError
 
 
-class _KernelCostFields(NamedTuple):
-    flops: int
-    bytes: int
-
-
-class KernelCost(_KernelCostFields):
+class KernelCost(namedtuple("KernelCost", ("flops", "bytes"))):
     """Work and traffic of one kernel invocation, or of `n` identical ones.
 
     Attributes:
-        flops: floating point operations performed.
-        bytes: bytes moved between HBM and the compute units.
+        flops (int): floating point operations performed.
+        bytes (int): bytes moved between HBM and the compute units.
     """
 
     __slots__ = ()
@@ -65,15 +57,8 @@ class KernelCost(_KernelCostFields):
         return tuple.__new__(cls, (flops, bytes))
 
 
-class _KernelRunFields(NamedTuple):
-    count: int
-    newton_flops: tuple[int, int, int]
-    newton_bytes: tuple[int, int, int]
-    flops: int
-    bytes: int
-
-
-class KernelRun(_KernelRunFields):
+class KernelRun(namedtuple("KernelRun", (
+        "count", "newton_flops", "newton_bytes", "flops", "bytes"))):
     """`count` consecutive invocations whose cost is a polynomial of degree <= 2
     in the invocation index.
 
@@ -85,11 +70,11 @@ class KernelRun(_KernelRunFields):
     costs no prefix sum.
 
     Attributes:
-        count: number of invocations, at least 2 (see kernel_run).
-        newton_flops: (value at 0, first difference, second difference).
-        newton_bytes: likewise for bytes moved.
-        flops: total FLOPs, prefix(count)[0].
-        bytes: total bytes moved, prefix(count)[1].
+        count (int): number of invocations, at least 2 (see kernel_run).
+        newton_flops (tuple[int, int, int]): value at 0, first and second differences.
+        newton_bytes (tuple[int, int, int]): likewise for bytes moved.
+        flops (int): total FLOPs, prefix(count)[0].
+        bytes (int): total bytes moved, prefix(count)[1].
     """
 
     __slots__ = ()

@@ -18,21 +18,26 @@ it was built, and do not check them again.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .configs import ModelConfig, Scenario, WorkloadSpec
 
 ACTIVATION_BUFFER_FACTOR = 2
 
 
-class MemoryFootprint(NamedTuple):
-    """Bytes resident at the peak of a scenario's execution."""
+class MemoryFootprint(namedtuple("MemoryFootprint", (
+        "weight_bytes", "kv_cache_bytes", "activation_bytes", "total", "fits"))):
+    """Bytes resident at the peak of a scenario's execution.
 
-    weight_bytes: int
-    kv_cache_bytes: int
-    activation_bytes: int
-    total: int
-    fits: bool
+    Attributes:
+        weight_bytes (int): the weight matrices (see weight_bytes).
+        kv_cache_bytes (int): the KV cache, 0 for naive diffusion.
+        activation_bytes (int): the transient activation working set.
+        total (int): the sum of the three.
+        fits (bool): whether the total is within the device's capacity.
+    """
+
+    __slots__ = ()
 
 
 def parameter_count(model: ModelConfig) -> int:

@@ -28,7 +28,7 @@ once built, so nothing here checks its numbers again;
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .configs import Scenario
 from .errors import ValidationError
@@ -50,24 +50,17 @@ ELEMENTWISE_PASSES_PER_LAYER = 4
 Breakdown = tuple[tuple[str, KernelCost | KernelRun], ...]
 
 
-class _PhaseCostFields(NamedTuple):
-    phase: str
-    breakdown: Breakdown
-    flops: int
-    bytes: int
-
-
-class PhaseCost(_PhaseCostFields):
+class PhaseCost(namedtuple("PhaseCost", ("phase", "breakdown", "flops", "bytes"))):
     """Aggregate work of one decoding phase.
 
     Built as PhaseCost(phase, breakdown); the totals are derived.
 
     Attributes:
-        phase: one of PHASES.
-        breakdown: (label, KernelCost | KernelRun) entries; an entry may
-            aggregate many invocations.
-        flops: total FLOPs, summed over the breakdown when the phase is built.
-        bytes: total bytes moved, likewise.
+        phase (str): one of PHASES.
+        breakdown (Breakdown): (label, KernelCost | KernelRun) entries; an
+            entry may aggregate many invocations.
+        flops (int): total FLOPs, summed over the breakdown when built.
+        bytes (int): total bytes moved, likewise.
     """
 
     __slots__ = ()

@@ -29,7 +29,7 @@ them. Nothing else is cached.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .configs import MAX_FLOAT, HardwareSpec, Scenario
 from .errors import ValidationError
@@ -44,13 +44,17 @@ from .phases import (
 )
 
 
-class RooflinePoint(NamedTuple):
-    """One phase placed on the roofline."""
+class RooflinePoint(namedtuple("RooflinePoint", ("ai", "perf_attained", "bound", "label"))):
+    """One phase placed on the roofline.
 
-    ai: float
-    perf_attained: float
-    bound: str
-    label: str
+    Attributes:
+        ai (float): the phase's arithmetic intensity, FLOP/byte.
+        perf_attained (float): its FLOPs over its latency, FLOP/s.
+        bound (str): "compute_bound" or "memory_bound" (see classify).
+        label (str): the phase, model and workload shape.
+    """
+
+    __slots__ = ()
 
 
 def ridge_point(hw: HardwareSpec) -> float:
@@ -151,20 +155,25 @@ def scenario_phases(scenario: Scenario) -> tuple[PhaseCost, ...]:
     return (blockwise_dlm_cost(scenario),)
 
 
-class ScenarioResult(NamedTuple):
+class ScenarioResult(namedtuple("ScenarioResult", (
+        "latency_s", "throughput_tok_s", "phases", "phase_latencies", "flops", "bytes",
+        "scenario"))):
     """End-to-end latency, throughput, FLOP and byte totals of a scenario, and its phases.
 
-    `points` places each phase on the roofline. It is built on each read,
-    from `phase_latencies`; nothing is cached.
+    `points` places each phase on the roofline, built on each read from
+    `phase_latencies`.
+
+    Attributes:
+        latency_s (float): the phases' latencies summed, seconds.
+        throughput_tok_s (float): batch * gen_len tokens over latency_s.
+        phases (tuple[PhaseCost, ...]): in execution order.
+        phase_latencies (tuple[float, ...]): each phase's seconds.
+        flops (int): the phases' FLOPs summed.
+        bytes (int): the phases' bytes moved, summed.
+        scenario (Scenario): the scenario evaluated.
     """
 
-    latency_s: float
-    throughput_tok_s: float
-    phases: tuple[PhaseCost, ...]
-    phase_latencies: tuple[float, ...]
-    flops: int
-    bytes: int
-    scenario: Scenario
+    __slots__ = ()
 
     @property
     def points(self) -> tuple[RooflinePoint, ...]:

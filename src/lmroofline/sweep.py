@@ -69,7 +69,7 @@ class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes"))):
         for name, values in self.axes:
             if name not in AXIS_FIELDS:
                 raise ValidationError(
-                    f"unknown sweep axis '{name}' (allowed: {', '.join(AXIS_FIELDS)})"
+                    f"unknown sweep axis {echo(name)} (allowed: {', '.join(AXIS_FIELDS)})"
                 )
             if name in seen:
                 raise ValidationError(f"duplicate sweep axis '{name}'")
@@ -119,7 +119,7 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     axes = []
     for name, values in axes_doc.items():
         if not isinstance(values, list):
-            raise ValidationError(f"axis '{name}' must map to a list of values")
+            raise ValidationError(f"axis {echo(name)} must map to a list of values")
         axes.append((name, tuple(values)))
     # A field an axis supplies is None in the base unless the document gives it.
     scenario_doc = {**dict.fromkeys(set(AXIS_FIELDS) & axes_doc.keys()), **doc}

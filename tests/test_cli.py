@@ -709,3 +709,67 @@ def test_a_rejected_value_is_echoed_in_one_short_line(tmp_path, capsys, monkeypa
     assert f"{field} must be an integer >= 1 (got " in captured.err
     assert " characters)" in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+def assert_one_short_line(err):
+    """stderr of a rejection: one line of printable text, at most 1,000 characters."""
+    line, newline, rest = err.partition("\n")
+    assert (newline, rest) == ("\n", ""), err[:2_000]
+    assert len(line) <= 1_000, len(line)
+    assert line.isprintable(), line
+
+
+LONG = "k" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["analyze"], arm_scenario_doc(**{"x\ny": 1}),
+         "error: unknown field(s) in scenario: 'x\\ny'\n"),
+        (["analyze"], arm_scenario_doc(model="no\nsuch"),
+         "error: unknown model 'no\\nsuch' (registry: llada-8b, llama3-8b) and no such file\n"),
+        (["sweep", "-o", "out.csv"], arm_grid_doc({"a\nb": [1]}),
+         "error: unknown sweep axis 'a\\nb' (allowed: batch, prompt_len, gen_len, steps, "
+         "block_size, dtype_bytes)\n"),
+        (["sweep", "-o", "out.csv"], arm_grid_doc({"a\rb": 1}),
+         "error: axis 'a\\rb' must map to a list of values\n"),
+        (["analyze"], arm_scenario_doc(hardware="\x1b[31mred"),
+         "error: unknown hardware '\\x1b[31mred' (registry: a100-80g, rtx-a6000) "
+         "and no such file\n"),
+        (["analyze"], arm_scenario_doc(options={"\x1b[2J": True, "z": True}),
+         "error: unknown field(s) in options: '\\x1b[2J', z\n"),
+        (["analyze"], arm_scenario_doc(**{LONG: 1}), None),
+        (["analyze"], arm_scenario_doc(**{f"{i}{LONG}": 1 for i in range(3)}), None),
+        (["analyze"], arm_scenario_doc(model=LONG), None),
+        (["sweep", "-o", "out.csv"], arm_grid_doc({LONG: [1]}), None),
+    ],
+    ids=["scenario-key-newline", "model-newline", "axis-newline", "axis-carriage-return",
+         "hardware-escape", "option-key-escape", "long-key", "long-keys", "long-model",
+         "long-axis"],
+)
+def test_a_rejected_name_or_key_is_echoed_in_one_printable_line(tmp_path, capsys, monkeypatch,
+                                                                 command, doc, message):
+    # Names and keys are quoted as before while short and printable; any
+    # other is escaped by repr and cut after ECHO_LIMIT characters.
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "-c", write_json(tmp_path, "input.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_short_line(captured.err)
+    if message is None:
+        assert " characters)" in captured.err
+    else:
+        assert captured.err == message
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("registry", ["hw", "model"])
+@pytest.mark.parametrize("name", ["a\nb", "\x1b[31mred", LONG],
+                         ids=["newline", "escape", "long"])
+def test_show_of_an_unknown_name_is_one_printable_line(capsys, registry, name):
+    assert main([registry, "show", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_short_line(captured.err)
+    assert "unknown " in captured.err

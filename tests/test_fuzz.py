@@ -1,10 +1,13 @@
-"""Arbitrary JSON values in every field of a scenario or grid document.
+"""Arbitrary JSON values in every field of a scenario or grid document, and
+arbitrary keys, names and axis names.
 
 A malformed input must be rejected with a ValidationError, which the CLI
 turns into exit 1; it must never raise anything else or yield a NaN, an
 infinity or a count that no float can hold. So every document below either
 raises ValidationError or evaluates to rows whose numbers are all finite
-floats, and every grid command of the CLI exits 0 or 1 on a grid document.
+floats, and every command of the CLI exits 0 or 1 on such a document. A
+rejection is one line of at most 1,000 printable characters, whatever
+names, keys and values the document holds.
 """
 
 import contextlib
@@ -12,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -25,6 +29,7 @@ from lmroofline import HW_REGISTRY, MODEL_REGISTRY, ValidationError
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import DTYPE_BYTES_ALLOWED, MODES, scenario_from_dict
 from lmroofline.sweep import AXIS_FIELDS, evaluate_point, grid_from_dict, run_sweep
+from test_cli import assert_one_short_line
 
 OPTION_KEYS = [
     "include_lm_head",
@@ -52,17 +57,25 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
-# Arbitrary text could name a directory that exists, which is an I/O error
-# (exit 2), not a malformed value; so names are registry names, unknown
-# names, or values of other types.
+# Keys, names and axis names: any Unicode, line breaks and escapes drawn
+# often, and some far past ECHO_LIMIT.
+any_text = st.text(st.characters() | st.sampled_from("\n\r\x1b")) | st.builds(
+    operator.mul, st.text(min_size=1, max_size=3), st.integers(min_value=300, max_value=40_000))
+# A model or hardware name that names no file: one that names a directory is
+# an I/O error (exit 2), not a malformed value. A nonempty name without "/"
+# could name only an entry of the working directory, or of the document's
+# own, which holds only files the tests write: each of those is rejected as a
+# model or hardware document with exit 1.
+unknown_names = any_text.filter(lambda name: name and "/" not in name
+                                and not os.path.exists(name))
 non_strings = st.none() | st.booleans() | st.integers() | st.lists(st.integers(), max_size=2)
 counts = st.sampled_from(EDGE_INTS) | json_values
 
 # What a field may be replaced with: anything, weighted towards values of
 # the right kind that are out of range.
 ARBITRARY = {
-    "model": st.sampled_from(["llada-8b", "gpt-9"]) | non_strings,
-    "hardware": st.just("tpu-v9") | non_strings,
+    "model": st.sampled_from(["llada-8b", "gpt-9"]) | unknown_names | non_strings,
+    "hardware": st.just("tpu-v9") | unknown_names | non_strings,
     "mode": st.sampled_from(MODES) | json_values,
     "batch": counts,
     "prompt_len": counts,
@@ -104,7 +117,10 @@ def valid_base(draw):
 
 
 def corrupt(draw, doc, names):
-    """Replace up to two of the named fields with arbitrary values, or drop them."""
+    """Add a key the document does not hold, now and then, and replace up to
+    two of the named fields with arbitrary values, or drop them."""
+    if one_in(draw, 5):
+        doc[draw(any_text.filter(lambda key: key not in doc))] = draw(json_values)
     for name in draw(st.sets(st.sampled_from(names), max_size=2)):
         if one_in(draw, 6):
             doc.pop(name, None)
@@ -134,10 +150,12 @@ def grid_docs(draw):
     for values in axes.values():
         if one_in(draw, 4):
             values.append(draw(counts))
+    if one_in(draw, 8):
+        axes[draw(any_text)] = [1]
     names = sorted(ARBITRARY)
     doc["axes"] = axes
     if one_in(draw, 10):
-        doc["axes"] = draw(st.dictionaries(st.sampled_from(AXIS_FIELDS) | st.text(max_size=4),
+        doc["axes"] = draw(st.dictionaries(st.sampled_from(AXIS_FIELDS) | any_text,
                                            st.lists(counts, max_size=3) | json_values,
                                            max_size=3))
     return corrupt(draw, doc, names)
@@ -155,7 +173,8 @@ def assert_finite(row):
 def test_scenario_document_is_rejected_or_finite(doc):
     try:
         row = evaluate_point(scenario_from_dict(doc))
-    except ValidationError:
+    except ValidationError as exc:
+        assert_one_short_line(f"error: {exc}\n")
         return
     assert_finite(row)
 
@@ -165,7 +184,8 @@ def test_scenario_document_is_rejected_or_finite(doc):
 def test_grid_document_is_rejected_or_finite(doc):
     try:
         rows = run_sweep(grid_from_dict(doc))
-    except ValidationError:
+    except ValidationError as exc:
+        assert_one_short_line(f"error: {exc}\n")
         return
     for row in rows:
         assert_finite(row)
@@ -188,11 +208,31 @@ def svg_coordinates(path):
                     yield float(token)
 
 
-def run_grid_command(argv, config, output):
+def run_command(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main([*argv, "-c", config, "-o", output])
+        code = cli_main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def write_doc(work, name, doc):
+    path = os.path.join(work, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=scenario_docs())
+def test_analyze_exits_0_or_1_and_a_rejection_is_one_short_line(doc):
+    with tempfile.TemporaryDirectory() as work:
+        code, out, err = run_command(["analyze", "-c", write_doc(work, "scenario.json", doc)])
+    assert code in (0, 1), err
+    if code == 1:
+        assert out == ""
+        assert_one_short_line(err)
+    else:
+        assert err == ""
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,21 +265,21 @@ def run_grid_command(argv, config, output):
 })
 def test_every_grid_command_exits_0_or_1(doc):
     """Each grid command exits 0 or 1 and never raises; on exit 1 it prints
-    nothing to stdout, and every SVG it writes has finite coordinates. A grid
+    nothing to stdout and one short line to stderr, and every SVG it writes
+    has finite coordinates. A grid
     that `sweep` accepts, every other grid command draws, except that `plot`
     needs an axis to draw against, and its log x axis cannot show a
     prompt_len of 0."""
     with tempfile.TemporaryDirectory() as work:
-        config = os.path.join(work, "grid.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        config = write_doc(work, "grid.json", doc)
         codes = {}
         for name, argv in GRID_COMMANDS.items():
             output = os.path.join(work, f"{name}.out")
-            code, out, err = run_grid_command(argv, config, output)
+            code, out, err = run_command([*argv, "-c", config, "-o", output])
             assert code in (0, 1), (name, code, err)
             if code == 1:
                 assert out == "", (name, out)
+                assert_one_short_line(err)
             elif name != "sweep":
                 assert all(map(math.isfinite, svg_coordinates(output))), name
             codes[name] = (code, err)

@@ -5,14 +5,19 @@ rejection tests below show that every bad value a kernel could be given is
 rejected where it enters: by ModelConfig, or when the Scenario is built.
 """
 
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from oracles import TINY, patch_everywhere, scenario
+import lmroofline
 from lmroofline import (
     KernelCost,
+    KernelRun,
     ModelConfig,
     ValidationError,
     arithmetic_intensity,
@@ -241,11 +246,13 @@ def test_kernel_cost_rejects_negative_counts():
 
 def per_point_values():
     """One instance of each value type a grid point builds."""
-    point = scenario(TINY, "arm", 1, 4, 2)
+    point = scenario(TINY, "arm", 1, 4, 8)
     result = end_to_end(point)
+    decode = result.phases[1]
     return {
         "KernelCost": KernelCost(flops=6, bytes=10),
-        "PhaseCost": result.phases[0],
+        "KernelRun": next(k for _, k in decode.breakdown if isinstance(k, KernelRun)),
+        "PhaseCost": decode,
         "ScenarioResult": result,
         "RooflinePoint": result.points[0],
         "MemoryFootprint": peak_footprint(point),
@@ -261,3 +268,30 @@ def test_per_point_values_are_immutable(kind):
         setattr(value, value._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = 0
+
+
+# Every tuple-based record the package defines, by module.
+RECORDS = {
+    "configs": {"ModelConfig", "HardwareSpec", "CountingOptions", "WorkloadSpec", "Scenario"},
+    "kernels": {"KernelCost", "KernelRun"},
+    "phases": {"PhaseCost"},
+    "roofline": {"RooflinePoint", "ScenarioResult"},
+    "memory": {"MemoryFootprint"},
+    "sweep": {"SweepGrid"},
+}
+
+
+def test_every_record_defines_empty_slots_itself():
+    """A subclass without its own `__slots__ = ()` gives every instance a
+    __dict__, though its namedtuple base has none, and nothing else fails."""
+    found = {}
+    for path in sorted(Path(lmroofline.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"lmroofline.{path.stem}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, tuple)
+                    and value.__module__ == module.__name__):
+                assert value.__dict__.get("__slots__") == (), f"{path.stem}.{name}"
+                found.setdefault(path.stem, set()).add(name)
+    assert found == RECORDS
