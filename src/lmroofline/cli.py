@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    row = vars(evaluate_point(load_scenario(args.config)))  # the fields, in order
+    row = vars(evaluate_point(end_to_end(load_scenario(args.config))))  # the fields, in order
     payload = json.dumps(row, allow_nan=False)
     width = max(map(len, row))
     for name, value in row.items():
@@ -86,7 +86,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # One CSV line per point, all computed before the file is opened.
     lines = list(map_grid(
-        load_grid(args.config), lambda scenario: row_to_csv(evaluate_point(scenario))))
+        load_grid(args.config), lambda result: row_to_csv(evaluate_point(result))))
     write_csv(lines, args.output)
     print(f"wrote {len(lines)} rows to {args.output}")
     return 0
@@ -95,8 +95,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_roofline(args: argparse.Namespace) -> int:
     grid = load_grid(args.config)
     # Each point's RooflinePoints join one flat list as map_grid yields them.
-    per_point = map_grid(grid, lambda scenario: end_to_end(scenario).points)
-    points = [point for scenario_points in per_point for point in scenario_points]
+    points = list(itertools.chain.from_iterable(map_grid(grid, attrgetter("points"))))
     emit_roofline_svg(points, grid.hardware, args.output)
     print(f"wrote {len(points)} points to {args.output}")
     return 0
@@ -118,8 +117,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     value, ylabel = _PLOT_COLUMNS[args.kind]
     *series_axes, (x_axis, x_values) = grid.axes
     # x is read off each point's resolved workload, where a null steps is its gen_len.
-    pts = list(map_grid(grid, lambda scenario: (
-        float(getattr(scenario.workload, x_axis)), value(end_to_end(scenario)))))
+    pts = list(map_grid(grid, lambda result: (
+        float(getattr(result.scenario.workload, x_axis)), value(result))))
     names = [
         ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo)) or grid.base.mode
         for combo in itertools.product(*(values for _, values in series_axes))

@@ -145,10 +145,12 @@ class HardwareSpec(namedtuple("HardwareSpec", (
                 raise ValidationError(
                     f"{fname} must be a positive finite number (got {echo(value)})"
                 )
-        cap = self.mem_capacity
+        name, peak, bandwidth, cap = self
         if not _is_finite_number(cap) or cap < 0:
             raise ValidationError(f"mem_capacity must be a finite number >= 0 (got {echo(cap)})")
-        return self
+        # Peaks as floats, so equal specs time alike: an int peak would divide
+        # the int FLOPs exactly, where the equal float rounds them first.
+        return super().__new__(cls, name, float(peak), float(bandwidth), cap)
 
 
 class CountingOptions(namedtuple("CountingOptions", (
@@ -380,8 +382,10 @@ def _load(source: str, base_dir: str | None, registry: dict, cls: type, context:
     if name in registry:
         return registry[name]
     candidate = os.path.join(base_dir or "", name)  # an absolute name stays as it is
-    path = candidate if os.path.exists(candidate) else name
-    if not os.path.exists(path):
+    # Anything but a directory names a document (os.path.isfile would reject
+    # the pipe a shell's <(...) names).
+    path = next((p for p in (candidate, name) if os.path.exists(p) and not os.path.isdir(p)), None)
+    if path is None:
         raise ValidationError(
             f"unknown {context.split()[0]} {echo(name)} (registry: {', '.join(sorted(registry))}) "
             "and no such file"

@@ -13,17 +13,6 @@ with a ValidationError rather than returned. Every count it and its callers
 convert to a float is at most one of those totals, so none overflows later.
 end_to_end does not place phases on the roofline: ScenarioResult.points are
 built on each read, from the phase latencies the result keeps.
-
-An arm prefill reads nothing of gen_len, so end_to_end keeps one slot: the
-last arm prefill it built and timed, with its seconds. An arm scenario with
-a prompt reuses them, building and timing only its decode, when its model
-and hardware are the slot's objects and its other workload fields equal
-the slot's. Model and hardware compare by identity, as two equal specs can
-time differently: a peak given as an int divides the int FLOPs exactly, the
-same peak as a float rounds them first. The records are immutable, so the
-result equals a fresh evaluation's. The totals, the range check and the sum
-run on either path, and the slot is written only once a scenario has passed
-them. Nothing else is cached.
 """
 
 from __future__ import annotations
@@ -188,27 +177,16 @@ class ScenarioResult(namedtuple("ScenarioResult", (
         ])
 
 
-# (model, hardware, workload fields other than gen_len, prefill, its seconds)
-# of the last arm prefill end_to_end built and timed, or None. It is read
-# once per call and replaced whole, never changed in place.
-_last_prefill = None
-
-
-def end_to_end(scenario: Scenario) -> ScenarioResult:
-    """Evaluate a scenario: all phases, serially, reusing the last arm
-    prefill where the scenario's equals it (see the module docstring)."""
-    global _last_prefill
-    model, hw, w = scenario
-    reused = key = None
-    if w.mode == "arm" and w.prompt_len:
-        key = (w.mode, w.batch, w.prompt_len, w.steps, w.block_size, w.dtype_bytes, w.options)
-        last = _last_prefill
-        if last is not None and last[0] is model and last[1] is hw and last[2] == key:
-            reused = last
-    if reused is None:
+def end_to_end(scenario: Scenario, prefill: tuple | None = None) -> ScenarioResult:
+    """Evaluate a scenario: all phases, serially. `prefill` is the arm prefill
+    and its seconds of a scenario that differs from this one only in gen_len,
+    which a prefill reads nothing of: only the decode is then built and
+    timed, and the result equals a fresh evaluation's."""
+    _, hw, w = scenario
+    if prefill is None:
         phases = scenario_phases(scenario)
     else:
-        phases = (reused[3], arm_decode_cost(scenario))
+        phases = (prefill[0], arm_decode_cost(scenario))
     flops = moved = 0
     for p in phases:
         flops += p.flops
@@ -221,16 +199,14 @@ def end_to_end(scenario: Scenario) -> ScenarioResult:
     # iterator is not drawn from the free list it is freed onto, so each
     # point would leave one more spare tuple on it, up to 2,000
     # (tests/test_sweep.py).
-    if reused is None:
+    if prefill is None:
         latencies = tuple([phase_latency(p, hw) for p in phases])
     else:
-        latencies = (reused[4], phase_latency(phases[1], hw))
+        latencies = (prefill[1], phase_latency(phases[1], hw))
     latency = _sum_seconds(latencies)
     throughput = w.batch * w.gen_len / latency
     if not (math.isfinite(latency) and math.isfinite(throughput)):
         raise ValidationError(
             f"result has a non-finite number: latency {latency}, throughput {throughput}"
         )
-    if key is not None and reused is None:
-        _last_prefill = (model, hw, key, phases[0], latencies[0])
     return ScenarioResult(latency, throughput, phases, latencies, flops, moved, scenario)

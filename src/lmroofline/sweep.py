@@ -9,15 +9,19 @@ reads both kinds; a field an axis supplies may be left out of a grid.
 `map_grid` is the one loop over a grid's points, used by `run_sweep` and by
 the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
 with `resolve_workload`, as `scenario_from_dict` does for a scenario file,
-and builds its Scenario, which validates the workload once. Any error, from
-building the point or from evaluating it, names the point. It yields each
-point's result as it is evaluated and keeps none, so each caller keeps only
-what it needs: `run_sweep` a row per point, `roofline` the flattened
-RooflinePoints, with no tuple per point.
+builds its Scenario, which validates the workload once, and evaluates it
+with `end_to_end`. An arm point whose workload equals that of the last arm
+point with a prompt in every field but gen_len takes that point's prefill
+and its seconds, so a gen_len axis builds one prefill per row; nothing
+outlives the loop. Any error, from building the point or from evaluating
+it, names the point. It yields the caller's function of each point's
+ScenarioResult and keeps none, so each caller keeps only what it needs:
+`run_sweep` a row per point, `roofline` the flattened RooflinePoints, with
+no tuple per point.
 
 `write_csv` writes the header and then each line as it comes, so no
 document string is built. The CLI's `sweep` turns each point straight into
-its line (`row_to_csv(evaluate_point(scenario))`), keeping no row or
+its line (`row_to_csv(evaluate_point(result))`), keeping no row or
 footprint per point, and opens the file only after every point is
 evaluated: a rejected point leaves an existing output file as it was. The
 file is written by `configs._write_text`: over an existing file in place,
@@ -45,7 +49,7 @@ from .configs import (
 from .errors import ValidationError
 from .memory import peak_footprint
 from .phases import arithmetic_intensity
-from .roofline import classify, end_to_end
+from .roofline import ScenarioResult, classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
@@ -132,26 +136,42 @@ def load_grid(path: str) -> SweepGrid:
     return grid_from_dict(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def map_grid(grid: SweepGrid, evaluate: Callable[[Scenario], object]) -> Iterator[object]:
-    """Yield evaluate(scenario) at every grid point, first listed axis varying slowest.
+def map_grid(grid: SweepGrid, per_point: Callable[[ScenarioResult], object]
+             ) -> Iterator[object]:
+    """Yield per_point(result) of every grid point, first listed axis varying
+    slowest, reusing arm prefills as the module docstring says.
 
     A ValidationError from building the point's Scenario, or from
     evaluating it, names the point.
     """
     names = [name for name, _ in grid.axes]
+    # The last prefilled arm point's workload but gen_len, and its prefill and seconds.
+    key = prefill = None
     for combo in itertools.product(*(values for _, values in grid.axes)):
         point = dict(zip(names, combo))
         try:
             scenario = Scenario(grid.model, grid.hardware, resolve_workload(grid.base, point))
-            result = evaluate(scenario)
+            w = scenario.workload
+            if w.mode != "arm" or not w.prompt_len:
+                result = end_to_end(scenario)
+            else:
+                fields = (w.mode, w.batch, w.prompt_len, w.steps, w.block_size, w.dtype_bytes,
+                          w.options)
+                if fields == key:
+                    result = end_to_end(scenario, prefill)
+                else:
+                    result = end_to_end(scenario)
+                    key, prefill = fields, (result.phases[0], result.phase_latencies[0])
+            value = per_point(result)
+            del result  # the next point is then built with no other point's phases alive
         except ValidationError as exc:
             raise ValidationError(f"grid point {echo(point)}: {exc}") from exc
-        yield result
+        yield value
 
 
-def evaluate_point(scenario: Scenario) -> SweepRow:
-    """Evaluate one scenario into a report row; every number in it is finite as a float."""
-    result = end_to_end(scenario)
+def evaluate_point(result: ScenarioResult) -> SweepRow:
+    """The report row of an evaluated scenario; every number in it is finite as a float."""
+    scenario = result.scenario
     footprint = peak_footprint(scenario)
     w = scenario.workload
     if footprint.total > MAX_FLOAT:

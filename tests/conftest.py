@@ -1,7 +1,5 @@
 """Shared pytest configuration."""
 
-import pytest
-
 
 def pytest_report_header(config):
     # pyproject.toml puts this checkout's src/ ahead of PYTHONPATH, so the
@@ -10,12 +8,3 @@ def pytest_report_header(config):
 
     return f"lmroofline: {lmroofline.__file__}"
 
-
-@pytest.fixture(autouse=True)
-def empty_prefill_slot():
-    # end_to_end keeps the last arm prefill it built. A test starts as a
-    # fresh process does, so what it counts does not depend on the tests
-    # run before it.
-    from lmroofline import roofline
-
-    roofline._last_prefill = None

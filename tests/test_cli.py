@@ -773,3 +773,28 @@ def test_show_of_an_unknown_name_is_one_printable_line(capsys, registry, name):
     assert captured.out == ""
     assert_one_short_line(captured.err)
     assert "unknown " in captured.err
+
+
+REGISTRY_NAMES = {"model": "llada-8b, llama3-8b", "hardware": "a100-80g, rtx-a6000"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("field", ["model", "hardware"])
+@pytest.mark.parametrize("name", ["", ".", ".."], ids=["empty", "dot", "dotdot"])
+def test_a_name_that_resolves_only_to_a_directory_is_unknown(
+        tmp_path, capsys, monkeypatch, command, field, name):
+    # Joined to the document's directory, and as given, each name is a
+    # directory: no document to read, so the name is unknown, not an I/O error.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.csv"
+    if command == "analyze":
+        argv = ["analyze", "-c", write_json(tmp_path, "in.json", arm_scenario_doc(**{field: name}))]
+    else:
+        doc = arm_grid_doc({"gen_len": [16, 32]}, **{field: name})
+        argv = ["sweep", "-c", write_json(tmp_path, "in.json", doc), "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown {field} '{name}' (registry: {REGISTRY_NAMES[field]}) "
+                            "and no such file\n")
+    assert not out.exists()

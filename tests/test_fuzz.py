@@ -25,7 +25,7 @@ import xml.etree.ElementTree as ET
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmroofline import HW_REGISTRY, MODEL_REGISTRY, ValidationError
+from lmroofline import HW_REGISTRY, MODEL_REGISTRY, ValidationError, end_to_end
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import DTYPE_BYTES_ALLOWED, MODES, scenario_from_dict
 from lmroofline.sweep import AXIS_FIELDS, evaluate_point, grid_from_dict, run_sweep
@@ -61,13 +61,15 @@ json_values = st.recursive(
 # often, and some far past ECHO_LIMIT.
 any_text = st.text(st.characters() | st.sampled_from("\n\r\x1b")) | st.builds(
     operator.mul, st.text(min_size=1, max_size=3), st.integers(min_value=300, max_value=40_000))
-# A model or hardware name that names no file: one that names a directory is
-# an I/O error (exit 2), not a malformed value. A nonempty name without "/"
-# could name only an entry of the working directory, or of the document's
-# own, which holds only files the tests write: each of those is rejected as a
-# model or hardware document with exit 1.
-unknown_names = any_text.filter(lambda name: name and "/" not in name
-                                and not os.path.exists(name))
+# A model or hardware name that names no document: nothing, or only a
+# directory, as "", "." and ".." always do (joined to the document's own
+# directory or not). Each is unknown, exit 1. A name with "/" is left out, as
+# it could name any file; a name without one could name only an entry of the
+# working directory, or of the document's own, which holds only files the
+# tests write: each of those is rejected as a model or hardware document
+# with exit 1 too.
+unknown_names = st.sampled_from(["", ".", ".."]) | any_text.filter(
+    lambda name: "/" not in name and (not os.path.exists(name) or os.path.isdir(name)))
 non_strings = st.none() | st.booleans() | st.integers() | st.lists(st.integers(), max_size=2)
 counts = st.sampled_from(EDGE_INTS) | json_values
 
@@ -172,7 +174,7 @@ def assert_finite(row):
 @given(doc=scenario_docs())
 def test_scenario_document_is_rejected_or_finite(doc):
     try:
-        row = evaluate_point(scenario_from_dict(doc))
+        row = evaluate_point(end_to_end(scenario_from_dict(doc)))
     except ValidationError as exc:
         assert_one_short_line(f"error: {exc}\n")
         return

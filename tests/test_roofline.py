@@ -1,9 +1,10 @@
 """Ridge points, bound classification, latency, and throughput behavior."""
 
+import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmroofline import (
@@ -23,7 +24,7 @@ from lmroofline import (
     phase_latency,
     ridge_point,
 )
-from lmroofline import roofline
+from lmroofline.cli import main as cli_main
 from lmroofline.kernels import KernelCost
 from lmroofline.phases import (
     arm_decode_cost,
@@ -153,19 +154,28 @@ def test_perf_attained_never_exceeds_peak():
 
 
 @st.composite
-def any_scenario(draw):
-    """A valid scenario of a random model, GPU, mode and options."""
+def random_models(draw):
+    """A valid causal-capable model of any GQA group, head size and depth."""
     kv_heads, group = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     heads, head_dim = kv_heads * group, draw(st.integers(16, 128))
-    model = ModelConfig(
+    return ModelConfig(
         "random", draw(st.integers(1, 48)), heads * head_dim, heads, kv_heads, head_dim,
         draw(st.integers(1, 65536)), draw(st.integers(1, 262144)),
         draw(st.sampled_from(["swiglu", "gelu_2mat"])),
     )
-    hw = HardwareSpec(
-        "random", 10 ** draw(st.floats(11, 16)), 10 ** draw(st.floats(9, 13)), 80e9,
-    )
-    mode = draw(st.sampled_from(["arm", "dlm_naive", "dlm_block"]))
+
+
+random_hardware = st.builds(
+    lambda peak, bandwidth: HardwareSpec("random", 10**peak, 10**bandwidth, 80e9),
+    st.floats(11, 16), st.floats(9, 13),
+)
+
+
+@st.composite
+def random_workloads(draw, modes=("arm", "dlm_naive", "dlm_block"), refresh=st.booleans()):
+    """A valid workload of a random mode and options, `include_cache_refresh`
+    drawn from `refresh`."""
+    mode = draw(st.sampled_from(modes))
     gen_len = draw(st.integers(1, 4096))
     steps = block_size = None
     if mode == "dlm_block":
@@ -173,12 +183,16 @@ def any_scenario(draw):
         steps = draw(st.integers(-(-gen_len // block_size), 2 * gen_len))
     elif mode == "dlm_naive":
         steps = draw(st.integers(1, 2 * gen_len))
-    options = CountingOptions(*draw(st.lists(st.booleans(), min_size=5, max_size=5)))
-    workload = WorkloadSpec(
+    options = draw(st.builds(CountingOptions, st.booleans(), refresh, *[st.booleans()] * 3))
+    return WorkloadSpec(
         mode, draw(st.integers(1, 64)), draw(st.integers(0, 4096)), gen_len, steps, block_size,
         draw(st.sampled_from([1, 2, 4])), options,
     )
-    return Scenario(model, hw, workload)
+
+
+def any_scenario(workloads=random_workloads()):
+    """A valid scenario of a random model, GPU, mode and options."""
+    return st.builds(Scenario, random_models(), random_hardware, workloads)
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,6 +219,56 @@ def test_phase_latency_lies_between_the_roofline_bounds(scenario):
         latency = phase_latency(phase, hw)
         assert max(compute, memory) <= latency * (1 + 1e-12), phase.phase
         assert latency <= (compute + memory) * (1 + 1e-12), phase.phase
+
+
+def group_cap(scenario):
+    """max(batch, H/KVH): the FLOPs per byte of K and V a query token can reach."""
+    model, _, w = scenario
+    return max(w.batch, model.num_heads // model.num_kv_heads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario(random_workloads(modes=("arm",))))
+def test_arm_decode_intensity_is_capped_by_the_batch_not_the_length(scenario):
+    """AI(arm_decode) < 2 * max(batch, H/KVH) / dtype_bytes, at any gen_len
+    and prompt_len. Compared in exact integers: F * dtype_bytes < 2 * cap * B.
+
+    Proof sketch. Every decode forward takes one query token per sequence.
+    A linear layer over t = batch tokens does 2 * t * d_in * d_out FLOPs and
+    moves at least its weights, d_in * d_out * dtype_bytes bytes, so
+    F/B < 2t/dtype_bytes (its activations move too). Attention of one query
+    over kv keys does 4 * b * H * hd * kv FLOPs and reads at least K and V,
+    2 * b * KVH * kv * hd elements, so F/B < 2(H/KVH)/dtype_bytes (Q and the
+    output move too). Elementwise traffic adds bytes only. A phase's
+    intensity is its kernels' summed FLOPs over their summed bytes, at most
+    the largest of their ratios, so it lies under the larger cap.
+    """
+    phase = arm_decode_cost(scenario)
+    dtype_bytes = scenario.workload.dtype_bytes
+    assert phase.flops * dtype_bytes < 2 * group_cap(scenario) * phase.bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario(random_workloads(modes=("dlm_block",), refresh=st.just(False))))
+def test_blockwise_intensity_is_capped_by_the_block_not_the_length(scenario):
+    """Without cache refresh, AI(dlm_block) < 2 * G * max(batch, H/KVH) /
+    dtype_bytes, with or without full_kv_each_step: block-wise decoding
+    decouples intensity from sequence length. Compared in exact integers.
+
+    Proof sketch. Without refresh every forward is a refinement step of one
+    block, whose q <= G query tokens per sequence attend kv keys. A linear
+    layer over t = batch * q tokens has F/B < 2t/dtype_bytes <=
+    2 * G * batch/dtype_bytes, as in arm decode. Attention does
+    4 * b * H * hd * q * kv FLOPs and reads at least K and V,
+    2 * b * KVH * kv * hd elements, so F/B < 2q(H/KVH)/dtype_bytes <=
+    2 * G * (H/KVH)/dtype_bytes; full_kv_each_step lengthens kv, which
+    scales both sides alike. Elementwise traffic adds bytes only, and the
+    phase's intensity is at most its kernels' largest. Neither gen_len nor
+    prompt_len appears in the cap.
+    """
+    phase = blockwise_dlm_cost(scenario)
+    w = scenario.workload
+    assert phase.flops * w.dtype_bytes < 2 * w.block_size * group_cap(scenario) * phase.bytes
 
 
 def test_perf_attained_hits_peak_for_exactly_balanced_kernel():
@@ -363,61 +427,132 @@ def test_scenario_rejects_an_invalid_workload_when_built(case):
         Scenario(model=model, hardware=A6000, workload=workload)
 
 
-# Two specs that compare equal and time differently: dividing the int FLOPs
-# by an int peak is exact, by the same peak as a float rounds them first.
+# Two specs that compare equal. Before peaks were stored as floats they timed
+# differently: dividing the int FLOPs by an int peak is exact, by the same
+# peak as a float rounds them first, and INT_PEAKS gave 18917.87533945734.
 ODD = ModelConfig("odd", 33, 4191, 33, 11, 127, 14337, 128257)
 INT_PEAKS = HardwareSpec("odd", 154800000000001, 768000000001, 48e9)
 FLOAT_PEAKS = HardwareSpec("odd", 154800000000001.0, 768000000001.0, 48e9)
 
 
-def fresh_end_to_end(scenario):
-    """end_to_end on an empty prefill slot; the slot is left as it was."""
-    kept = roofline._last_prefill
-    roofline._last_prefill = None
-    try:
-        return end_to_end(scenario)
-    finally:
-        roofline._last_prefill = kept
-
-
-def test_equal_specs_with_int_and_float_peaks_keep_their_own_prefill():
+def test_equal_specs_with_int_and_float_peaks_give_the_same_result():
     w = WorkloadSpec("arm", 1001, 77777, 1, options=CountingOptions(include_lm_head=True))
     assert INT_PEAKS == FLOAT_PEAKS
-    roofline._last_prefill = None
-    assert end_to_end(Scenario(ODD, INT_PEAKS, w)).latency_s == 18917.87533945734
+    assert [type(value) for value in INT_PEAKS] == [str, float, float, float]
+    assert end_to_end(Scenario(ODD, INT_PEAKS, w)).latency_s == 18917.875339457336
     assert end_to_end(Scenario(ODD, FLOAT_PEAKS, w)).latency_s == 18917.875339457336
-    assert fresh_end_to_end(Scenario(ODD, FLOAT_PEAKS, w)).latency_s == 18917.875339457336
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario(), st.integers(10**11, 2**53), st.integers(10**9, 2**53))
+@example(Scenario(ODD, FLOAT_PEAKS, WorkloadSpec(
+    "arm", 1001, 77777, 1, options=CountingOptions(include_lm_head=True))), *INT_PEAKS[1:3])
+def test_equal_hardware_specs_give_identical_results(scenario, peak, bandwidth):
+    """A peak and a bandwidth given as ints below 2**53 and as the equal
+    floats: the two specs compare equal, and every number of the results is
+    equal (==), so bit for bit, as none is zero or NaN. Int peaks that were
+    kept as ints moved about 1% of uniformly drawn scenarios, the example
+    among them, in the last bits."""
+    model, _, workload = scenario
+    as_ints = HardwareSpec("gpu", peak, bandwidth, 80e9)
+    as_floats = HardwareSpec("gpu", float(peak), float(bandwidth), 80e9)
+    assert as_ints == as_floats
+    ints, floats = (end_to_end(Scenario(model, hw, workload)) for hw in (as_ints, as_floats))
+    assert ints == floats
+    assert ints.points == floats.points
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_a_reused_prefill_gives_the_result_of_an_empty_slot(data):
-    """Arm scenarios drawn from small pools, so that many reuse the prefill
-    of the one before, each equal (==) to its evaluation on an empty slot.
-    Each drawn peak and bandwidth is an int below 2**53, given once as an
-    int and once as the equal float."""
-    def pool(values):
-        return data.draw(st.lists(values, min_size=1, max_size=3, unique=True))
+@given(any_scenario(), st.sampled_from([int, float]))
+def test_doubling_peak_and_bandwidth_halves_every_latency_exactly(scenario, kind):
+    """Doubling both peak_flops and mem_bandwidth halves every phase latency
+    and latency_s bit for bit, doubles throughput_tok_s bit for bit, and
+    moves no bound. The peaks are given as ints or as floats.
 
-    hardware = [
-        HardwareSpec("gpu", kind(peak), kind(bandwidth), 48e9)
-        for peak, bandwidth in pool(st.tuples(st.integers(10**12, 2**53),
-                                              st.integers(10**11, 2**53)))
-        for kind in (int, float)
-    ]
-    models = [LLAMA, ModelConfig(*LLAMA), ODD]
-    batches, prompts = pool(st.integers(1, 1024)), pool(st.integers(0, 100_000))
-    options = pool(st.builds(CountingOptions, *[st.booleans()] * 5))
-    roofline._last_prefill = None
-    for _ in range(data.draw(st.integers(2, 10))):
-        workload = WorkloadSpec(
-            "arm", data.draw(st.sampled_from(batches)), data.draw(st.sampled_from(prompts)),
-            data.draw(st.integers(1, 64)), dtype_bytes=data.draw(st.sampled_from([1, 2, 4])),
-            options=data.draw(st.sampled_from(options)),
-        )
-        scenario = Scenario(data.draw(st.sampled_from(models)),
-                            data.draw(st.sampled_from(hardware)), workload)
-        assert end_to_end(scenario) == fresh_end_to_end(scenario)
+    Proof. Every kernel time is a correctly rounded quotient of a count by
+    P or W, or the sum of two (prefix_bytes/W + suffix_flops/P). Scaling by
+    2 is exact in binary floating point away from subnormals and overflow,
+    which these magnitudes never reach, so it commutes with rounding: a
+    quotient by 2P or 2W is exactly half the one by P or W, and a rounded
+    sum of halves is half the rounded sum. Each comparison that picks a
+    side, max(F/P, B/W) and the test F(i)/P >= B(i)/W of kernel_time's
+    bisection, compares two halved values, so it picks the same side.
+    math.fsum is the correctly rounded sum, so the halved times of a phase,
+    and the halved phase latencies, sum to exactly half. Throughput n/(L/2)
+    is the rounded 2n/L, twice the rounded n/L. The ridge 2P/2W is P/W and
+    intensities read no hardware, so every bound stays. An int peak is
+    stored as float(peak), and float(2 * peak) is 2 * float(peak) by the
+    same argument.
+    """
+    model, hw, workload = scenario
+    peak, bandwidth = kind(hw.peak_flops), kind(hw.mem_bandwidth)
+    base, doubled = (
+        end_to_end(Scenario(model, HardwareSpec("gpu", k * peak, k * bandwidth, 80e9), workload))
+        for k in (1, 2)
+    )
+    assert doubled.phase_latencies == tuple(t / 2 for t in base.phase_latencies)
+    assert doubled.latency_s == base.latency_s / 2
+    assert doubled.throughput_tok_s == base.throughput_tok_s * 2
+    assert [p.bound for p in doubled.points] == [p.bound for p in base.points]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_end_to_end_gives_the_same_result_whatever_ran_before_it(data):
+    """Random scenarios of every mode, sharing model and hardware objects, and
+    beside each arm one a twin that differs only in gen_len and one that
+    differs only in batch, are evaluated in the listed order and again in a
+    random order: each end_to_end result is equal (==) in both. State kept
+    from one evaluation for the next, such as a prefill reused on a key
+    that leaves out batch, would make some result depend on its order."""
+    models = data.draw(st.lists(random_models(), min_size=1, max_size=2))
+    hardware = data.draw(st.lists(random_hardware, min_size=1, max_size=2))
+    scenarios = []
+    for w in data.draw(st.lists(random_workloads(), min_size=1, max_size=4)):
+        model, hw = data.draw(st.sampled_from(models)), data.draw(st.sampled_from(hardware))
+        scenarios.append(Scenario(model, hw, w))
+        if w.mode == "arm":
+            scenarios.append(Scenario(model, hw, w._replace(gen_len=w.gen_len + 1)))
+            scenarios.append(Scenario(model, hw, w._replace(batch=w.batch + 1)))
+    listed = [end_to_end(s) for s in scenarios]
+    shuffled = {i: end_to_end(scenarios[i])
+                for i in data.draw(st.permutations(range(len(scenarios))))}
+    assert [shuffled[i] for i in range(len(scenarios))] == listed
+
+
+def evaluated(grid):
+    """Every point's ScenarioResult, in map_grid's order."""
+    return list(map_grid(grid, lambda result: result))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_reused_prefill_gives_the_result_of_a_fresh_evaluation(data):
+    """Every point of a random arm grid equals (==) end_to_end on its own
+    scenario. The grid sweeps batch, prompt_len and dtype_bytes in a random
+    order, then gen_len, each over up to 3 values: the rows along gen_len
+    reuse a prefill, and a change on any other axis must build a new one.
+    Its peak and bandwidth are ints below 2**53, given as ints or as the
+    equal floats."""
+    def values(strategy):
+        return tuple(data.draw(st.lists(strategy, min_size=1, max_size=3, unique=True)))
+
+    kind = data.draw(st.sampled_from([int, float]))
+    peak, bandwidth = data.draw(st.integers(10**12, 2**53)), data.draw(st.integers(10**11, 2**53))
+    axes = data.draw(st.permutations([
+        ("batch", values(st.integers(1, 1024))),
+        ("prompt_len", values(st.integers(0, 100_000))),
+        ("dtype_bytes", values(st.sampled_from([1, 2, 4]))),
+    ]))
+    options = data.draw(st.builds(CountingOptions, *[st.booleans()] * 5))
+    grid = SweepGrid(
+        data.draw(st.sampled_from([LLAMA, ODD])),
+        HardwareSpec("gpu", kind(peak), kind(bandwidth), 48e9),
+        WorkloadSpec("arm", None, None, None, options=options),
+        (*axes, ("gen_len", values(st.integers(1, 64)))),
+    )
+    results = evaluated(grid)
+    assert results == [end_to_end(result.scenario) for result in results]
 
 
 def count_prefills(monkeypatch):
@@ -436,7 +571,7 @@ def test_an_arm_grid_builds_one_prefill_per_row(monkeypatch):
     calls = count_prefills(monkeypatch)
     base = WorkloadSpec("arm", None, 64, None)
     grid = SweepGrid(LLAMA, A6000, base, (("batch", (1, 2, 3)), ("gen_len", (1, 2, 3, 4))))
-    assert len(list(map_grid(grid, end_to_end))) == 12
+    assert len(evaluated(grid)) == 12
     assert [s.workload.batch for s in calls] == [1, 2, 3]
 
 
@@ -450,14 +585,37 @@ def test_an_arm_grid_builds_one_prefill_per_row(monkeypatch):
 ], ids=["equal-model", "equal-hardware", "batch", "prompt_len", "dtype_bytes", "options"])
 def test_a_new_model_or_hardware_object_or_workload_field_rebuilds_the_prefill(
         monkeypatch, change):
+    """Two gen_len rows, then the change, build two prefills. Within a grid
+    only an axis changes a point: batch, prompt_len or dtype_bytes. Model,
+    hardware and options are the grid's own, so those cases run a second
+    grid whose one point is the first grid's last in every other respect:
+    no prefill outlives its grid, not even for an equal model or hardware."""
     calls = count_prefills(monkeypatch)
+    [(name, value)] = change.items()
+    base = WorkloadSpec("arm", 1, 64, None)
+    if name in ("batch", "prompt_len", "dtype_bytes"):
+        axes = ((name, (getattr(base, name), value)), ("gen_len", (16, 32)))
+        evaluated(SweepGrid(LLAMA, A6000, base, axes))
+    else:
+        evaluated(SweepGrid(LLAMA, A6000, base, (("gen_len", (16, 32)),)))
+        assert len(calls) == 1
+        parts = {"model": LLAMA, "hardware": A6000, "base": base, name: value}
+        if name == "options":
+            parts["base"] = base._replace(options=parts.pop("options"))
+        evaluated(SweepGrid(**parts, axes=(("gen_len", (32,)),)))
+    assert len(calls) == 2
 
-    def arm(gen_len, model=LLAMA, hardware=A6000, **fields):
-        return Scenario(model, hardware, WorkloadSpec(
-            "arm", **{"batch": 1, "prompt_len": 64, "gen_len": gen_len, **fields}))
 
-    end_to_end(arm(16))
-    end_to_end(arm(32))
+def test_analyze_after_a_sweep_builds_its_own_prefill(monkeypatch, tmp_path):
+    """`analyze` of the workload of a sweep's last row builds its prefill
+    again: no evaluation reuses one from another command."""
+    doc = {"model": "llama3-8b", "hardware": "rtx-a6000", "mode": "arm", "batch": 1,
+           "prompt_len": 64}
+    grid, scenario = tmp_path / "grid.json", tmp_path / "scenario.json"
+    grid.write_text(json.dumps({**doc, "axes": {"gen_len": [16, 32]}}))
+    scenario.write_text(json.dumps({**doc, "gen_len": 32}))
+    calls = count_prefills(monkeypatch)
+    assert cli_main(["sweep", "-c", str(grid), "-o", str(tmp_path / "out.csv")]) == 0
     assert len(calls) == 1
-    end_to_end(arm(32, **change))
+    assert cli_main(["analyze", "-c", str(scenario)]) == 0
     assert len(calls) == 2

@@ -9,20 +9,26 @@ import sys
 import lmroofline
 
 
-def imports():
-    """(file name, top-level module) of every absolute import in the package."""
+def package_nodes():
+    """(path, node) of every syntax tree node of every module in the package."""
     modules = sorted(pathlib.Path(lmroofline.__file__).parent.rglob("*.py"))
     assert modules
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                yield path.name, name.partition(".")[0]
+            yield path, node
+
+
+def imports():
+    """(file name, top-level module) of every absolute import in the package."""
+    for path, node in package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield path.name, name.partition(".")[0]
 
 
 def test_package_imports_only_the_standard_library():
@@ -67,11 +73,18 @@ def test_sweep_row_is_the_only_dataclass():
     import. SweepRow stays a dataclass while the benchmark reads its rows
     with dataclasses.asdict (bench/workloads.py; ROADMAP item 1)."""
     found = []
-    for path in sorted(pathlib.Path(lmroofline.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef):
-                for decorator in node.decorator_list:
-                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                    if "dataclass" in ast.unparse(target):
-                        found.append(f"{path.stem}.{node.name}")
+    for path, node in package_nodes():
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if "dataclass" in ast.unparse(target):
+                    found.append(f"{path.stem}.{node.name}")
     assert found == ["sweep.SweepRow"]
+
+
+def test_no_module_rebinds_a_global():
+    """No function assigns a module-level name, so no call leaves state for
+    the next: what an evaluation returns depends on its arguments alone."""
+    found = [f"{path.name}:{node.lineno}" for path, node in package_nodes()
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -5,12 +5,14 @@ import json
 import math
 import os
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmroofline import (
+    CountingOptions,
     HW_REGISTRY,
     MODEL_REGISTRY,
     RooflinePoint,
@@ -25,7 +27,7 @@ from lmroofline import (
 from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, require_int, validate_workload
 from lmroofline.memory import peak_footprint
-from lmroofline.roofline import end_to_end, scenario_phases
+from lmroofline.roofline import end_to_end
 from lmroofline.sweep import CSV_HEADER, evaluate_point, grid_from_dict, map_grid
 from oracles import csv_text, loglog_slope, parse_csv, patch_everywhere
 
@@ -79,8 +81,8 @@ def free_list_grid(gen_lens, mode="dlm_naive"):
     return SweepGrid(model, A6000, WorkloadSpec(mode, None, None, None), axes)
 
 
-def traced_growth_over_grid(evaluate, mode="dlm_naive"):
-    """(traced bytes left, evaluations, results) of map_grid over 2,000 `mode` points.
+def traced_growth_over_grid(per_point, mode="dlm_naive"):
+    """(traced bytes left, per_point calls, results) of map_grid over 2,000 `mode` points.
 
     Each result is dropped as it comes. The warm-up grid has 200 points: a
     full-size one would fill the tuple free list before tracing starts, and
@@ -88,10 +90,10 @@ def traced_growth_over_grid(evaluate, mode="dlm_naive"):
     """
     calls = 0
 
-    def counting(scenario):
+    def counting(result):
         nonlocal calls
         calls += 1
-        return evaluate(scenario)
+        return per_point(result)
 
     for _ in map_grid(free_list_grid((1,), mode), counting):
         pass
@@ -110,7 +112,8 @@ def traced_growth_over_grid(evaluate, mode="dlm_naive"):
 
 
 def test_grid_points_leave_no_spare_objects_on_the_free_lists():
-    """map_grid over 2,000 points leaves under 16 KB traced.
+    """map_grid over 2,000 points, resolving and evaluating each, leaves
+    under 16 KB traced.
 
     CPython keeps freed tuples on one free list per size, up to 2,000 each,
     and freed lists and dicts on free lists of 80. A tuple built from an
@@ -118,32 +121,60 @@ def test_grid_points_leave_no_spare_objects_on_the_free_lists():
     the free list it is freed onto; neither is a list made by calling
     `list`. So resolving each point's WorkloadSpec with `_replace` leaves
     one more spare 8-slot tuple per point: 166 KB over this grid, all of it
-    counted by tracemalloc and so by the benchmark's peak_alloc_mb. The
-    bounded lists and dicts hold at most about 5 KB each. The evaluator
-    must run once per point, so that a lazy map_grid cannot pass unevaluated.
+    counted by tracemalloc and so by the benchmark's peak_alloc_mb; and
+    end_to_end's phase latencies, when they were a tuple built from a
+    generator, left one spare 2-slot tuple per point: 86 KB. The bounded
+    lists and dicts hold at most about 5 KB each. The caller's function must
+    run once per point, so that a lazy map_grid cannot pass unevaluated.
     """
-    left, calls, results = traced_growth_over_grid(lambda scenario: None)
+    left, calls, results = traced_growth_over_grid(lambda result: None)
     assert calls == results == 2_000
     assert left < 16_000
 
 
 def test_evaluated_points_leave_no_spare_objects_on_the_free_lists():
-    """end_to_end at each of 2,000 points leaves under 16 KB traced, as
-    resolving them does (the test above). Its phase latencies were a tuple
-    built from a generator, which left one spare 2-slot tuple per point:
-    86 KB over this grid."""
-    left, calls, results = traced_growth_over_grid(end_to_end)
+    """The report row of each of 2,000 points, as `sweep` builds one and
+    drops it, leaves under 16 KB traced, as evaluating them does (the test
+    above)."""
+    left, calls, results = traced_growth_over_grid(evaluate_point)
     assert calls == results == 2_000
     assert left < 16_000
 
 
 def test_arm_points_reusing_a_prefill_leave_no_spare_objects_on_the_free_lists():
-    """end_to_end over an arm grid along gen_len leaves under 16 KB traced.
-    Nine in ten of its points reuse the prefill of the point before, and
-    that path builds its phases and latencies as tuples too."""
-    left, calls, results = traced_growth_over_grid(end_to_end, "arm")
+    """An arm grid along gen_len leaves under 16 KB traced. Nine in ten of
+    its points reuse the prefill of the point before, and that path builds
+    its key, phases and latencies as tuple displays too."""
+    left, calls, results = traced_growth_over_grid(lambda result: None, "arm")
     assert calls == results == 2_000
     assert left < 16_000
+
+
+def traced_peak_over_grid(points):
+    """Traced peak of map_grid over `points` llada-8b dlm_block points with every
+    cost term on, each result dropped as it comes, after one warm-up run."""
+    options = CountingOptions(True, True, True, True, False)
+    base = WorkloadSpec("dlm_block", None, 1024, 4096, None, 64, options=options)
+    grid = SweepGrid(LLADA, A6000, base, (("batch", tuple(range(1, points + 1))),))
+    for _ in map_grid(grid, lambda result: None):
+        pass
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in map_grid(grid, lambda result: None):
+            pass
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_grid_holds_one_points_evaluation_at_a_time():
+    """map_grid's traced peak over 3 points is within 2,000 bytes of its peak
+    over 1: each point's ScenarioResult is freed before the next point is
+    evaluated. Measured 0.5 KB apart. A result kept until the next one
+    replaces it adds its phases to the peak, 4.8 KB here, and to the
+    benchmark's peak_alloc_mb: +6.9% on dlm-block-refresh."""
+    assert traced_peak_over_grid(3) - traced_peak_over_grid(1) < 2_000
 
 
 def test_roofline_holds_its_points_and_a_fixed_working_set(tmp_path):
@@ -177,8 +208,8 @@ def test_roofline_holds_its_points_and_a_fixed_working_set(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        points = [point for scenario in map_grid(grid, lambda scenario: scenario)
-                  for point in end_to_end(scenario).points]
+        points = [point for per_point in map_grid(grid, attrgetter("points"))
+                  for point in per_point]
         alone = tracemalloc.get_traced_memory()[0] - before
         assert len(points) == 2_000
         del points
@@ -411,7 +442,7 @@ def test_evaluate_point_matches_run_sweep_row():
     grid = arm_grid((("batch", (3,)),))
     row = run_sweep(grid)[0]
     w = WorkloadSpec(mode="arm", batch=3, prompt_len=64, gen_len=32)
-    direct = evaluate_point(Scenario(LLAMA, A6000, w))
+    direct = evaluate_point(end_to_end(Scenario(LLAMA, A6000, w)))
     assert direct == row
 
 
@@ -500,7 +531,7 @@ def test_only_roofline_builds_roofline_points(monkeypatch, tmp_path, command, mo
         return RooflinePoint(*args, **kwargs)
 
     grid = grid_from_dict(GRID_DOCS[mode])
-    phases_per_point = list(map_grid(grid, lambda scenario: len(scenario_phases(scenario))))
+    phases_per_point = list(map_grid(grid, lambda result: len(result.phases)))
     patch_everywhere(monkeypatch, RooflinePoint, counting)
     run_grid(command, tmp_path, GRID_DOCS[mode])
     assert len(built) == (sum(phases_per_point) if command == "roofline" else 0)
@@ -516,9 +547,9 @@ def test_only_report_rows_compute_a_footprint(monkeypatch, tmp_path, command, mo
     calls = {peak_footprint: 0, evaluate_point: 0}
 
     def counting(original):
-        def wrapper(scenario):
+        def wrapper(argument):
             calls[original] += 1
-            return original(scenario)
+            return original(argument)
 
         return wrapper
 
