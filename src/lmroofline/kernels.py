@@ -30,8 +30,10 @@ dataclasses.asdict (the benchmark's checker among them).
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import partialmethod
 from math import comb
 
 from .errors import ValidationError
@@ -65,9 +67,11 @@ class KernelRun(namedtuple("KernelRun", (
     Stored in exact-integer Newton form: invocation i (0 <= i < count) costs
     flops[0] + i * flops[1] + C(i, 2) * flops[2] FLOPs, and likewise for
     bytes. Built as KernelRun(count, newton_flops, newton_bytes): the
-    constructor stores the run's exact totals as `flops` and `bytes`, so a
-    run stands wherever a KernelCost's totals are summed, and a read of them
-    costs no prefix sum.
+    constructor stores the run's exact totals as `flops` and `bytes`, the
+    closed-form sum count * v[0] + C(count, 2) * v[1] + C(count, 3) * v[2],
+    so a run stands wherever a KernelCost's totals are summed, and a read of
+    them costs nothing. A copy or a pickle rebuilds a run from its first
+    three fields.
 
     Attributes:
         count (int): number of invocations, at least 2 (see kernel_run).
@@ -78,12 +82,18 @@ class KernelRun(namedtuple("KernelRun", (
     """
 
     __slots__ = ()
+    __getnewargs__ = partialmethod(operator.getitem, slice(3))
 
     def __new__(
         cls, count: int, newton_flops: tuple[int, int, int], newton_bytes: tuple[int, int, int]
     ) -> "KernelRun":
-        totals = _prefix(newton_flops, newton_bytes, count)
-        return tuple.__new__(cls, (count, newton_flops, newton_bytes, *totals))
+        pairs, triples = comb(count, 2), comb(count, 3)
+        f0, f1, f2 = newton_flops
+        b0, b1, b2 = newton_bytes
+        return tuple.__new__(cls, (
+            count, newton_flops, newton_bytes,
+            count * f0 + pairs * f1 + triples * f2, count * b0 + pairs * b1 + triples * b2,
+        ))
 
     def at(self, i: int) -> tuple[int, int]:
         """(flops, bytes) of invocation i."""
@@ -94,17 +104,7 @@ class KernelRun(namedtuple("KernelRun", (
 
     def prefix(self, k: int) -> tuple[int, int]:
         """(flops, bytes) summed over invocations 0 .. k-1."""
-        return _prefix(self.newton_flops, self.newton_bytes, k)
-
-
-def _prefix(
-    newton_flops: tuple[int, int, int], newton_bytes: tuple[int, int, int], k: int
-) -> tuple[int, int]:
-    """(flops, bytes) summed over invocations 0 .. k-1 of a run in Newton form."""
-    c2, c3 = comb(k, 2), comb(k, 3)
-    f0, f1, f2 = newton_flops
-    b0, b1, b2 = newton_bytes
-    return k * f0 + c2 * f1 + c3 * f2, k * b0 + c2 * b1 + c3 * b2
+        return KernelRun(k, self.newton_flops, self.newton_bytes)[3:]
 
 
 def kernel_run(count: int, samples: Sequence[KernelCost]) -> KernelRun:
@@ -112,20 +112,20 @@ def kernel_run(count: int, samples: Sequence[KernelCost]) -> KernelRun:
 
     Exact when the cost is a polynomial in the index of degree at most
     len(samples) - 1: 2 samples fix an affine cost, whose Newton form gets a
-    zero second difference, and 3 a quadratic one. Phase assembly passes
-    degree + 1 samples, at most `count`, and calls this only where a shape
-    grows along the run, so the samples differ; identical invocations are
-    aggregated by the kernel functions' `count` instead.
+    zero second difference, and 3 a quadratic one. The differences are
+    taken from the samples in place. Phase assembly passes degree + 1
+    samples, at most `count`, and calls this only where a shape grows along
+    the run, so the samples differ; identical invocations are aggregated by
+    the kernel functions' `count` instead.
     """
-    return KernelRun(
-        count, _newton([s.flops for s in samples]), _newton([s.bytes for s in samples])
-    )
-
-
-def _newton(values: list[int]) -> tuple[int, int, int]:
-    """Newton form through 3 samples, or the line through 2."""
-    v0, v1, v2 = values if len(values) == 3 else (*values, 2 * values[1] - values[0])
-    return v0, v1 - v0, v2 - 2 * v1 + v0
+    f0, b0 = samples[0]
+    f1, b1 = samples[1]
+    f1, b1 = f1 - f0, b1 - b0
+    f2 = b2 = 0
+    if len(samples) == 3:
+        f2, b2 = samples[2]
+        f2, b2 = f2 - f0 - 2 * f1, b2 - b0 - 2 * b1
+    return KernelRun(count, (f0, f1, f2), (b0, b1, b2))
 
 
 def linear_cost(

@@ -12,7 +12,8 @@ more forwards is a `KernelRun`: its cost is a polynomial of degree <= 2 in
 the forward index, fixed exactly by sampling its kernel function at
 degree + 1 forwards (2 where the cost is affine, 3 where it is quadratic),
 and its arithmetic intensity is non-decreasing along the run, which
-`roofline.kernel_time` relies on.
+`roofline.kernel_time` relies on. The first sample is the kernel a constant
+forward would build, so both kinds of entry come from one list.
 
 Entries come in one order: q_proj, k_proj, v_proj, out_proj, attention,
 mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head. The
@@ -28,7 +29,9 @@ once built, so nothing here checks its numbers again;
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
+from functools import partialmethod
 
 from .configs import Scenario
 from .errors import ValidationError
@@ -53,7 +56,8 @@ Breakdown = tuple[tuple[str, KernelCost | KernelRun], ...]
 class PhaseCost(namedtuple("PhaseCost", ("phase", "breakdown", "flops", "bytes"))):
     """Aggregate work of one decoding phase.
 
-    Built as PhaseCost(phase, breakdown); the totals are derived.
+    Built as PhaseCost(phase, breakdown); the totals are derived, and a copy
+    or a pickle rebuilds a phase from its first two fields.
 
     Attributes:
         phase (str): one of PHASES.
@@ -64,6 +68,7 @@ class PhaseCost(namedtuple("PhaseCost", ("phase", "breakdown", "flops", "bytes")
     """
 
     __slots__ = ()
+    __getnewargs__ = partialmethod(operator.getitem, slice(2))
 
     def __new__(cls, phase: str, breakdown: Breakdown) -> "PhaseCost":
         if phase not in PHASES:
@@ -104,65 +109,58 @@ def layer_forward_cost(
     once per forward when include_lm_head is set.
 
     A kernel that changes along a run of two or more forwards is sampled at
-    degree + 1 of them. With q_step set, every kernel changes: the linear,
-    elementwise and lm_head kernels are affine in the token count (2
-    forwards), and attention, whose queries and keys grow together, is
-    quadratic (3, or 2 in a run of 2). With only kv_step set, attention
+    degree + 1 of them, each distinct kernel directly, and kernel_run takes
+    its Newton form from the samples. With q_step set, every kernel changes:
+    the linear, elementwise and lm_head kernels are affine in the token
+    count (2 forwards), and attention, whose queries and keys grow together,
+    is quadratic (3, or 2 in a run of 2). With only kv_step set, attention
     alone changes, and is affine in its KV length (2). The kernels one
     forward shares (q_proj and out_proj, k_proj and v_proj, mlp_gate and
     mlp_up) are one KernelCost in a constant forward and one KernelRun in a
-    run; roofline.phase_latency times equal adjacent entries once.
+    run. Kernels of distinct shapes are distinct objects even where they are
+    equal, as q_proj and k_proj are under multi-head attention;
+    roofline.phase_latency times an entry equal to the one before it once.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
     model, w = scenario.model, scenario.workload
-    batch, dtype_bytes, opts = w.batch, w.dtype_bytes, w.options
-    d = model.d_model
+    batch, dtype, opts = w.batch, w.dtype_bytes, w.options
+    d, ffn = model.d_model, model.ffn_dim
     heads, kv_heads, head_dim = model.num_heads, model.num_kv_heads, model.head_dim
+    kv_width = kv_heads * head_dim
     # With causal_exact off, causal passes fall back to the full q_len x
     # kv_len rectangle, which is the same pair count as non-causal.
     causal = causal and opts.causal_exact
-    if q_step and run > 1:
-        # Two forwards fix every run but attention's, which is quadratic and
-        # in a run of three or more takes the third forward's attention too.
-        # Runs through equal samples are one object.
-        runs = {}
-        entries = []
-        for (label, first), (_, second) in zip(
-            layer_forward_cost(scenario, q_len, kv_len, causal, write_new_kv, count),
-            layer_forward_cost(
-                scenario, q_len + q_step, kv_len + kv_step, causal, write_new_kv, count,
-            ),
-        ):
-            samples = (first, second)
-            if label == "attention" and run > 2:
-                samples += (attention_cost(
-                    batch, heads, kv_heads, head_dim, q_len + 2 * q_step, kv_len + 2 * kv_step,
-                    dtype_bytes, causal, write_new_kv, count * model.num_layers,
-                ),)
-            kernel = runs.get(samples)
-            if kernel is None:
-                kernel = runs[samples] = kernel_run(run, samples)
-            entries.append((label, kernel))
-        return entries
-    forwards = count * run
+    # With the tokens growing along the run, every kernel is a run sampled
+    # per forward; otherwise every kernel but a growing attention is one
+    # KernelCost over all the run's forwards.
+    grows = q_step and run > 1
+    forwards = count if grows else count * run
     per_layer = forwards * model.num_layers
-    square = linear_cost(batch, q_len, d, d, dtype_bytes, per_layer)
-    narrow = linear_cost(batch, q_len, d, kv_heads * head_dim, dtype_bytes, per_layer)
-    up = linear_cost(batch, q_len, d, model.ffn_dim, dtype_bytes, per_layer)
-    down = linear_cost(batch, q_len, model.ffn_dim, d, dtype_bytes, per_layer)
-    if kv_step and run > 1:
-        # Attention over a fixed query length is affine in its KV length.
+    square = linear_cost(batch, q_len, d, d, dtype, per_layer)
+    narrow = linear_cost(batch, q_len, d, kv_width, dtype, per_layer)
+    up = linear_cost(batch, q_len, d, ffn, dtype, per_layer)
+    down = linear_cost(batch, q_len, ffn, d, dtype, per_layer)
+    if grows:
+        # A linear kernel is affine in its token count: the next forward fixes its run.
+        nxt = q_len + q_step
+        square = kernel_run(run, (square, linear_cost(batch, nxt, d, d, dtype, per_layer)))
+        narrow = kernel_run(run, (narrow, linear_cost(batch, nxt, d, kv_width, dtype, per_layer)))
+        up = kernel_run(run, (up, linear_cost(batch, nxt, d, ffn, dtype, per_layer)))
+        down = kernel_run(run, (down, linear_cost(batch, nxt, ffn, d, dtype, per_layer)))
+    if (q_step or kv_step) and run > 1:
+        # Attention is affine in its KV length alone, and quadratic when its
+        # queries grow too: then a run of three or more takes a third forward.
         samples = []
-        for i in range(2):
+        for i in range(3 if q_step and run > 2 else 2):
             samples.append(attention_cost(
-                batch, heads, kv_heads, head_dim, q_len, kv_len + i * kv_step, dtype_bytes,
+                batch, heads, kv_heads, head_dim, q_len + i * q_step, kv_len + i * kv_step, dtype,
                 causal, write_new_kv, count * model.num_layers,
             ))
         attention = kernel_run(run, samples)
     else:
         attention = attention_cost(batch, heads, kv_heads, head_dim, q_len, kv_len,
-                                   dtype_bytes, causal, write_new_kv, per_layer)
+                                   dtype, causal, write_new_kv, per_layer)
     entries = [
         ("q_proj", square), ("k_proj", narrow), ("v_proj", narrow), ("out_proj", square),
         ("attention", attention),
@@ -172,10 +170,16 @@ def layer_forward_cost(
     entries += [("mlp_up", up), ("mlp_down", down)]
     if opts.count_elementwise_bytes:
         passes = ELEMENTWISE_PASSES_PER_LAYER
-        sweeps = elementwise_bytes(batch, q_len, d, passes, dtype_bytes, per_layer)
+        sweeps = elementwise_bytes(batch, q_len, d, passes, dtype, per_layer)
+        if grows:
+            after = elementwise_bytes(batch, nxt, d, passes, dtype, per_layer)
+            sweeps = kernel_run(run, (sweeps, after))
         entries.append(("elementwise", sweeps))
     if opts.include_lm_head:
-        head = linear_cost(batch, q_len, d, model.vocab_size, dtype_bytes, forwards)
+        vocab = model.vocab_size
+        head = linear_cost(batch, q_len, d, vocab, dtype, forwards)
+        if grows:
+            head = kernel_run(run, (head, linear_cost(batch, nxt, d, vocab, dtype, forwards)))
         entries.append(("lm_head", head))
     return entries
 

@@ -5,7 +5,9 @@ rejection tests below show that every bad value a kernel could be given is
 rejected where it enters: by ModelConfig, or when the Scenario is built.
 """
 
+import copy
 import importlib
+import pickle
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import oracles
 from oracles import TINY, patch_everywhere, scenario
 import lmroofline
 from lmroofline import (
+    CountingOptions,
     KernelCost,
     KernelRun,
     ModelConfig,
@@ -25,7 +28,13 @@ from lmroofline import (
     peak_footprint,
     scenario_phases,
 )
-from lmroofline.kernels import attention_cost, attention_pair_count, elementwise_bytes, linear_cost
+from lmroofline.kernels import (
+    attention_cost,
+    attention_pair_count,
+    elementwise_bytes,
+    kernel_run,
+    linear_cost,
+)
 
 dims = st.integers(min_value=1, max_value=6)
 tiny_len = st.integers(min_value=1, max_value=6)
@@ -242,6 +251,77 @@ def test_kernel_cost_rejects_negative_counts():
         KernelCost(flops=-1, bytes=4)
     with pytest.raises(ValidationError):
         KernelCost(flops=0, bytes=-4)
+
+
+# A Newton form's value at 0 and its first and second differences.
+newton_forms = st.tuples(*[st.integers(min_value=0, max_value=2**90)] * 3)
+
+
+@given(
+    count=st.integers(min_value=2, max_value=60),
+    newton_flops=newton_forms,
+    newton_bytes=newton_forms,
+    degree=st.sampled_from([1, 2]),
+)
+def test_a_run_is_the_closed_form_sum_of_its_invocations(
+    count, newton_flops, newton_bytes, degree
+):
+    """A run's totals are the sum of at(i) over its invocations, prefix(k)
+    the sum over the first k for every k from 0 to count, and kernel_run
+    through the run's first degree + 1 invocations gives back the same run.
+
+    The totals and prefixes are the closed form k * v0 + C(k, 2) * v1 +
+    C(k, 3) * v2, checked here against a running sum of the invocations.
+    The values reach 2**90, far past the integers a float holds exactly, so
+    a slip of one in any binomial shows."""
+    if degree == 1:  # an affine run: kernel_run's 2 samples fix it
+        newton_flops, newton_bytes = (*newton_flops[:2], 0), (*newton_bytes[:2], 0)
+    newton_bytes = (newton_bytes[0] + 1, *newton_bytes[1:])  # a kernel moves data
+    run = KernelRun(count, newton_flops, newton_bytes)
+    sums = [(0, 0)]
+    for i in range(count):
+        flops, moved = run.at(i)
+        sums.append((sums[-1][0] + flops, sums[-1][1] + moved))
+    assert (run.flops, run.bytes) == sums[-1]
+    assert [run.prefix(k) for k in range(count + 1)] == sums
+    samples = [KernelCost(*run.at(i)) for i in range(degree + 1)]
+    assert kernel_run(count, samples) == run
+    assert [run.at(i) for i in range(degree + 1)] == samples
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("mode", ["arm", "dlm_naive", "dlm_block"])
+def test_a_copied_or_pickled_result_equals_the_original(mode, how):
+    """copy.copy, copy.deepcopy and a pickle round trip of a ScenarioResult,
+    of each of its phases and of each of their kernels give back an equal
+    value of the same type. A PhaseCost or KernelRun derives its totals in
+    __new__, so it must be rebuilt from its constructor's inputs alone:
+    namedtuple's own __getnewargs__ passes every field, which __new__
+    rejects. The arm scenario has a decode run, and the block-wise one
+    refreshes its cache, so every kernel of its refresh passes is a run."""
+    opts = CountingOptions(
+        include_lm_head=True, include_cache_refresh=True, count_elementwise_bytes=True,
+    )
+    point = {
+        "arm": scenario(TINY, "arm", 2, 4, 8, opts=opts),
+        "dlm_naive": scenario(TINY, "dlm_naive", 2, 4, 8, 8, opts=opts),
+        "dlm_block": scenario(TINY, "dlm_block", 2, 4, 9, 6, 2, opts=opts),
+    }[mode]
+    result = end_to_end(point)
+    kernels = [kernel for phase in result.phases for _, kernel in phase.breakdown]
+    assert any(isinstance(kernel, KernelRun) for kernel in kernels) == (mode != "dlm_naive")
+    for value in (result, *result.phases, *kernels):
+        copied = ROUND_TRIPS[how](value)
+        assert copied == value
+        assert type(copied) is type(value)
+    assert ROUND_TRIPS[how](result).points == result.points
 
 
 def per_point_values():

@@ -271,6 +271,34 @@ def test_blockwise_intensity_is_capped_by_the_block_not_the_length(scenario):
     assert phase.flops * w.dtype_bytes < 2 * w.block_size * group_cap(scenario) * phase.bytes
 
 
+@settings(max_examples=200, deadline=None)
+@given(any_scenario(random_workloads(modes=("dlm_naive",))))
+def test_naive_pass_intensity_is_non_decreasing_in_the_sequence_length(scenario):
+    """AI(dlm_naive) at total_len T + 1 is at least AI at T, with steps
+    fixed. Compared in exact integers: F(T+1) * B(T) >= F(T) * B(T+1).
+
+    Derivation. Every forward of the naive pass runs all T tokens, and steps
+    scales F and B alike, so it cancels. Per forward, summed over layers:
+    - a linear layer (and lm_head) does 2 * b * T * d_in * d_out FLOPs and
+      moves (d_in * d_out + b * T * (d_in + d_out)) * dtype_bytes bytes;
+    - non-causal attention of T queries over T keys does
+      4 * b * H * hd * T^2 FLOPs and moves Q, K, V and the output,
+      b * T * hd * (2H + 2KVH) * dtype_bytes bytes, writing no KV;
+    - elementwise traffic moves bytes proportional to b * T.
+    So F(T) = a*T + c*T^2 and B(T) = W + e*T, with a, c, e >= 0 and W > 0,
+    the weights' bytes. The derivative of F/B is
+    (a*W + 2*c*W*T + c*e*T^2) / B^2 >= 0 for T >= 0, so F/B is
+    non-decreasing, and with B > 0 the integer inequality follows. An
+    attention or elementwise term that grew faster than F would break it.
+    """
+    model, hw, w = scenario
+    longer = Scenario(model, hw, WorkloadSpec(
+        w.mode, w.batch, w.prompt_len, w.gen_len + 1, w.steps, None, w.dtype_bytes, w.options,
+    ))
+    short, long = naive_dlm_cost(scenario), naive_dlm_cost(longer)
+    assert long.flops * short.bytes >= short.flops * long.bytes
+
+
 def test_perf_attained_hits_peak_for_exactly_balanced_kernel():
     # a kernel whose AI equals the ridge runs at peak
     flops = int(154.8e12)
@@ -316,6 +344,56 @@ def test_dlm_latency_monotone_in_steps(extra_steps, gen_len):
     blockwise = latency(blockwise_dlm_cost, "dlm_block", steps, 4)
     blockwise_more = latency(blockwise_dlm_cost, "dlm_block", steps + 1, 4)
     assert blockwise_more >= blockwise
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_models(), random_workloads(modes=("arm",)), st.data())
+def test_arm_latency_is_non_decreasing_in_gen_len_bit_for_bit(model, workload, data):
+    """latency_s of an arm scenario at gen_len + 1 is >= at gen_len, compared
+    as floats with no tolerance, for any model, hardware and options, with
+    or without a prompt. Half the draws place the ridge inside the longer
+    decode's attention run, so its run, and often the shorter one's, cross
+    it.
+
+    Proof. One more step raises the count of every decode kernel that is
+    the same in every step (the linear layers, elementwise traffic and
+    lm_head), and adds one invocation to the attention run, whose Newton
+    form does not depend on gen_len: its samples are the first steps'. At
+    gen_len 1 attention is one KernelCost, the first invocation of the run
+    of 2. The prefill reads nothing of gen_len and stays as it is.
+    - A kernel of larger counts takes max(F/P, B/W) of larger integers:
+      converting to float, dividing by P or W and max are each monotone.
+    - kernel_time gives a run prefix_bytes(j)/W + suffix_flops(j)/P at
+      j = min(first, count), where first, the first invocation with
+      F(i)/P >= B(i)/W, is read off the Newton form alone (kernel_time's
+      premise that this test is monotone along a run; the end checks are
+      this formula at j = 0 and j = count). So adding an invocation never
+      moves j unless j was count, and then the new j is the old count. With
+      j kept, the prefix is the same and the suffix gains F(count) >= 0;
+      with j = old count, the old time B/W + 0 gains F(count)/P >= 0. A
+      rounded sum of terms that cannot fall cannot fall.
+    - A phase's latency is math.fsum of its kernels' times (an entry equal
+      to the one before it takes that one's time), and latency_s the fsum
+      of the phases'. fsum is the correctly rounded exact sum, and rounding
+      is monotone, so neither can fall.
+    """
+    prompt_len = data.draw(st.sampled_from([0, workload.prompt_len]))
+    gen_len = data.draw(st.sampled_from([1, workload.gen_len]))
+    shorter, longer = (
+        WorkloadSpec("arm", workload.batch, prompt_len, n, None, None, workload.dtype_bytes,
+                     workload.options)
+        for n in (gen_len, gen_len + 1)
+    )
+    if data.draw(st.booleans()):
+        run = dict(arm_decode_cost(Scenario(model, A6000, longer)).breakdown)["attention"]
+        (f0, b0), (f1, b1) = run.at(0), run.at(run.count - 1)
+        ridge = f0 / b0 + data.draw(st.floats(0, 1)) * (f1 / b1 - f0 / b0)
+        bandwidth = 10 ** data.draw(st.floats(9, 13))
+        hw = HardwareSpec("crossing", ridge * bandwidth, bandwidth, 80e9)
+    else:
+        hw = data.draw(random_hardware)
+    before, after = (end_to_end(Scenario(model, hw, w)).latency_s for w in (shorter, longer))
+    assert after >= before
 
 
 def test_memory_bound_decode_batching_nearly_doubles_throughput():
