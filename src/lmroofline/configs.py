@@ -375,10 +375,12 @@ def _check_keys(doc: object, keys: dict[str, bool], context: str) -> None:
         raise ValidationError(f"missing field(s) in {context}: {', '.join(sorted(missing))}")
 
 
-def _load(source: str, base_dir: str | None, registry: dict, cls: type, context: str) -> object:
-    """Resolve `source` by registry name, or load a JSON document of `cls`'s
-    fields from the file it names (first relative to `base_dir`)."""
-    name = str(source)
+def _load(name: object, base_dir: str | None, registry: dict, cls: type, context: str) -> object:
+    """Resolve the string `name` by registry name, or load a JSON document of
+    `cls`'s fields from the file it names (first relative to `base_dir`)."""
+    if not isinstance(name, str):
+        raise ValidationError(
+            f"{context.split()[0]} must be a registry name or a file path (got {echo(name)})")
     if name in registry:
         return registry[name]
     candidate = os.path.join(base_dir or "", name)  # an absolute name stays as it is

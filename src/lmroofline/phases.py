@@ -16,7 +16,8 @@ and its arithmetic intensity is non-decreasing along the run, which
 forward would build, so both kinds of entry come from one list.
 
 Entries come in one order: q_proj, k_proj, v_proj, out_proj, attention,
-mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head. The
+mlp_gate (swiglu only), mlp_up, mlp_down, elementwise, lm_head; entries of
+equal cost by construction share one kernel (see `layer_forward_cost`). The
 block-wise phase tags them with the range of blocks or refresh passes a run
 covers (`block0..14:q_proj`, `refresh1:attention`).
 
@@ -114,12 +115,13 @@ def layer_forward_cost(
     the linear, elementwise and lm_head kernels are affine in the token
     count (2 forwards), and attention, whose queries and keys grow together,
     is quadratic (3, or 2 in a run of 2). With only kv_step set, attention
-    alone changes, and is affine in its KV length (2). The kernels one
-    forward shares (q_proj and out_proj, k_proj and v_proj, mlp_gate and
-    mlp_up) are one KernelCost in a constant forward and one KernelRun in a
-    run. Kernels of distinct shapes are distinct objects even where they are
-    equal, as q_proj and k_proj are under multi-head attention;
-    roofline.phase_latency times an entry equal to the one before it once.
+    alone changes, and is affine in its KV length (2). Each distinct linear
+    kernel is built once, one KernelCost in a constant forward and one
+    KernelRun in a run, and shared by the entries it costs: q_proj and
+    out_proj; k_proj and v_proj, which are q_proj's kernel under multi-head
+    attention (kv_width == d_model); and mlp_gate, mlp_up and mlp_down, as
+    linear_cost is symmetric in (d_in, d_out). roofline.phase_latency times
+    an entry equal to the one before it once.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
@@ -137,17 +139,17 @@ def layer_forward_cost(
     grows = q_step and run > 1
     forwards = count if grows else count * run
     per_layer = forwards * model.num_layers
+    mha = kv_width == d
     square = linear_cost(batch, q_len, d, d, dtype, per_layer)
-    narrow = linear_cost(batch, q_len, d, kv_width, dtype, per_layer)
+    narrow = square if mha else linear_cost(batch, q_len, d, kv_width, dtype, per_layer)
     up = linear_cost(batch, q_len, d, ffn, dtype, per_layer)
-    down = linear_cost(batch, q_len, ffn, d, dtype, per_layer)
     if grows:
         # A linear kernel is affine in its token count: the next forward fixes its run.
         nxt = q_len + q_step
         square = kernel_run(run, (square, linear_cost(batch, nxt, d, d, dtype, per_layer)))
-        narrow = kernel_run(run, (narrow, linear_cost(batch, nxt, d, kv_width, dtype, per_layer)))
+        narrow = square if mha else kernel_run(
+            run, (narrow, linear_cost(batch, nxt, d, kv_width, dtype, per_layer)))
         up = kernel_run(run, (up, linear_cost(batch, nxt, d, ffn, dtype, per_layer)))
-        down = kernel_run(run, (down, linear_cost(batch, nxt, ffn, d, dtype, per_layer)))
     if (q_step or kv_step) and run > 1:
         # Attention is affine in its KV length alone, and quadratic when its
         # queries grow too: then a run of three or more takes a third forward.
@@ -167,7 +169,7 @@ def layer_forward_cost(
     ]
     if model.mlp_kind == "swiglu":
         entries.append(("mlp_gate", up))
-    entries += [("mlp_up", up), ("mlp_down", down)]
+    entries += [("mlp_up", up), ("mlp_down", up)]
     if opts.count_elementwise_bytes:
         passes = ELEMENTWISE_PASSES_PER_LAYER
         sweeps = elementwise_bytes(batch, q_len, d, passes, dtype, per_layer)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import lmroofline
-from lmroofline import MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
+from lmroofline import HW_REGISTRY, MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
 from oracles import parse_csv
 from lmroofline.cli import main
 from lmroofline.configs import scenario_from_dict
@@ -797,4 +797,28 @@ def test_a_name_that_resolves_only_to_a_directory_is_unknown(
     assert captured.out == ""
     assert captured.err == (f"error: unknown {field} '{name}' (registry: {REGISTRY_NAMES[field]}) "
                             "and no such file\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("field", ["model", "hardware"])
+@pytest.mark.parametrize("bad", [5, True, None], ids=["int", "true", "null"])
+def test_a_model_or_hardware_that_is_not_a_string_exits_1(
+        tmp_path, capsys, monkeypatch, command, field, bad):
+    # A valid document sits under each name str() would give the value, in
+    # the document's directory and the working directory: a value coerced to
+    # a name would load it and exit 0.
+    monkeypatch.chdir(tmp_path)
+    registry = {"model": MODEL_REGISTRY["llama3-8b"], "hardware": HW_REGISTRY["rtx-a6000"]}
+    write_json(tmp_path, str(bad), registry[field]._asdict())
+    out = tmp_path / "out.csv"
+    if command == "analyze":
+        argv = ["analyze", "-c", write_json(tmp_path, "in.json", arm_scenario_doc(**{field: bad}))]
+    else:
+        doc = arm_grid_doc({"gen_len": [16, 32]}, **{field: bad})
+        argv = ["sweep", "-c", write_json(tmp_path, "in.json", doc), "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be a registry name or a file path (got {bad})\n"
     assert not out.exists()

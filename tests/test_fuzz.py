@@ -70,6 +70,8 @@ any_text = st.text(st.characters() | st.sampled_from("\n\r\x1b")) | st.builds(
 # with exit 1 too.
 unknown_names = st.sampled_from(["", ".", ".."]) | any_text.filter(
     lambda name: "/" not in name and (not os.path.exists(name) or os.path.isdir(name)))
+# A model or hardware that is not a string is rejected as one, exit 1, before
+# any lookup: 5, true and null are never read as files `5`, `True` or `None`.
 non_strings = st.none() | st.booleans() | st.integers() | st.lists(st.integers(), max_size=2)
 counts = st.sampled_from(EDGE_INTS) | json_values
 

@@ -78,6 +78,23 @@ def test_linear_flops_doubles_with_each_dimension(batch, seq_len, d_in, d_out):
     assert linear_cost(batch, seq_len, d_in, 2 * d_out, 2).flops == 2 * base
 
 
+widths = st.integers(min_value=1, max_value=2**40)
+
+
+@given(batch=widths, seq_len=widths, d_in=widths, d_out=widths, dtype_bytes=dtypes, count=widths)
+def test_linear_cost_is_symmetric_in_its_widths(batch, seq_len, d_in, d_out, dtype_bytes, count):
+    """linear_cost(b, s, i, o, dt, n) == linear_cost(b, s, o, i, dt, n), in exact ints.
+
+    phases.layer_forward_cost relies on it: it builds mlp_up's kernel
+    (d_model -> ffn_dim) once and shares that object as mlp_down's
+    (ffn_dim -> d_model), on the constant path and in a growing run alike.
+    """
+    forward = linear_cost(batch, seq_len, d_in, d_out, dtype_bytes, count)
+    backward = linear_cost(batch, seq_len, d_out, d_in, dtype_bytes, count)
+    assert [type(value) for value in forward + backward] == [int] * 4
+    assert forward == backward
+
+
 # Where each linear_cost argument comes from: a workload field, or a model
 # field (d_in and d_out are d_model, ffn_dim or vocab_size).
 LINEAR_ARGUMENT_SOURCES = {

@@ -458,41 +458,51 @@ def counting_kernel_calls(monkeypatch):
     return calls
 
 
-# llama3-8b's five linear shapes (d_in, d_out) are distinct: q_proj/out_proj,
-# k_proj/v_proj (grouped-query), mlp_gate/mlp_up, mlp_down and lm_head.
-LLAMA_LINEAR_SHAPES = (
-    (4096, 4096), (4096, 1024), (4096, 14336), (14336, 4096), (4096, 128256),
-)
+# The distinct linear shapes (d_in, d_out) a forward samples. linear_cost is
+# symmetric in (d_in, d_out), so mlp_down (ffn -> d) is mlp_up's kernel and
+# (ffn, d) is never sampled. llama3-8b (grouped-query attention) samples
+# q_proj/out_proj, k_proj/v_proj, mlp_gate/mlp_up/mlp_down and lm_head.
+# llada-8b (multi-head attention) has k/v of q/o's shape, so samples three.
+SAMPLED_LINEAR_SHAPES = {
+    "llama3-8b": ((4096, 4096), (4096, 1024), (4096, 14336), (4096, 128256)),
+    "llada-8b": ((4096, 4096), (4096, 12288), (4096, 126464)),
+}
 
 
+SAMPLING_CASES = [
+    # Refresh passes: queries and keys grow together. Linear and
+    # elementwise kernels are affine in the token count, attention is
+    # quadratic: degree + 1 forwards each, at most the run's.
+    (5, 8, 8, 2, 3, 2),
+    (2, 8, 8, 2, 2, 2),
+    # Decode and block refinement: only the KV length grows, and
+    # attention is affine in it.
+    (5, 0, 1, 1, 2, 1),
+    (2, 0, 64, 1, 2, 1),
+    # A constant forward, repeated: each kernel once, with its count.
+    (1, 0, 0, 1, 1, 1),
+    (5, 0, 0, 1, 1, 1),
+]
+
+
+# A llama3-8b case is named by its numbers alone, a llada-8b case by its numbers and model.
 @pytest.mark.parametrize(
-    "run, q_step, kv_step, linear_per_shape, attention_calls, elementwise_calls",
-    [
-        # Refresh passes: queries and keys grow together. Linear and
-        # elementwise kernels are affine in the token count, attention is
-        # quadratic: degree + 1 forwards each, at most the run's.
-        (5, 8, 8, 2, 3, 2),
-        (2, 8, 8, 2, 2, 2),
-        # Decode and block refinement: only the KV length grows, and
-        # attention is affine in it.
-        (5, 0, 1, 1, 2, 1),
-        (2, 0, 64, 1, 2, 1),
-        # A constant forward, repeated: each kernel once, with its count.
-        (1, 0, 0, 1, 1, 1),
-        (5, 0, 0, 1, 1, 1),
-    ],
+    "model, run, q_step, kv_step, linear_per_shape, attention_calls, elementwise_calls",
+    [pytest.param(model, *case, id="-".join(map(str, case)) + suffix)
+     for model, suffix in ((LLAMA, ""), (LLADA, "-llada-8b")) for case in SAMPLING_CASES],
 )
 def test_each_kernel_is_sampled_at_degree_plus_one_forwards(
-    monkeypatch, run, q_step, kv_step, linear_per_shape, attention_calls, elementwise_calls,
+    monkeypatch, model, run, q_step, kv_step, linear_per_shape, attention_calls,
+    elementwise_calls,
 ):
     opts = CountingOptions(include_lm_head=True, count_elementwise_bytes=True)
-    s = scenario(LLAMA, "dlm_naive", 2, 0, 1, 1, opts=opts)
+    s = scenario(model, "dlm_naive", 2, 0, 1, 1, opts=opts)
     calls = counting_kernel_calls(monkeypatch)
     entries = dict(layer_forward_cost(
         s, 40, 48, False, True, count=3, run=run, q_step=q_step, kv_step=kv_step,
     ))
     shapes = collections.Counter(args[2:4] for args in calls["linear_cost"])
-    assert shapes == {shape: linear_per_shape for shape in LLAMA_LINEAR_SHAPES}
+    assert shapes == {shape: linear_per_shape for shape in SAMPLED_LINEAR_SHAPES[model.name]}
     assert [args[4:6] for args in calls["attention_cost"]] == [
         (40 + i * q_step, 48 + i * kv_step) for i in range(attention_calls)
     ]
@@ -500,7 +510,9 @@ def test_each_kernel_is_sampled_at_degree_plus_one_forwards(
     # A kernel the forward shares is one object, a KernelCost or a KernelRun.
     assert entries["q_proj"] is entries["out_proj"]
     assert entries["k_proj"] is entries["v_proj"]
-    assert entries["mlp_gate"] is entries["mlp_up"]
+    assert entries["mlp_gate"] is entries["mlp_up"] is entries["mlp_down"]
+    # k/v share q/o's kernel exactly when their width is d_model.
+    assert (entries["k_proj"] is entries["q_proj"]) == (model.num_kv_heads == model.num_heads)
     grows = q_step and run > 1
     assert isinstance(entries["q_proj"], KernelRun) == bool(grows)
     assert isinstance(entries["attention"], KernelRun) == bool((q_step or kv_step) and run > 1)

@@ -396,6 +396,43 @@ def test_arm_latency_is_non_decreasing_in_gen_len_bit_for_bit(model, workload, d
     assert after >= before
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_models(), random_hardware, random_workloads(modes=("dlm_naive",)))
+def test_naive_latency_is_non_decreasing_in_steps_and_batch_bit_for_bit(model, hw, workload):
+    """latency_s of a dlm_naive scenario at steps + 1, and at batch + 1, is
+    >= at the drawn workload, compared as floats with no tolerance, for any
+    model, hardware and options. The steps half makes a bisection over the
+    step budget valid, such as one for the budget at which a diffusion model
+    matches an autoregressive one (ROADMAP item 15, which bisects dlm_block
+    and so needs the same relation there too).
+
+    Proof. A naive phase is one constant forward over the whole sequence,
+    repeated `steps` times, so every entry is a KernelCost built by
+    linear_cost, attention_cost or elementwise_bytes. Each one's FLOPs and
+    bytes are exact ints, sums of nonnegative products that take batch and
+    the invocation count (steps times num_layers, or steps for lm_head) as
+    factors, so both are non-decreasing in either field.
+    - kernel_time gives a KernelCost max(F/P, B/W). Converting an int to a
+      float rounds to nearest, which is monotone; a correctly rounded
+      division by a positive float is monotone; so is max.
+    - phase_latency is math.fsum of the kernel times (an entry equal to the
+      one before it takes that one's time), and latency_s the fsum of the
+      one phase's. fsum is correctly rounded, so a sum of non-decreasing
+      terms is non-decreasing.
+    """
+    more_steps, more_batch = (
+        WorkloadSpec("dlm_naive", workload.batch + extra_batch, workload.prompt_len,
+                     workload.gen_len, workload.steps + extra_steps, None,
+                     workload.dtype_bytes, workload.options)
+        for extra_steps, extra_batch in ((1, 0), (0, 1))
+    )
+    base, steps_up, batch_up = (
+        end_to_end(Scenario(model, hw, w)).latency_s for w in (workload, more_steps, more_batch)
+    )
+    assert steps_up >= base
+    assert batch_up >= base
+
+
 def test_memory_bound_decode_batching_nearly_doubles_throughput():
     # weight-dominated decode: tiny prompt so the KV stream is negligible
     w1 = WorkloadSpec(mode="arm", batch=1, prompt_len=8, gen_len=32)
