@@ -86,6 +86,14 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
+def _require_name(name: object) -> None:
+    """A model or hardware name is a nonempty printable string: reports quote it."""
+    if not name or not isinstance(name, str):
+        raise ValidationError(f"name must be a nonempty string (got {echo(name)})")
+    if not name.isprintable():
+        raise ValidationError(f"name must be printable (got {echo(name)})")
+
+
 class ModelConfig(namedtuple("ModelConfig", (
         "name", "num_layers", "d_model", "num_heads", "num_kv_heads", "head_dim", "ffn_dim",
         "vocab_size", "mlp_kind", "attention_kind"), defaults=("swiglu", "causal_capable"))):
@@ -95,8 +103,7 @@ class ModelConfig(namedtuple("ModelConfig", (
 
     def __new__(cls, *args: object, **kwargs: object) -> ModelConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
+        _require_name(self.name)
         for fname in (
             "num_layers",
             "d_model",
@@ -137,8 +144,7 @@ class HardwareSpec(namedtuple("HardwareSpec", (
 
     def __new__(cls, *args: object, **kwargs: object) -> HardwareSpec:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"name must be a nonempty string (got {echo(self.name)})")
+        _require_name(self.name)
         for fname in ("peak_flops", "mem_bandwidth"):
             value = getattr(self, fname)
             if not _is_finite_number(value) or value <= 0:
@@ -450,13 +456,13 @@ def read_scenario(
     return model, hardware, WorkloadSpec(**workload)
 
 
-_WORKLOAD_INDEX = {name: index for index, name in enumerate(WorkloadSpec._fields)}
-_MODE, _GEN_LEN, _STEPS = (_WORKLOAD_INDEX[name] for name in ("mode", "gen_len", "steps"))
+_MODE, _GEN_LEN, _STEPS = map(WorkloadSpec._fields.index, ("mode", "gen_len", "steps"))
 
 
-def resolve_workload(base: WorkloadSpec, point: dict[str, object]) -> WorkloadSpec:
-    """`base` with `point`'s fields set. An unset diffusion `steps` becomes the
-    resolved `gen_len`: every generated token refined once per step on average.
+def resolve_workload(base: WorkloadSpec, slots: Iterable[tuple[int, object]] = ()) -> WorkloadSpec:
+    """`base` with each (slot, value) pair's field set, a slot being the field's
+    index in WorkloadSpec. An unset diffusion `steps` becomes the resolved
+    `gen_len`: every generated token refined once per step on average.
 
     The workload is built from a list display, not by `_replace` or
     `list(base)`. In CPython, a tuple built from an iterator (as `_replace`
@@ -464,8 +470,8 @@ def resolve_workload(base: WorkloadSpec, point: dict[str, object]) -> WorkloadSp
     list they are freed onto, so each grid point would leave one more spare
     object on it: up to 2,000 tuples, or 80 lists (tests/test_sweep.py)."""
     values = [*base]
-    for name, value in point.items():
-        values[_WORKLOAD_INDEX[name]] = value
+    for slot, value in slots:
+        values[slot] = value
     if values[_STEPS] is None and values[_MODE] in DLM_MODES:
         values[_STEPS] = values[_GEN_LEN]
     return WorkloadSpec(*values)
@@ -473,7 +479,7 @@ def resolve_workload(base: WorkloadSpec, point: dict[str, object]) -> WorkloadSp
 
 def scenario_from_dict(doc: dict, base_dir: str | None = None) -> Scenario:
     model, hardware, workload = read_scenario(doc, "scenario", base_dir)
-    return Scenario(model=model, hardware=hardware, workload=resolve_workload(workload, {}))
+    return Scenario(model=model, hardware=hardware, workload=resolve_workload(workload))
 
 
 def load_scenario(path: str) -> Scenario:

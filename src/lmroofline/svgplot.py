@@ -6,15 +6,15 @@ logarithmic: decades everywhere, except that the x axis of a line plot,
 a token count, uses powers of two. Every plotted value must be positive and
 finite.
 
-An emitter runs every check and computes its scales before it opens the
-file, so a rejected plot creates no file and leaves an existing one as it
-was. It then writes as it renders: the head and axes frame in one write,
-then one write per mark (a roofline point with its label, a polyline, a
-circle, a legend entry). A polyline of more than POLYLINE_CHUNK points is
-written in pieces of that many coordinates. No document string is built,
-so memory stays flat in the number of points. The text goes through
-`configs._write_text`, which writes over an existing file in place and
-cuts it where the document ends.
+An emitter checks its points and takes the axis extents in one pass over
+them, and computes its scales, before it opens the file, so a rejected plot
+creates no file and leaves an existing one as it was. It then writes as it
+renders: the head and axes frame in one write, then one write per mark (a
+roofline point with its label, a polyline, a circle, a legend entry). A
+polyline of more than POLYLINE_CHUNK points is written in pieces of that
+many coordinates. No document string is built, so memory stays flat in the
+number of points. The text goes through `configs._write_text`, which writes
+over an existing file in place and cuts it where the document ends.
 """
 
 from __future__ import annotations
@@ -47,21 +47,16 @@ _SERIES_PALETTE = (
 )
 
 
-def _f(value: float) -> str:
-    return f"{value:.2f}"
-
-
 class _LogScale:
     def __init__(self, lo_log: float, hi_log: float, px_lo: float, px_hi: float):
-        self.lo_log, self.hi_log = lo_log, hi_log
-        self.px_lo, self.px_hi = px_lo, px_hi
+        self.lo_log, self.span = lo_log, hi_log - lo_log
+        self.px_lo, self.px_hi, self.width = px_lo, px_hi, px_hi - px_lo
 
     def map_log(self, value_log: float) -> float:
-        frac = (value_log - self.lo_log) / (self.hi_log - self.lo_log)
-        return self.px_lo + frac * (self.px_hi - self.px_lo)
+        return self.px_lo + (value_log - self.lo_log) / self.span * self.width
 
     def map(self, value: float) -> float:
-        return self.map_log(log10(value))
+        return self.px_lo + (log10(value) - self.lo_log) / self.span * self.width
 
 
 def _escape(text: str) -> str:
@@ -82,36 +77,36 @@ def _frame(
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.0f}" y="26" font-size="16" text-anchor="middle">'
         f"{_escape(title)}</text>",
-        f'<rect x="{_f(left)}" y="{_f(top)}" width="{_f(right - left)}" '
-        f'height="{_f(bottom - top)}" fill="none" stroke="#000000"/>',
+        f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
+        f'height="{bottom - top:.2f}" fill="none" stroke="#000000"/>',
     ]
     for value_log, text in x_ticks:
         px = x.map_log(value_log)
         lines.append(
-            f'<line x1="{_f(px)}" y1="{_f(top)}" x2="{_f(px)}" y2="{_f(bottom)}" '
+            f'<line x1="{px:.2f}" y1="{top:.2f}" x2="{px:.2f}" y2="{bottom:.2f}" '
             f'stroke="#dddddd"/>'
         )
         lines.append(
-            f'<text x="{_f(px)}" y="{_f(bottom + 18)}" font-size="11" '
+            f'<text x="{px:.2f}" y="{bottom + 18:.2f}" font-size="11" '
             f'text-anchor="middle">{_escape(text)}</text>'
         )
     for value_log, text in y_ticks:
         py = y.map_log(value_log)
         lines.append(
-            f'<line x1="{_f(left)}" y1="{_f(py)}" x2="{_f(right)}" y2="{_f(py)}" '
+            f'<line x1="{left:.2f}" y1="{py:.2f}" x2="{right:.2f}" y2="{py:.2f}" '
             f'stroke="#dddddd"/>'
         )
         lines.append(
-            f'<text x="{_f(left - 6)}" y="{_f(py + 4)}" font-size="11" '
+            f'<text x="{left - 6:.2f}" y="{py + 4:.2f}" font-size="11" '
             f'text-anchor="end">{_escape(text)}</text>'
         )
     lines.append(
-        f'<text x="{_f((left + right) / 2)}" y="{HEIGHT - 16}" font-size="13" '
+        f'<text x="{(left + right) / 2:.2f}" y="{HEIGHT - 16}" font-size="13" '
         f'text-anchor="middle">{_escape(xlabel)}</text>'
     )
     lines.append(
-        f'<text x="20" y="{_f((top + bottom) / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_f((top + bottom) / 2)})">{_escape(ylabel)}</text>'
+        f'<text x="20" y="{(top + bottom) / 2:.2f}" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 20 {(top + bottom) / 2:.2f})">{_escape(ylabel)}</text>'
     )
     return lines
 
@@ -130,18 +125,28 @@ def emit_roofline_svg(
     """Log-log roofline: bandwidth slope and compute ceiling meeting at the ridge."""
     if not points:
         raise ValidationError("at least one roofline point is required")
+    ridge = ridge_point(hw)
+    peak, bw = hw.peak_flops, hw.mem_bandwidth
+    # One pass checks every point and takes the extents; x spans the ridge too.
+    ai_lo = ai_hi = ridge
+    perf_lo = inf
     for p in points:
-        if not (0 < p.ai < inf and 0 < p.perf_attained < inf):
+        ai, perf = p.ai, p.perf_attained
+        if not (0 < ai < inf and 0 < perf < inf):
             raise ValidationError(
                 f"roofline point '{p.label}' must be positive and finite to plot"
             )
-    ridge = ridge_point(hw)
-    peak, bw = hw.peak_flops, hw.mem_bandwidth
+        if ai < ai_lo:
+            ai_lo = ai
+        elif ai > ai_hi:
+            ai_hi = ai
+        if perf < perf_lo:
+            perf_lo = perf
 
-    x_lo = floor(log10(min(min(p.ai for p in points), ridge))) - 1
-    x_hi = ceil(log10(max(max(p.ai for p in points), ridge))) + 1
+    x_lo = floor(log10(ai_lo)) - 1
+    x_hi = ceil(log10(ai_hi)) + 1
     y_hi = floor(log10(peak)) + 1
-    y_lo = min(floor(log10(min(p.perf_attained for p in points))) - 1, y_hi - 4)
+    y_lo = min(floor(log10(perf_lo)) - 1, y_hi - 4)
 
     x = _LogScale(x_lo, x_hi, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
     y = _LogScale(y_lo, y_hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
@@ -155,15 +160,15 @@ def emit_roofline_svg(
     knee_x, knee_y = x.map(ridge), y.map(peak)
     frame.append(
         f'<polyline fill="none" stroke="#000000" stroke-width="2" points="'
-        f"{_f(x.map_log(start_log))},{_f(y.map_log(start_log + log10(bw)))} "
-        f'{_f(knee_x)},{_f(knee_y)} {_f(x.map_log(x_hi))},{_f(knee_y)}"/>'
+        f"{x.map_log(start_log):.2f},{y.map_log(start_log + log10(bw)):.2f} "
+        f'{knee_x:.2f},{knee_y:.2f} {x.map_log(x_hi):.2f},{knee_y:.2f}"/>'
     )
     frame.append(
-        f'<line x1="{_f(knee_x)}" y1="{_f(y.map_log(y_lo))}" x2="{_f(knee_x)}" '
-        f'y2="{_f(knee_y)}" stroke="#555555" stroke-dasharray="5,4"/>'
+        f'<line x1="{knee_x:.2f}" y1="{y.map_log(y_lo):.2f}" x2="{knee_x:.2f}" '
+        f'y2="{knee_y:.2f}" stroke="#555555" stroke-dasharray="5,4"/>'
     )
     frame.append(
-        f'<text x="{_f(knee_x + 6)}" y="{_f(y.map_log(y_lo) - 8)}" font-size="12">'
+        f'<text x="{knee_x + 6:.2f}" y="{y.map_log(y_lo) - 8:.2f}" font-size="12">'
         f"ridge {ridge:.4g} FLOP/B</text>"
     )
 
@@ -178,8 +183,8 @@ def _roofline_document(
         color = _COMPUTE_COLOR if p.bound == "compute_bound" else _MEMORY_COLOR
         px, py = x.map(p.ai), y.map(p.perf_attained)
         yield (
-            f'<circle cx="{_f(px)}" cy="{_f(py)}" r="4" fill="{color}"/>\n'
-            f'<text x="{_f(px + 6)}" y="{_f(py - 6)}" font-size="10">'
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{color}"/>\n'
+            f'<text x="{px + 6:.2f}" y="{py - 6:.2f}" font-size="10">'
             f"{_escape(p.label)}</text>\n"
         )
     yield "</svg>\n"
@@ -197,8 +202,9 @@ def emit_line_svg(
     A point that is not positive and finite is rejected by series name and
     (x, y) pair, with x under `xlabel`.
     """
-    if not series or all(len(pts) == 0 for _, pts in series):
-        raise ValidationError("at least one nonempty series is required")
+    # One pass checks every point and takes the extents.
+    x_min = y_min = inf
+    x_max = y_max = 0.0
     for name, pts in series:
         for px, py in pts:
             if not (0 < px < inf and 0 < py < inf):  # also false for NaN
@@ -206,10 +212,16 @@ def emit_line_svg(
                     f"line plots are log-log; values must be positive and finite "
                     f"(series '{name}': {xlabel}={px:g}, y={py:g})"
                 )
-    x_min = min(px for _, pts in series for px, _ in pts)
-    x_max = max(px for _, pts in series for px, _ in pts)
-    y_min = min(py for _, pts in series for _, py in pts)
-    y_max = max(py for _, pts in series for _, py in pts)
+            if px < x_min:
+                x_min = px
+            if px > x_max:
+                x_max = px
+            if py < y_min:
+                y_min = py
+            if py > y_max:
+                y_max = py
+    if x_min == inf:
+        raise ValidationError("at least one nonempty series is required")
 
     lo2, hi2 = floor(log2(x_min)), ceil(log2(x_max))
     step = max(1, (hi2 - lo2) // 10)
@@ -244,12 +256,12 @@ def _line_document(
                 yield text
                 text = " "
             text += " ".join(
-                f"{_f(x.map(px))},{_f(y.map(py))}"
+                f"{x.map(px):.2f},{y.map(py):.2f}"
                 for px, py in ordered[start:start + POLYLINE_CHUNK]
             )
         yield text + '"/>\n'
         for px, py in pts:
-            yield f'<circle cx="{_f(x.map(px))}" cy="{_f(y.map(py))}" r="3" fill="{color}"/>\n'
+            yield f'<circle cx="{x.map(px):.2f}" cy="{y.map(py):.2f}" r="3" fill="{color}"/>\n'
         ly = MARGIN_TOP + 16 + 18 * idx
         yield (
             f'<line x1="{legend_x}" y1="{ly - 4}" x2="{legend_x + 22}" y2="{ly - 4}" '

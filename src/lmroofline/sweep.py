@@ -7,17 +7,20 @@ reproduces the output byte for byte.
 A grid document is a scenario document plus `axes`, and `read_scenario`
 reads both kinds; a field an axis supplies may be left out of a grid.
 `map_grid` is the one loop over a grid's points, used by `run_sweep` and by
-the CLI's `sweep`, `roofline` and `plot`. It resolves each point's workload
-with `resolve_workload`, as `scenario_from_dict` does for a scenario file,
-builds its Scenario, which validates the workload once, and evaluates it
-with `end_to_end`. An arm point whose workload equals that of the last arm
-point with a prompt in every field but gen_len takes that point's prefill
-and its seconds, so a gen_len axis builds one prefill per row; nothing
-outlives the loop. Any error, from building the point or from evaluating
-it, names the point. It yields the caller's function of each point's
-ScenarioResult and keeps none, so each caller keeps only what it needs:
-`run_sweep` a row per point, `roofline` the flattened RooflinePoints, with
-no tuple per point.
+the CLI's `sweep`, `roofline` and `plot`. It maps each axis to its
+WorkloadSpec slot once per grid, resolves each point's workload from its
+(slot, value) pairs with `resolve_workload`, as `scenario_from_dict` does
+for a scenario file with none, builds its Scenario, which validates the
+workload once, and evaluates it with `end_to_end`. An arm point whose
+workload equals that of the last arm point with a prompt in every field but
+gen_len takes that point's prefill and its seconds, so a gen_len axis
+builds one prefill per row; nothing outlives the loop. Any error, from
+building the point or from evaluating it, names the point: its
+{axis: value} dict is built only then. It yields the caller's function of
+each point's ScenarioResult and keeps none, so each caller keeps only what
+it needs: `run_sweep` a row per point, `roofline` the flattened
+RooflinePoints, with no tuple per point. `evaluate_point` builds its
+SweepRow positionally.
 
 `write_csv` writes the header and then each line as it comes, so no
 document string is built. The CLI's `sweep` turns each point straight into
@@ -40,6 +43,7 @@ from math import isfinite
 from .configs import (
     MAX_FLOAT,
     Scenario,
+    WorkloadSpec,
     _load_json,
     _write_text,
     echo,
@@ -144,13 +148,14 @@ def map_grid(grid: SweepGrid, per_point: Callable[[ScenarioResult], object]
     A ValidationError from building the point's Scenario, or from
     evaluating it, names the point.
     """
-    names = [name for name, _ in grid.axes]
+    # Each axis's WorkloadSpec slot, found once: a point is its values by slot.
+    slots = [WorkloadSpec._fields.index(name) for name, _ in grid.axes]
+    model, hardware, base = grid.model, grid.hardware, grid.base
     # The last prefilled arm point's workload but gen_len, and its prefill and seconds.
     key = prefill = None
     for combo in itertools.product(*(values for _, values in grid.axes)):
-        point = dict(zip(names, combo))
         try:
-            scenario = Scenario(grid.model, grid.hardware, resolve_workload(grid.base, point))
+            scenario = Scenario(model, hardware, resolve_workload(base, zip(slots, combo)))
             w = scenario.workload
             if w.mode != "arm" or not w.prompt_len:
                 result = end_to_end(scenario)
@@ -165,6 +170,7 @@ def map_grid(grid: SweepGrid, per_point: Callable[[ScenarioResult], object]
             value = per_point(result)
             del result  # the next point is then built with no other point's phases alive
         except ValidationError as exc:
+            point = dict(zip((name for name, _ in grid.axes), combo))
             raise ValidationError(f"grid point {echo(point)}: {exc}") from exc
         yield value
 
@@ -177,22 +183,9 @@ def evaluate_point(result: ScenarioResult) -> SweepRow:
     if footprint.total > MAX_FLOAT:
         raise ValidationError("result has a non-finite number: a total beyond the float range")
     ai = arithmetic_intensity(result)
-    return SweepRow(
-        mode=w.mode,
-        B=w.batch,
-        Lp=w.prompt_len,
-        Lg=w.gen_len,
-        K=w.steps,
-        G=w.block_size,
-        flops=result.flops,
-        bytes=result.bytes,
-        ai=ai,
-        latency_s=result.latency_s,
-        throughput_tok_s=result.throughput_tok_s,
-        bound=classify(ai, scenario.hardware),
-        peak_mem_bytes=footprint.total,
-        fits=footprint.fits,
-    )
+    return SweepRow(w.mode, w.batch, w.prompt_len, w.gen_len, w.steps, w.block_size,
+                    result.flops, result.bytes, ai, result.latency_s, result.throughput_tok_s,
+                    classify(ai, scenario.hardware), footprint.total, footprint.fits)
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:

@@ -610,10 +610,17 @@ MODEL_FILE_DOC = {
         ("hardware", hardware_doc(name=""), "name must be a nonempty string (got '')"),
         ("hardware", hardware_doc(peak_flops="1e14"),
          "peak_flops must be a positive finite number (got '1e14')"),
+        ("model", {**MODEL_FILE_DOC, "name": "tiny\u0001x"},
+         "name must be printable (got 'tiny\\x01x')"),
+        ("model", {**MODEL_FILE_DOC, "name": "tiny\ud800"},
+         "name must be printable (got 'tiny\\ud800')"),
+        ("hardware", hardware_doc(name="gpu\u0001x"), "name must be printable (got 'gpu\\x01x')"),
+        ("hardware", hardware_doc(name="gpu\ud800"), "name must be printable (got 'gpu\\ud800')"),
     ],
     ids=["model-unknown", "model-missing", "hardware-unknown", "hardware-missing",
          "model-empty-name", "model-attention-kind", "hardware-empty-name",
-         "hardware-string-number"],
+         "hardware-string-number", "model-control-name", "model-surrogate-name",
+         "hardware-control-name", "hardware-surrogate-name"],
 )
 def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, message):
     # The key sets come from the ModelConfig and HardwareSpec fields, and
@@ -624,6 +631,25 @@ def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["model", "hardware"])
+@pytest.mark.parametrize("name", ["x\u0001y", "x\ud800y"], ids=["control", "surrogate"])
+def test_roofline_rejects_an_unprintable_name_leaving_the_output_as_it_was(
+        tmp_path, capsys, field, name):
+    # Both names are written into the SVG: a control character is no XML
+    # character, and a lone surrogate cannot be encoded as UTF-8.
+    named = MODEL_FILE_DOC if field == "model" else hardware_doc()
+    write_json(tmp_path, "file.json", {**named, "name": name})
+    doc = arm_grid_doc({"batch": [1, 2]}, **{field: "file.json"})
+    config = write_json(tmp_path, "grid.json", doc)
+    output = tmp_path / "roofline.svg"
+    output.write_bytes(b"previous output\n")
+    assert main(["roofline", "-c", config, "-o", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: name must be printable (got {name!r})\n"
+    assert output.read_bytes() == b"previous output\n"
 
 
 def test_plot_names_a_zero_x_value_and_its_axis(tmp_path, capsys):

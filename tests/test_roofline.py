@@ -433,6 +433,68 @@ def test_naive_latency_is_non_decreasing_in_steps_and_batch_bit_for_bit(model, h
     assert batch_up >= base
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_models(), random_workloads(modes=("arm",)), st.data())
+def test_arm_latency_is_non_decreasing_in_batch_bit_for_bit(model, workload, data):
+    """latency_s of an arm scenario at batch + 1 is >= at batch, compared as
+    floats with no tolerance, for any model, hardware and options, with or
+    without a prompt. About half the draws place the ridge inside the
+    decode's attention run, so that the run crosses it at both batches.
+
+    Proof, for every batch below 2**49. Every entry but decode attention is
+    a KernelCost (the prefill is one constant forward; a decode step's
+    linear layers, elementwise traffic and lm_head are the same every
+    step), whose FLOPs and bytes are exact ints, sums of nonnegative
+    products with batch as a factor or a constant (a linear layer's
+    weights), so both are non-decreasing in batch; kernel_time gives it
+    max(F/P, B/W), and converting to float, dividing by P or W and max are
+    each monotone. Decode attention (a KernelCost at gen_len 1, and
+    monotone as one) is a run whose every invocation's FLOPs a_i and bytes
+    b_i carry batch as an exact factor: at batch B they are B*a_i and
+    B*b_i, so their intensity, and the exact time
+    B*M = B * sum_i max(a_i/P, b_i/W), do not otherwise depend on B. But
+    kernel_time reads the first compute-bound invocation j off rounded
+    quotients, which may tie differently at B and B + 1, so a bound takes
+    the place of the gen_len test's fixed j. Let u = 2**-53.
+    - Under kernel_time's premise that its test is monotone along a run,
+      the invocations before j failed it and those from j on passed it.
+      Both sides of the test are the exact quotients times factors in
+      [(1-u)**2, (1+u)**2], so a failing invocation has b_i/W >
+      (a_i/P) * rho and a passing one a_i/P >= (b_i/W) * rho, with
+      rho = ((1-u)/(1+u))**2. So the split the run is charged,
+      B*(sum_{i<j} b_i/W + sum_{i>=j} a_i/P), is at least rho*B*M; every
+      split is at most B*M.
+    - kernel_time computes that split as prefix_bytes/W +
+      suffix_flops/P: each term converted and divided, then one addition,
+      so the result is within factors (1-u)**3 and (1+u)**3 of it (at
+      j = 0 or j = count, one term, rounded twice).
+    So attention takes at most B*M*(1+u)**3 at batch B and at least
+    (B+1)*M*rho*(1-u)**3 at B + 1, which is larger while
+    (B+1)/B >= ((1+u)/(1-u))**5, that is for every B up to 2**53/11.
+    A phase's latency is math.fsum of its kernels' times (an entry equal to
+    the one before it takes that one's time, the time it would be given
+    anyway), and latency_s the fsum of the phases'. fsum is the correctly
+    rounded exact sum, and rounding is monotone, so neither can fall.
+    """
+    prompt_len = data.draw(st.sampled_from([0, workload.prompt_len]))
+    gen_len = data.draw(st.sampled_from([1, workload.gen_len]))
+    smaller, larger = (
+        WorkloadSpec("arm", batch, prompt_len, gen_len, None, None, workload.dtype_bytes,
+                     workload.options)
+        for batch in (workload.batch, workload.batch + 1)
+    )
+    if gen_len > 1 and data.draw(st.booleans()):
+        run = dict(arm_decode_cost(Scenario(model, A6000, larger)).breakdown)["attention"]
+        (f0, b0), (f1, b1) = run.at(0), run.at(run.count - 1)
+        ridge = f0 / b0 + data.draw(st.floats(0, 1)) * (f1 / b1 - f0 / b0)
+        bandwidth = 10 ** data.draw(st.floats(9, 13))
+        hw = HardwareSpec("crossing", ridge * bandwidth, bandwidth, 80e9)
+    else:
+        hw = data.draw(random_hardware)
+    before, after = (end_to_end(Scenario(model, hw, w)).latency_s for w in (smaller, larger))
+    assert after >= before
+
+
 def test_memory_bound_decode_batching_nearly_doubles_throughput():
     # weight-dominated decode: tiny prompt so the KV stream is negligible
     w1 = WorkloadSpec(mode="arm", batch=1, prompt_len=8, gen_len=32)

@@ -1,6 +1,7 @@
 """Grid sweeps, the power-law fit the acceptance checks use, and the CSV report contract."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -25,10 +26,10 @@ from lmroofline import (
     run_sweep,
 )
 from lmroofline.cli import main as cli_main
-from lmroofline.configs import Scenario, require_int, validate_workload
+from lmroofline.configs import Scenario, echo, require_int, scenario_from_dict, validate_workload
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import end_to_end
-from lmroofline.sweep import CSV_HEADER, evaluate_point, grid_from_dict, map_grid
+from lmroofline.sweep import AXIS_FIELDS, CSV_HEADER, evaluate_point, grid_from_dict, map_grid
 from oracles import csv_text, loglog_slope, parse_csv, patch_everywhere
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -444,6 +445,63 @@ def test_evaluate_point_matches_run_sweep_row():
     w = WorkloadSpec(mode="arm", batch=3, prompt_len=64, gen_len=32)
     direct = evaluate_point(end_to_end(Scenario(LLAMA, A6000, w)))
     assert direct == row
+
+
+# Values an axis may take: a null steps, a block_size above a gen_len, and
+# true for dtype_bytes among them, so that some points are rejected.
+AXIS_VALUES = {
+    "batch": st.integers(1, 4),
+    "prompt_len": st.integers(0, 48),
+    "gen_len": st.integers(1, 48),
+    "steps": st.none() | st.integers(1, 64),
+    "block_size": st.none() | st.integers(1, 64),
+    "dtype_bytes": st.sampled_from([1, 2, 4, True]),
+}
+
+
+@st.composite
+def slot_grid_docs(draw):
+    """A grid document over one to six of the AXIS_FIELDS, in any order, of
+    any mode; a field an axis supplies may be left out of the document, and
+    steps may be null or left out."""
+    mode = draw(st.sampled_from(["arm", "dlm_naive", "dlm_block"]))
+    model = "llama3-8b" if mode == "arm" else draw(st.sampled_from(["llama3-8b", "llada-8b"]))
+    doc = {"model": model, "hardware": "rtx-a6000", "mode": mode, "batch": 2, "prompt_len": 16,
+           "gen_len": 32}
+    if mode != "arm":
+        doc["steps"] = draw(st.sampled_from([None, 32]))
+    if mode == "dlm_block":
+        doc["block_size"] = 8
+    names = draw(st.permutations(AXIS_FIELDS))[:draw(st.integers(1, len(AXIS_FIELDS)))]
+    doc["axes"] = {name: draw(st.lists(AXIS_VALUES[name], min_size=1, max_size=2))
+                   for name in names}
+    for name in names:
+        if draw(st.booleans()):
+            doc.pop(name, None)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot_grid_docs())
+def test_a_grid_point_is_the_scenario_of_its_merged_document(doc):
+    """map_grid resolves a point by WorkloadSpec slot; each point it yields
+    equals end_to_end of the scenario document the grid's document and the
+    point's axis values merge into, and a rejected point's error is that
+    document's, after the point's name."""
+    scenario_doc = {name: value for name, value in doc.items() if name != "axes"}
+    names = list(doc["axes"])
+    points = map_grid(grid_from_dict(doc), lambda result: result)
+    for combo in itertools.product(*doc["axes"].values()):
+        point = dict(zip(names, combo))
+        try:
+            expected = end_to_end(scenario_from_dict({**scenario_doc, **point}))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                next(points)
+            assert str(caught.value) == f"grid point {echo(point)}: {exc}"
+            return
+        assert next(points) == expected
+    assert next(points, None) is None
 
 
 # One grid per mode, with every counting option that adds a kernel kind on.
