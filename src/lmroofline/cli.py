@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 validation error (including bad usage),
 2 I/O error.
+
+A call builds the argument parser of the command it runs, and no other.
+The whole CLI's parser, with every command's, is built only for help, a
+usage error, or an argv that does not start with a command.
 """
 
 from __future__ import annotations
@@ -31,44 +35,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_arguments(parser: _Parser, command: str) -> None:
+    """Declare `command`'s arguments on `parser`: the command's own parser,
+    or its subparser in the whole CLI's."""
+    if command in ("hw", "model"):
+        actions = parser.add_subparsers(dest="action", required=True)
+        actions.add_parser("list")
+        actions.add_parser("show").add_argument("name")
+        return
+    if command == "plot":
+        parser.add_argument("--kind", required=True, choices=tuple(_PLOT_COLUMNS))
+    source = "scenario" if command == "analyze" else "grid"
+    parser.add_argument("-c", "--config", required=True, help=f"{source} JSON file")
+    if command != "analyze":
+        kind = "CSV" if command == "sweep" else "SVG"
+        parser.add_argument("-o", "--output", required=True, help=f"output {kind} path")
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use rather than at import, then shared.
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of one command, or with None the whole CLI's: built on first
+    use rather than at import, then shared.
 
-    Parsing leaves no state in it, and it writes to the sys.stdout and
-    sys.stderr current at each call."""
-    parser = _Parser(prog="lmroofline", description=__doc__)
+    A command's parser takes the arguments after the command's name, under
+    the prog its subparser has in the whole CLI's, so help and errors read
+    the same from both. Parsing leaves no state in a parser, and it writes
+    to the sys.stdout and sys.stderr current at each call."""
+    if command is not None:
+        parser = _Parser(prog=f"lmroofline {command}")
+        _add_arguments(parser, command)
+        return parser
+    # --help prints the module docstring but its last paragraph (none under -OO).
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="lmroofline", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="evaluate one scenario file")
-    analyze.add_argument("-c", "--config", required=True, help="scenario JSON file")
-
-    sweep = sub.add_parser("sweep", help="evaluate a grid file to CSV")
-    sweep.add_argument("-c", "--config", required=True, help="grid JSON file")
-    sweep.add_argument("-o", "--output", required=True, help="output CSV path")
-
-    roofline = sub.add_parser("roofline", help="render a grid's phases on the roofline")
-    roofline.add_argument("-c", "--config", required=True, help="grid JSON file")
-    roofline.add_argument("-o", "--output", required=True, help="output SVG path")
-
-    plot = sub.add_parser("plot", help="render a metric against the last grid axis")
-    plot.add_argument("--kind", required=True, choices=("latency", "throughput", "ai"))
-    plot.add_argument("-c", "--config", required=True, help="grid JSON file")
-    plot.add_argument("-o", "--output", required=True, help="output SVG path")
-
-    hw = sub.add_parser("hw", help="inspect the hardware registry")
-    hw_sub = hw.add_subparsers(dest="action", required=True)
-    hw_sub.add_parser("list")
-    hw_show = hw_sub.add_parser("show")
-    hw_show.add_argument("name")
-
-    model = sub.add_parser("model", help="inspect the model registry")
-    model_sub = model.add_subparsers(dest="action", required=True)
-    model_sub.add_parser("list")
-    model_show = model_sub.add_parser("show")
-    model_show.add_argument("name")
-
+    for name, (_, text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _shown(path: str) -> str:
+    """An output path as a `wrote` line prints it: as given if printable, else
+    escaped by echo, so that a path that is not valid text cannot fail the
+    print after its file is written."""
+    return path if path.isprintable() else echo(path)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -88,7 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = list(map_grid(
         load_grid(args.config), lambda result: row_to_csv(evaluate_point(result))))
     write_csv(lines, args.output)
-    print(f"wrote {len(lines)} rows to {args.output}")
+    print(f"wrote {len(lines)} rows to {_shown(args.output)}")
     return 0
 
 
@@ -97,7 +107,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     # Each point's RooflinePoints join one flat list as map_grid yields them.
     points = list(itertools.chain.from_iterable(map_grid(grid, attrgetter("points"))))
     emit_roofline_svg(points, grid.hardware, args.output)
-    print(f"wrote {len(points)} points to {args.output}")
+    print(f"wrote {len(points)} points to {_shown(args.output)}")
     return 0
 
 
@@ -127,7 +137,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     series = [(name, pts[idx * size : (idx + 1) * size]) for idx, name in enumerate(names)]
     emit_line_svg(series, args.output, xlabel=x_axis, ylabel=ylabel,
                   title=f"{args.kind} vs {x_axis}")
-    print(f"wrote {args.output}")
+    print(f"wrote {_shown(args.output)}")
     return 0
 
 
@@ -166,28 +176,34 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
+# command -> (its function, its line in the whole CLI's help), in the help's order.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-    "roofline": _cmd_roofline,
-    "plot": _cmd_plot,
-    "hw": _cmd_hw,
-    "model": _cmd_model,
+    "analyze": (_cmd_analyze, "evaluate one scenario file"),
+    "sweep": (_cmd_sweep, "evaluate a grid file to CSV"),
+    "roofline": (_cmd_roofline, "render a grid's phases on the roofline"),
+    "plot": (_cmd_plot, "render a metric against the last grid axis"),
+    "hw": (_cmd_hw, "inspect the hardware registry"),
+    "model": (_cmd_model, "inspect the model registry"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known command's own parser takes the arguments after it; the whole
+    # CLI's takes anything else.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv if command is None else argv[1:])
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        _build_parser(None).print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    run, _ = _COMMANDS[command or args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import lmroofline
 from lmroofline import HW_REGISTRY, MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
 from oracles import parse_csv
 from lmroofline.cli import main
-from lmroofline.configs import scenario_from_dict
+from lmroofline.configs import echo, scenario_from_dict
 
 
 def write_json(tmp_path, name, doc):
@@ -481,28 +481,29 @@ def test_help_exits_0(capsys):
     assert "lmroofline" in capsys.readouterr().out
 
 
-def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+# Every parser the whole CLI's is built from, in the order it builds them.
+WHOLE_CLI = [
+    "lmroofline", "lmroofline analyze", "lmroofline sweep", "lmroofline roofline",
+    "lmroofline plot", "lmroofline hw", "lmroofline hw list", "lmroofline hw show",
+    "lmroofline model", "lmroofline model list", "lmroofline model show",
+]
+
+
+def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypatch):
+    """A command builds its own parser once per process, and the whole CLI's
+    is built only for help, an unknown command or a usage error, whose usage
+    line it prints. Parsers reused from call to call give what parsers built
+    fresh for each call give."""
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc())
     calls = [
+        ["analyze", "-c", config],
+        ["analyze", "-c", config],
         ["analyze"],  # usage error: -c is required
         ["--help"],
-        ["analyze", "-c", config],
         ["vibes"],
         ["hw", "show", "no-such-gpu"],
         ["analyze", "-c", config],
     ]
-
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue(), err.getvalue()
-
-    fresh = []
-    for argv in calls:
-        cli._build_parser.cache_clear()
-        fresh.append(run(argv))
-
     built = []
 
     class CountingParser(cli._Parser):
@@ -510,21 +511,35 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
             built.append(kwargs.get("prog"))
             super().__init__(*args, **kwargs)
 
+    def run(argv):
+        """(exit code, stdout, stderr, progs of the parsers built) of one call."""
+        out, err = io.StringIO(), io.StringIO()
+        before = len(built)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue(), built[before:]
+
     monkeypatch.setattr(cli, "_Parser", CountingParser)
     cli._build_parser.cache_clear()
     try:
-        shared = [run(calls[0])]
-        first_call_built = len(built)
-        shared += [run(argv) for argv in calls[1:]]
+        shared = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
     finally:
         cli._build_parser.cache_clear()
-    assert built.count("lmroofline") == 1
-    assert len(built) == first_call_built  # subcommand parsers too, all on the first call
-    assert shared == fresh
-    assert [code for code, _, _ in shared] == [1, 0, 0, 1, 1, 0]
-    assert shared[0][2].startswith("usage error:") and "usage: lmroofline" in shared[0][2]
-    assert shared[1][1].startswith("usage: lmroofline")
-    assert "usage: lmroofline" in shared[3][2]  # a usage error once the parser exists
+    assert [call[:3] for call in shared] == [call[:3] for call in fresh]
+    assert [call[3] for call in shared] == [
+        ["lmroofline analyze"], [], WHOLE_CLI, [], [],
+        ["lmroofline hw", "lmroofline hw list", "lmroofline hw show"], [],
+    ]
+    assert [call[3] for call in fresh[2:5]] == [["lmroofline analyze", *WHOLE_CLI], WHOLE_CLI,
+                                                 WHOLE_CLI]
+    assert [code for code, *_ in shared] == [0, 0, 1, 0, 1, 1, 0]
+    assert shared[2][2].startswith("usage error:") and "usage: lmroofline [-h]" in shared[2][2]
+    assert shared[3][1].startswith("usage: lmroofline [-h]")
+    assert "usage: lmroofline [-h]" in shared[4][2]  # a usage error once the parser exists
 
 
 NULL_STEPS_GRID = {
@@ -687,12 +702,13 @@ def test_rejected_last_point_leaves_an_existing_output_as_it_was(tmp_path, capsy
     assert output.read_bytes() == b"previous output\n"
 
 
-def run_module(argv: list[str]) -> subprocess.CompletedProcess:
-    """`python -m lmroofline argv` in a new process, its stdout and stderr into pipes."""
+def run_module(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """`python -m lmroofline argv` in a new process, with `env` added to its
+    environment, its stdout and stderr into pipes."""
     src = str(Path(lmroofline.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "lmroofline", *argv], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, timeout=60,
+        [sys.executable, "-m", "lmroofline", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, timeout=60,
     )
 
 
@@ -711,6 +727,20 @@ def test_reports_to_dev_stdout_and_dev_null_are_written_whole(tmp_path, command)
         message = to_file.stdout.replace(str(report).encode(), special.encode())
         written = report.read_bytes() if special == "/dev/stdout" else b""
         assert run.stdout == written + message
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS, ids=lambda argv: argv[0])
+def test_an_output_path_that_is_not_text_prints_escaped(tmp_path, command):
+    """A path whose bytes are not UTF-8 reaches Python with surrogate escapes,
+    which a strict UTF-8 stdout cannot encode: the `wrote` line quotes it as
+    echo does, after the file is written, and the call exits 0."""
+    config = write_json(tmp_path, "grid.json", arm_grid_doc({"batch": [1, 2]}, prompt_len=8))
+    output = tmp_path / "\udcff.out"
+    run = run_module([*command, "-c", config, "-o", str(output)], PYTHONIOENCODING="utf-8:strict")
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout.startswith(b"wrote ")
+    assert run.stdout.endswith(f" {echo(str(output))}\n".encode())
+    assert os.path.getsize(os.fsencode(output)) > 0
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["sweep", "-o", "out.csv"]])

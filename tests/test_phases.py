@@ -37,6 +37,7 @@ from lmroofline.phases import (
     layer_forward_cost,
     naive_dlm_cost,
 )
+from lmroofline.memory import weight_bytes
 from lmroofline.roofline import kernel_time
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -614,6 +615,107 @@ def test_every_run_has_two_or_more_forwards_that_differ(
             if isinstance(kernel, KernelRun):
                 assert kernel.count >= 2, label
                 assert kernel.newton_flops[1] or kernel.newton_bytes[1], label
+
+
+LINEAR_KERNELS = {"q_proj", "k_proj", "v_proj", "out_proj", "mlp_gate", "mlp_up", "mlp_down",
+                  "lm_head"}
+
+# (model, mode, steps, block_size) at prompt_len 64 and gen_len 40. dlm_block
+# splits the generation into blocks of 16, 16 and 8 tokens and its 7 steps
+# into 3, 2 and 2, so its phase holds runs of every kind.
+BATCH_LAW_CASES = [
+    (LLAMA, "arm", None, None),
+    (LLAMA, "dlm_naive", 7, None),
+    (LLAMA, "dlm_block", 7, 16),
+    (LLADA, "dlm_naive", 7, None),
+    (LLADA, "dlm_block", 7, 16),
+]
+BATCH_LAW_IDS = [f"{model.name}-{mode}" for model, mode, _, _ in BATCH_LAW_CASES]
+
+
+def phases_at_batches_1_2_3(model, mode, steps, block_size, dtype):
+    """(workload, the phases at batch 1, 2 and 3 side by side) under each of
+    the 32 option sets."""
+    for flags in itertools.product([False, True], repeat=5):
+        runs = [
+            scenario(model, mode, b, 64, 40, steps, block_size, dtype, CountingOptions(*flags))
+            for b in (1, 2, 3)
+        ]
+        yield runs[0].workload, list(zip(*map(scenario_phases, runs)))
+
+
+def intercept(counts):
+    """W of the byte counts at batch 1, 2 and 3, after checking that they are
+    W + b·e with W and e non-negative."""
+    one, two, three = counts
+    weights, slope = 2 * one - two, two - one
+    assert three == weights + 3 * slope
+    assert weights >= 0 and slope >= 0
+    return weights
+
+
+@pytest.mark.parametrize("dtype", [1, 2, 4])
+@pytest.mark.parametrize("model, mode, steps, block_size", BATCH_LAW_CASES, ids=BATCH_LAW_IDS)
+def test_flops_are_linear_and_bytes_affine_in_the_batch(model, mode, steps, block_size, dtype):
+    """At fixed model, lengths, steps, dtype and options, every kernel's and
+    every phase's FLOPs are b·f and its bytes W + b·e in the batch b, with f,
+    e and W non-negative integers that do not depend on b. W, the weight
+    traffic, is carried by the linear kernels and lm_head alone.
+
+    Proof. A phase's kernels, their shapes and their invocation counts follow
+    from the lengths, steps and options, never from b. Per invocation,
+    linear_cost charges 2·b·s·d_in·d_out FLOPs and
+    dtype·(d_in·d_out + b·s·(d_in + d_out)) bytes: the weight matrix, then
+    the activations. Attention's FLOPs and its Q, K, V, output and KV-write
+    bytes, and the elementwise sweeps, are each b times a count of tokens or
+    pairs. A run's totals and a phase's are sums of these, so linear in b for
+    FLOPs and affine for bytes. Two batches fix an affine function in exact
+    integers, and the third checks it.
+    """
+    for _, by_batch in phases_at_batches_1_2_3(model, mode, steps, block_size, dtype):
+        for phases in by_batch:
+            kernels = [phase.breakdown for phase in phases]
+            assert len({tuple(label for label, _ in entries) for entries in kernels}) == 1
+            for entries in zip(*kernels):
+                label = entries[0][0]
+                flops = [kernel.flops for _, kernel in entries]
+                assert flops == [b * flops[0] for b in (1, 2, 3)], label
+                weights = intercept([kernel.bytes for _, kernel in entries])
+                assert (weights > 0) == (label.rpartition(":")[2] in LINEAR_KERNELS), label
+            assert [p.flops for p in phases] == [b * phases[0].flops for b in (1, 2, 3)]
+            intercept([p.bytes for p in phases])
+
+
+@pytest.mark.parametrize("dtype", [1, 2, 4])
+@pytest.mark.parametrize("model, mode, steps, block_size", BATCH_LAW_CASES, ids=BATCH_LAW_IDS)
+def test_the_weight_intercept_is_the_weights_each_forward_reads(
+    model, mode, steps, block_size, dtype
+):
+    """A phase's W = 2·B(1) - B(2) is its number of forwards times
+    memory.weight_bytes(model, dtype) less the embedding matrix, which a
+    forward looks up rather than multiplies by, and less the LM head too
+    when include_lm_head is off. A prefill is 1 forward, a decode gen_len,
+    a naive phase `steps`, and a block-wise phase `steps` plus, with
+    include_cache_refresh, one refresh pass per block.
+
+    memory.parameter_count and phases.layer_forward_cost list the weight
+    matrices separately; this checks that the two agree.
+    """
+    embedding = model.vocab_size * model.d_model * dtype
+    for w, by_batch in phases_at_batches_1_2_3(model, mode, steps, block_size, dtype):
+        blocks = -(-w.gen_len // block_size) if block_size else 0
+        forwards = {
+            "arm_prefill": 1,
+            "arm_decode": w.gen_len,
+            "dlm_naive": w.steps,
+            "dlm_block": (w.steps or 0) + (blocks if w.options.include_cache_refresh else 0),
+        }
+        per_forward = weight_bytes(model, dtype) - embedding
+        if not w.options.include_lm_head:
+            per_forward -= embedding
+        for phases in by_batch:
+            weights = intercept([p.bytes for p in phases])
+            assert weights == forwards[phases[0].phase] * per_forward, phases[0].phase
 
 
 def test_entry_count_does_not_grow_with_gen_len_or_blocks():

@@ -2,8 +2,9 @@
 
 The package is driven as a user drives it: `cli.main` over the golden grids
 (`sweep`, `roofline` and `plot` of each kind), one `analyze` of a scenario
-whose model and hardware are files, `hw` and `model` `list` and `show`, one
-usage error, one `analyze` of a scenario it rejects, and the four scripts.
+whose model and hardware are files, `hw` and `model` `list` and `show`, a
+command's help, a usage error of the whole CLI and one of a command, one
+`analyze` of a scenario it rejects, and the four scripts.
 A `sys.setprofile` hook records every Python function entered, by file and
 first line (a decorated function's code starts at its first decorator), and
 each `def` in `src/lmroofline/*.py` must be among them. A function that
@@ -77,6 +78,8 @@ def drive_package(out_dir: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in calls:
             assert cli.main(argv) == 0, argv
+        assert cli.main(["analyze", "-h"]) == 0
+        assert cli.main(["analyze"]) == 1
         assert cli.main(["no-such-command"]) == 1
         assert cli.main(["analyze", "-c", str(rejected_scenario(out_dir))]) == 1
     for script in SCRIPTS:
@@ -85,7 +88,7 @@ def drive_package(out_dir: Path) -> None:
 
 def test_every_function_in_the_package_is_run_by_a_command_or_a_script(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cli._build_parser.cache_clear()  # built once per process: build it again under the hook
+    cli._build_parser.cache_clear()  # each parser is built once per process: again under the hook
     entered = set()
 
     def record(frame, event, _arg):

@@ -1,5 +1,6 @@
 """Ridge points, bound classification, latency, and throughput behavior."""
 
+import dataclasses
 import json
 import math
 
@@ -671,6 +672,38 @@ def test_doubling_peak_and_bandwidth_halves_every_latency_exactly(scenario, kind
     assert doubled.latency_s == base.latency_s / 2
     assert doubled.throughput_tok_s == base.throughput_tok_s * 2
     assert [p.bound for p in doubled.points] == [p.bound for p in base.points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_scenario(), st.data())
+def test_capacity_changes_only_fits_and_more_capacity_never_unfits(scenario, data):
+    """Two specs that differ only in mem_capacity give report rows equal in
+    every field but `fits`, and a larger capacity never turns `fits` off.
+
+    Proof. mem_capacity is read in one place, peak_footprint's
+    `total <= hw.mem_capacity`. Kernel times read peak_flops and
+    mem_bandwidth, classify reads their ridge, and the footprint total reads
+    the model and the workload, so every other field is computed by the same
+    code from equal inputs. The total is an int, and Python compares an int
+    with an int or a float exactly, so `fits` is exactly total <= capacity,
+    which holds at every capacity above one at which it holds. The
+    capacities are drawn around the total, so `fits` takes both values.
+    """
+    model, hw, workload = scenario
+    total = peak_footprint(scenario).total
+    capacities = st.one_of(
+        st.sampled_from([0, total - 1, total, total + 1, float(total), 2 * total]),
+        st.integers(0, 2 * total), st.floats(0, 2.0 * total),
+    )
+    low, high = sorted([data.draw(capacities), data.draw(capacities)])
+    rows = [
+        evaluate_point(end_to_end(Scenario(
+            model, HardwareSpec(hw.name, hw.peak_flops, hw.mem_bandwidth, capacity), workload)))
+        for capacity in (low, high)
+    ]
+    assert [row.fits for row in rows] == [total <= low, total <= high]
+    assert rows[1].fits or not rows[0].fits
+    assert dataclasses.replace(rows[0], fits=rows[1].fits) == rows[1]
 
 
 @settings(max_examples=50, deadline=None)

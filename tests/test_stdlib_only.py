@@ -37,20 +37,21 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-def loaded_by_cli_import(names):
-    """Which of the top-level modules `names` a fresh `import lmroofline.cli` loads.
+def after_cli_import(expression: str) -> str:
+    """What a fresh process prints of `expression` after `import lmroofline.cli`.
 
     -S keeps site and .pth files out, so only the package's own imports count.
     """
     src = str(pathlib.Path(lmroofline.__file__).parent.parent)
-    code = (
-        "import sys, lmroofline.cli; "
-        f"print(sorted({{m.partition('.')[0] for m in sys.modules}} & {set(names)!r}))"
-    )
     return subprocess.run(
-        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", f"import sys, lmroofline.cli; print({expression})"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
+
+
+def loaded_by_cli_import(names):
+    """Which of the top-level modules `names` a fresh `import lmroofline.cli` loads."""
+    return after_cli_import(f"sorted({{m.partition('.')[0] for m in sys.modules}} & {set(names)!r})")
 
 
 def test_cli_import_pulls_in_no_xml_or_network_modules():
@@ -62,6 +63,13 @@ def test_cli_import_does_not_load_typing():
     needs none of it: no module imports it, and neither does any standard
     module the CLI pulls in."""
     assert loaded_by_cli_import({"typing"}) == "[]\n"
+
+
+def test_cli_import_builds_no_parser():
+    """Importing the CLI builds no argument parser: a call builds the one it
+    runs. The whole CLI's parser takes about 0.6 ms to build, which every
+    import would add to a fresh process and to the benchmark's setup_s."""
+    assert after_cli_import("lmroofline.cli._build_parser.cache_info().currsize") == "0\n"
 
 
 def test_no_module_imports_typing():
