@@ -4,7 +4,8 @@ The cost functions exported here take a validated Scenario, and so do the
 phase functions and their one forward builder, `phases.layer_forward_cost`.
 The kernel and memory functions under them take plain integers and do not
 check them; they stay importable from their modules. Every function the
-package defines is run by a command or a script (tests/test_reachable.py).
+package defines is run by a command or by the calls the benchmark makes
+(tests/test_reachable.py).
 """
 
 from .configs import (

@@ -129,8 +129,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     # x is read off each point's resolved workload, where a null steps is its gen_len.
     pts = list(map_grid(grid, lambda result: (
         float(getattr(result.scenario.workload, x_axis)), value(result))))
+    # A series is named by its case's fields, then by its series axes' values.
     names = [
-        ", ".join(f"{n}={v}" for (n, _), v in zip(series_axes, combo)) or grid.base.mode
+        ", ".join(filter(None, [case, *(f"{n}={v}" for (n, _), v in zip(series_axes, combo))]))
+        or grid.base.mode
+        for case in [case for case, _, _ in grid.cases] or [""]
         for combo in itertools.product(*(values for _, values in series_axes))
     ]
     size = len(x_values)  # points per series

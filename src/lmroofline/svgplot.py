@@ -116,12 +116,7 @@ def _decade_ticks(lo_exp: int, hi_exp: int) -> list[tuple[float, str]]:
     return [(float(e), f"1e{e}") for e in range(lo_exp, hi_exp + 1, step)]
 
 
-def emit_roofline_svg(
-    points: list[RooflinePoint],
-    hw: HardwareSpec,
-    path: str,
-    title: str | None = None,
-) -> None:
+def emit_roofline_svg(points: list[RooflinePoint], hw: HardwareSpec, path: str) -> None:
     """Log-log roofline: bandwidth slope and compute ceiling meeting at the ridge."""
     if not points:
         raise ValidationError("at least one roofline point is required")
@@ -152,7 +147,7 @@ def emit_roofline_svg(
     y = _LogScale(y_lo, y_hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
 
     frame = _frame(
-        title or f"Roofline: {hw.name}", x, y, _decade_ticks(x_lo, x_hi),
+        f"Roofline: {hw.name}", x, y, _decade_ticks(x_lo, x_hi),
         _decade_ticks(y_lo, y_hi), "arithmetic intensity (FLOP/byte)", "performance (FLOP/s)",
     )
     # Bandwidth roof y = bw * ai, clipped at the bottom of the frame.

@@ -5,22 +5,23 @@ the first axis varies slowest. Evaluation is pure, so re-running a sweep
 reproduces the output byte for byte.
 
 A grid document is a scenario document plus `axes`, and `read_scenario`
-reads both kinds; a field an axis supplies may be left out of a grid.
-`map_grid` is the one loop over a grid's points, used by `run_sweep` and by
-the CLI's `sweep`, `roofline` and `plot`. It maps each axis to its
-WorkloadSpec slot once per grid, resolves each point's workload from its
-(slot, value) pairs with `resolve_workload`, as `scenario_from_dict` does
-for a scenario file with none, builds its Scenario, which validates the
-workload once, and evaluates it with `end_to_end`. An arm point whose
-workload equals that of the last arm point with a prompt in every field but
-gen_len takes that point's prefill and its seconds, so a gen_len axis
-builds one prefill per row; nothing outlives the loop. Any error, from
-building the point or from evaluating it, names the point: its
-{axis: value} dict is built only then. It yields the caller's function of
-each point's ScenarioResult and keeps none, so each caller keeps only what
-it needs: `run_sweep` a row per point, `roofline` the flattened
-RooflinePoints, with no tuple per point. `evaluate_point` builds its
-SweepRow positionally.
+reads both kinds; a field an axis supplies may be left out of a grid. Its
+`cases`, if any, are the slowest axis. `map_grid` is the one loop over a
+grid's points, used by `run_sweep` and by the CLI's `sweep`, `roofline`
+and `plot`. It maps each axis to its WorkloadSpec slot once per grid,
+resolves each point's workload from its (slot, value) pairs with
+`resolve_workload`, as `scenario_from_dict` does for a scenario file with
+none, builds its Scenario, which validates the workload once, and
+evaluates it with `end_to_end`. An arm point whose workload equals that of
+the case's last arm point with a prompt in every field but gen_len takes
+that point's prefill and its seconds, so a gen_len axis builds one prefill
+per row; nothing outlives the case, which may change the model. Any
+error, from building the point or from evaluating it, names the case and
+the point: its {axis: value} dict is built only then. It yields the
+caller's function of each point's ScenarioResult and keeps none, so each
+caller keeps only what it needs: `run_sweep` a row per point, `roofline`
+the flattened RooflinePoints, with no tuple per point. `evaluate_point`
+builds its SweepRow positionally.
 
 `write_csv` writes the header and then each line as it comes, so no
 document string is built. The CLI's `sweep` turns each point straight into
@@ -58,7 +59,8 @@ from .roofline import ScenarioResult, classify, end_to_end
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
 
-class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes"))):
+class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes", "cases"),
+                           defaults=((),))):
     """A base workload plus the cartesian axes to sweep over it.
 
     `axes` is a tuple of (field name, tuple of values) pairs. Each point is
@@ -67,6 +69,10 @@ class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes"))):
     `block_size`, `dtype_bytes`) may be None where an axis supplies it, and
     `steps` is None where it is unset: a diffusion point then takes its own
     `gen_len` as its step count.
+
+    `cases` holds (name, model, base) triples, swept in turn. A grid without
+    them is its one case ("", model, base); with them, model and base are
+    the first case's.
     """
 
     __slots__ = ()
@@ -111,11 +117,13 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
-    """Parse a grid document: a scenario document plus an `axes` object.
+    """Parse a grid document: a scenario document plus an `axes` object, and
+    optionally `cases`, partial scenario documents each set over the grid's.
 
     Every scenario field is required unless it has a default or an axis
-    supplies it. The base workload is not validated here: each point is,
-    when `map_grid` builds it.
+    supplies it. A case is named by its fields, and may not set `hardware`,
+    `axes`, `cases` or a swept field. The base workload is not validated
+    here: each point is, when `map_grid` builds it.
     """
     if not isinstance(doc, dict):
         raise ValidationError("grid must be a JSON object")
@@ -132,8 +140,26 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     # A field an axis supplies is None in the base unless the document gives it.
     scenario_doc = {**dict.fromkeys(set(AXIS_FIELDS) & axes_doc.keys()), **doc}
     del scenario_doc["axes"]
-    model, hardware, base = read_scenario(scenario_doc, "grid", base_dir)
-    return SweepGrid(model=model, hardware=hardware, base=base, axes=tuple(axes))
+    if "cases" not in doc:
+        return SweepGrid(*read_scenario(scenario_doc, "grid", base_dir), tuple(axes))
+    cases_doc = scenario_doc.pop("cases")
+    if not isinstance(cases_doc, list) or not cases_doc:
+        raise ValidationError("cases must be a nonempty list of JSON objects")
+    cases = []
+    for case in cases_doc:
+        if not isinstance(case, dict):
+            raise ValidationError(f"each case must be a JSON object (got {echo(case)})")
+        name = echo(*(f"{key}={value}" for key, value in case.items()), quote="") or "{}"
+        reserved = case.keys() & {"hardware", "axes", "cases", *axes_doc}
+        try:
+            if reserved:
+                raise ValidationError(f"a case may not set {echo(*sorted(reserved), quote='')}: "
+                                      "the grid sets hardware, axes, cases and swept fields")
+            model, hardware, base = read_scenario({**scenario_doc, **case}, "grid", base_dir)
+        except ValidationError as exc:
+            raise ValidationError(f"case {name}: {exc}") from exc
+        cases.append((name, model, base))
+    return SweepGrid(cases[0][1], hardware, cases[0][2], tuple(axes), tuple(cases))
 
 
 def load_grid(path: str) -> SweepGrid:
@@ -150,29 +176,31 @@ def map_grid(grid: SweepGrid, per_point: Callable[[ScenarioResult], object]
     """
     # Each axis's WorkloadSpec slot, found once: a point is its values by slot.
     slots = [WorkloadSpec._fields.index(name) for name, _ in grid.axes]
-    model, hardware, base = grid.model, grid.hardware, grid.base
-    # The last prefilled arm point's workload but gen_len, and its prefill and seconds.
-    key = prefill = None
-    for combo in itertools.product(*(values for _, values in grid.axes)):
-        try:
-            scenario = Scenario(model, hardware, resolve_workload(base, zip(slots, combo)))
-            w = scenario.workload
-            if w.mode != "arm" or not w.prompt_len:
-                result = end_to_end(scenario)
-            else:
-                fields = (w.mode, w.batch, w.prompt_len, w.steps, w.block_size, w.dtype_bytes,
-                          w.options)
-                if fields == key:
-                    result = end_to_end(scenario, prefill)
-                else:
+    hardware = grid.hardware
+    for case, model, base in grid.cases or (("", grid.model, grid.base),):
+        # The last prefilled arm point's workload but gen_len, and its prefill and seconds.
+        key = prefill = None
+        for combo in itertools.product(*(values for _, values in grid.axes)):
+            try:
+                scenario = Scenario(model, hardware, resolve_workload(base, zip(slots, combo)))
+                w = scenario.workload
+                if w.mode != "arm" or not w.prompt_len:
                     result = end_to_end(scenario)
-                    key, prefill = fields, (result.phases[0], result.phase_latencies[0])
-            value = per_point(result)
-            del result  # the next point is then built with no other point's phases alive
-        except ValidationError as exc:
-            point = dict(zip((name for name, _ in grid.axes), combo))
-            raise ValidationError(f"grid point {echo(point)}: {exc}") from exc
-        yield value
+                else:
+                    fields = (w.mode, w.batch, w.prompt_len, w.steps, w.block_size,
+                              w.dtype_bytes, w.options)
+                    if fields == key:
+                        result = end_to_end(scenario, prefill)
+                    else:
+                        result = end_to_end(scenario)
+                        key, prefill = fields, (result.phases[0], result.phase_latencies[0])
+                value = per_point(result)
+                del result  # the next point is then built with no other point's phases alive
+            except ValidationError as exc:
+                point = dict(zip((name for name, _ in grid.axes), combo))
+                where = f"case {case}: " if case else ""
+                raise ValidationError(f"{where}grid point {echo(point)}: {exc}") from exc
+            yield value
 
 
 def evaluate_point(result: ScenarioResult) -> SweepRow:

@@ -7,7 +7,9 @@ infinity or a count that no float can hold. So every document below either
 raises ValidationError or evaluates to rows whose numbers are all finite
 floats, and every command of the CLI exits 0 or 1 on such a document. A
 rejection is one line of at most 1,000 printable characters, whatever
-names, keys and values the document holds.
+names, keys and values the document holds. A grid document may also list
+up to three cases, each holding some of the grid's fields, changed,
+dropped or joined by a field only the grid may set.
 """
 
 import contextlib
@@ -162,6 +164,16 @@ def grid_docs(draw):
         doc["axes"] = draw(st.dictionaries(st.sampled_from(AXIS_FIELDS) | any_text,
                                            st.lists(counts, max_size=3) | json_values,
                                            max_size=3))
+    cases = draw(st.integers(min_value=0, max_value=3))
+    if cases:
+        # Some of the grid's own fields move into each case, which may then
+        # change or drop them, or set a field only the grid may set.
+        moved = draw(st.sets(st.sampled_from(sorted(doc.keys() - {"hardware", "axes"}))))
+        shared = {name: doc.pop(name) for name in sorted(moved)}
+        doc["cases"] = [corrupt(draw, dict(shared), names) if draw(st.booleans()) else dict(shared)
+                        for _ in range(cases)]
+        if one_in(draw, 10):
+            doc["cases"] = draw(json_values)
     return corrupt(draw, doc, names)
 
 

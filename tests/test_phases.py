@@ -38,7 +38,8 @@ from lmroofline.phases import (
     naive_dlm_cost,
 )
 from lmroofline.memory import weight_bytes
-from lmroofline.roofline import kernel_time
+from lmroofline.configs import Scenario, WorkloadSpec
+from lmroofline.roofline import classify, end_to_end, kernel_time
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -716,6 +717,86 @@ def test_the_weight_intercept_is_the_weights_each_forward_reads(
         for phases in by_batch:
             weights = intercept([p.bytes for p in phases])
             assert weights == forwards[phases[0].phase] * per_forward, phases[0].phase
+
+
+# (model, mode, prompt_len, gen_len, steps, block_size, options) -> the first
+# compute-bound batch of each phase on rtx-a6000 at fp16, None for never.
+HEADROOM_CASES = {
+    (LLAMA, "arm", 2048, 128, None, None, False): [1, None],
+    (LLAMA, "arm", 512, 4096, None, None, False): [1, None],
+    (LLADA, "dlm_naive", 512, 256, 256, None, False): [1],
+    (LLADA, "dlm_block", 512, 1024, 1024, 32, False): [9],
+    (LLADA, "dlm_block", 512, 1024, 1024, 32, True): [4],
+}
+
+
+def first_compute_bound_batch(f, e, weights, hw):
+    """The least batch b whose phase intensity b·f / (W + b·e) classify calls
+    compute-bound, by doubling and then bisection; None when classify calls
+    the limit f/e memory-bound."""
+    def compute_bound(b):
+        return classify(b * f / (weights + b * e), hw) == "compute_bound"
+
+    if classify(f / e, hw) == "memory_bound":
+        return None
+    high = 1
+    while not compute_bound(high):
+        high *= 2
+        assert high < 2**64
+    low = high // 2  # memory-bound, or 0 when batch 1 is compute-bound
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if compute_bound(middle) else (middle, high)
+    return high
+
+
+@pytest.mark.parametrize("hw_name", ["rtx-a6000", "a100-80g"])
+@pytest.mark.parametrize("case", list(HEADROOM_CASES), ids=[
+    "arm-long-prompt", "arm-long-answer", "dlm_naive", "dlm_block", "dlm_block-refresh"])
+def test_the_first_compute_bound_batch_splits_the_bounds_through_end_to_end(case, hw_name):
+    """b*, the first batch at which classify calls a phase compute-bound,
+    found by bisection on classify over the batch law's integers f, e and W:
+    through end_to_end, the phase is memory-bound at b* - 1 and
+    compute-bound at b*. When classify calls f/e memory-bound, no batch up
+    to 2**20 is compute-bound.
+
+    Proof. By the batch law, a phase's FLOPs are b·f and its bytes W + b·e,
+    with integers f, e > 0 and W >= 0 that do not depend on b. So its exact
+    intensity b·f / (W + b·e) = f / (W/b + e) is non-decreasing in b and at
+    most f/e. arithmetic_intensity divides the two ints, which Python rounds
+    correctly, and rounding is monotone: the float intensity is
+    non-decreasing in b and at most the float of f/e. classify compares it
+    with the ridge, so along the batch a phase's bound changes at most once,
+    from memory- to compute-bound. Bisection then finds the first
+    compute-bound batch b*, and every batch below it is memory-bound. If the
+    float of f/e is below the ridge, every batch's float intensity is too.
+    """
+    model, mode, prompt_len, gen_len, steps, block_size, refresh = case
+    hw = HW_REGISTRY[hw_name]
+    options = CountingOptions(include_cache_refresh=refresh)
+
+    def evaluate(batch):
+        workload = WorkloadSpec(mode, batch, prompt_len, gen_len, steps, block_size, 2, options)
+        return end_to_end(Scenario(model, hw, workload))
+
+    one, two, three = map(evaluate, (1, 2, 3))
+    found = []
+    for index, (p1, p2, p3) in enumerate(zip(one.phases, two.phases, three.phases)):
+        f, e, weights = p1.flops, p2.bytes - p1.bytes, 2 * p1.bytes - p2.bytes
+        assert (p2.flops, p3.flops, p3.bytes) == (2 * f, 3 * f, weights + 3 * e)
+        first = first_compute_bound_batch(f, e, weights, hw)
+        found.append(first)
+        if first is None:
+            for batch in (2**k for k in range(21)):
+                assert evaluate(batch).points[index].bound == "memory_bound", batch
+            continue
+        at = evaluate(first)
+        assert (at.phases[index].flops, at.phases[index].bytes) == (first * f, weights + first * e)
+        assert at.points[index].bound == "compute_bound"
+        if first > 1:
+            assert evaluate(first - 1).points[index].bound == "memory_bound"
+    if hw_name == "rtx-a6000":
+        assert found == HEADROOM_CASES[case]
 
 
 def test_entry_count_does_not_grow_with_gen_len_or_blocks():

@@ -1,10 +1,14 @@
-"""Every function the package defines is run by a command or a script.
+"""Every function the package defines is run by a command or by the Python
+calls the benchmark makes.
 
 The package is driven as a user drives it: `cli.main` over the golden grids
-(`sweep`, `roofline` and `plot` of each kind), one `analyze` of a scenario
-whose model and hardware are files, `hw` and `model` `list` and `show`, a
-command's help, a usage error of the whole CLI and one of a command, one
-`analyze` of a scenario it rejects, and the four scripts.
+(`sweep`, `roofline` and `plot` of each kind), the experiment commands of
+README.md's table, one `analyze` of a scenario whose model and hardware are
+files, `hw` and `model` `list` and `show`, a command's help, a usage error
+of the whole CLI and one of a command, and one `analyze` of a scenario it
+rejects. Then, as `bench/workloads.py` does, a grid is read with
+`load_grid`, its rows made by `run_sweep` and written by `emit_csv`, and
+one series drawn by `emit_line_svg`.
 A `sys.setprofile` hook records every Python function entered, by file and
 first line (a decorated function's code starts at its first decorator), and
 each `def` in `src/lmroofline/*.py` must be among them. A function that
@@ -24,8 +28,16 @@ import sys
 from pathlib import Path
 
 import lmroofline
-from lmroofline import HW_REGISTRY, MODEL_REGISTRY, cli
-from test_golden import GOLDEN, MODES, SCRIPTS, grid_commands, run_script
+from lmroofline import (
+    HW_REGISTRY,
+    MODEL_REGISTRY,
+    cli,
+    emit_csv,
+    emit_line_svg,
+    load_grid,
+    run_sweep,
+)
+from test_golden import GOLDEN, GOLDEN_CLI, MODES, grid_commands, run_experiments
 
 PACKAGE = Path(lmroofline.__file__).resolve().parent
 
@@ -65,7 +77,8 @@ def rejected_scenario(out_dir: Path) -> Path:
 
 
 def drive_package(out_dir: Path) -> None:
-    """Run every command and script once, writing their files into out_dir."""
+    """Run every command and the benchmark's Python calls once, writing their
+    files into out_dir."""
     grid_argv = [argv for mode in MODES for _, argv in grid_commands(mode)]
     calls = [
         *([*argv, "-o", str(out_dir / f"out{i}")] for i, argv in enumerate(grid_argv)),
@@ -82,8 +95,11 @@ def drive_package(out_dir: Path) -> None:
         assert cli.main(["analyze"]) == 1
         assert cli.main(["no-such-command"]) == 1
         assert cli.main(["analyze", "-c", str(rejected_scenario(out_dir))]) == 1
-    for script in SCRIPTS:
-        run_script(script, out_dir)
+    run_experiments(out_dir)
+    rows = run_sweep(load_grid(str(GOLDEN_CLI / "grid_arm.json")))
+    emit_csv(rows, str(out_dir / "rows.csv"))
+    emit_line_svg([("arm", [(row.B, row.throughput_tok_s) for row in rows])],
+                  str(out_dir / "rows.svg"), xlabel="batch", ylabel="throughput", title="rows")
 
 
 def test_every_function_in_the_package_is_run_by_a_command_or_a_script(tmp_path, monkeypatch):
@@ -105,4 +121,4 @@ def test_every_function_in_the_package_is_run_by_a_command_or_a_script(tmp_path,
 
     reached = {(os.path.realpath(file), line) for file, line in entered}
     never = sorted(name for key, name in defined_functions().items() if key not in reached)
-    assert not never, f"functions no command or script runs: {', '.join(never)}"
+    assert not never, f"functions no command or benchmark call runs: {', '.join(never)}"

@@ -35,7 +35,7 @@ from lmroofline.phases import (
 )
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
-from lmroofline.sweep import SweepGrid, evaluate_point, map_grid
+from lmroofline.sweep import SweepGrid, evaluate_point, load_grid, map_grid
 from oracles import patch_everywhere, scenario
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -795,9 +795,9 @@ def test_an_arm_grid_builds_one_prefill_per_row(monkeypatch):
 ], ids=["equal-model", "equal-hardware", "batch", "prompt_len", "dtype_bytes", "options"])
 def test_a_new_model_or_hardware_object_or_workload_field_rebuilds_the_prefill(
         monkeypatch, change):
-    """Two gen_len rows, then the change, build two prefills. Within a grid
+    """Two gen_len rows, then the change, build two prefills. Within a case
     only an axis changes a point: batch, prompt_len or dtype_bytes. Model,
-    hardware and options are the grid's own, so those cases run a second
+    hardware and options are the case's own, so those changes run a second
     grid whose one point is the first grid's last in every other respect:
     no prefill outlives its grid, not even for an equal model or hardware."""
     calls = count_prefills(monkeypatch)
@@ -814,6 +814,24 @@ def test_a_new_model_or_hardware_object_or_workload_field_rebuilds_the_prefill(
             parts["base"] = base._replace(options=parts.pop("options"))
         evaluated(SweepGrid(**parts, axes=(("gen_len", (32,)),)))
     assert len(calls) == 2
+
+
+def test_arm_cases_of_different_models_give_each_point_a_fresh_evaluation(monkeypatch, tmp_path):
+    """Two arm cases that differ only in the model: the second case's first
+    point matches the first case's last in every field the prefill key
+    holds, so only the key's reset at each case keeps the first model's
+    prefill from serving it."""
+    (tmp_path / "odd.json").write_text(json.dumps(ODD._asdict()))
+    (tmp_path / "grid.json").write_text(json.dumps({
+        "hardware": "rtx-a6000", "mode": "arm", "batch": 1, "prompt_len": 64,
+        "cases": [{"model": "llama3-8b"}, {"model": "odd.json"}],
+        "axes": {"gen_len": [16, 32]},
+    }))
+    calls = count_prefills(monkeypatch)
+    results = evaluated(load_grid(str(tmp_path / "grid.json")))
+    assert [result.scenario.model for result in results] == [LLAMA, LLAMA, ODD, ODD]
+    assert len(calls) == 2
+    assert results == [end_to_end(result.scenario) for result in results]
 
 
 def test_analyze_after_a_sweep_builds_its_own_prefill(monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tracemalloc
+import xml.etree.ElementTree as ET
 from operator import attrgetter
 
 import pytest
@@ -348,17 +349,12 @@ def test_parse_rejects_foreign_csv(tmp_path):
         parse_csv(str(path))
 
 
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), os.pardir, "experiments")
+
+
 def test_blockwise_ai_grid_is_invariant_per_block_size():
     # AI depends on the block size, not on how far the generation runs
-    doc = {
-        "model": "llada-8b",
-        "hardware": "rtx-a6000",
-        "mode": "dlm_block",
-        "batch": 1,
-        "prompt_len": 1024,
-        "axes": {"block_size": [32, 64, 128], "gen_len": [256, 512, 1024, 2048]},
-    }
-    rows = run_sweep(grid_from_dict(doc))
+    rows = run_sweep(load_grid(os.path.join(EXPERIMENTS, "blockwise_ai.json")))
     assert len(rows) == 12
     for start in range(0, 12, 4):
         group = rows[start : start + 4]
@@ -368,16 +364,7 @@ def test_blockwise_ai_grid_is_invariant_per_block_size():
 
 
 def test_step_budget_grid_runs_all_points():
-    doc = {
-        "model": "llada-8b",
-        "hardware": "rtx-a6000",
-        "mode": "dlm_block",
-        "batch": 1,
-        "gen_len": 128,
-        "block_size": 32,
-        "axes": {"prompt_len": [128, 512, 2048], "steps": [128, 64, 32, 16, 4]},
-    }
-    rows = run_sweep(grid_from_dict(doc))
+    rows = run_sweep(load_grid(os.path.join(EXPERIMENTS, "step_scaling.json")))
     assert len(rows) == 15
     assert [r.K for r in rows[:5]] == [128, 64, 32, 16, 4]
 
@@ -412,8 +399,12 @@ def test_grid_requires_axes_object():
         ([{"batch": [1]}], "grid must be a JSON object"),
         ({"model": "llama3-8b", "hardware": "rtx-a6000", "mode": "arm", "axes": [1]},
          "axes must be a JSON object"),
+        ({"model": "llama3-8b", "hardware": "rtx-a6000", "axes": {}, "cases": []},
+         "cases must be a nonempty list"),
+        ({"model": "llama3-8b", "hardware": "rtx-a6000", "axes": {}, "cases": ["arm"]},
+         "each case must be a JSON object (got 'arm')"),
     ],
-    ids=["list-document", "list-axes"],
+    ids=["list-document", "list-axes", "empty-cases", "string-case"],
 )
 def test_grid_document_shape_exits_1(tmp_path, capsys, doc, message):
     path = tmp_path / "grid.json"
@@ -424,6 +415,67 @@ def test_grid_document_shape_exits_1(tmp_path, capsys, doc, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert not output.exists()
+
+
+GRID_COMMANDS = {"sweep": ["sweep"], "roofline": ["roofline"], "plot": ["plot", "--kind", "ai"]}
+SVG_NS = "http://www.w3.org/2000/svg"
+
+
+def run_grid_command(tmp_path, capsys, argv, doc):
+    """(exit code, stdout, stderr, whether the output exists) of a grid
+    command on grid `doc`."""
+    path, output = tmp_path / "grid.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    code = cli_main([*argv, "-c", str(path), "-o", str(output)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, output.exists()
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+@pytest.mark.parametrize("field, value", [
+    ("hardware", "a100-80g"), ("batch", 2), ("axes", {}), ("cases", []),
+], ids=["hardware", "swept-field", "axes", "cases"])
+def test_a_case_that_sets_what_only_the_grid_sets_exits_1_naming_it(
+        tmp_path, capsys, command, field, value):
+    """A case may not set the hardware (a grid keeps one ridge), a field an
+    axis sweeps (the axis would override it), `axes` or `cases`."""
+    doc = {"model": "llama3-8b", "hardware": "rtx-a6000", "mode": "arm", "prompt_len": 8,
+           "gen_len": 16, "cases": [{"gen_len": 8}, {"gen_len": 4, field: value}],
+           "axes": {"batch": [1, 2]}}
+    assert run_grid_command(tmp_path, capsys, GRID_COMMANDS[command], doc) == (
+        1, "", f"error: case gen_len=4, {field}={value}: a case may not set {field}: the grid "
+        "sets hardware, axes, cases and swept fields\n", False)
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_an_arm_case_under_a_steps_axis_names_the_case_and_the_point(tmp_path, capsys, command):
+    doc = {"model": "llama3-8b", "hardware": "rtx-a6000", "batch": 1, "prompt_len": 8,
+           "gen_len": 16, "cases": [{"mode": "dlm_naive"}, {"mode": "arm"}],
+           "axes": {"steps": [4, 16]}}
+    assert run_grid_command(tmp_path, capsys, GRID_COMMANDS[command], doc) == (
+        1, "", "error: case mode=arm: grid point {'steps': 4}: steps is only meaningful for "
+        "dlm modes (mode 'arm')\n", False)
+
+
+def test_a_case_grid_sweeps_each_case_in_turn_and_plot_names_each_cases_series(
+        tmp_path, capsys):
+    """Cases are the slowest axis. A series is named by its case's fields,
+    then by its series axes' values."""
+    doc = {"hardware": "a100-80g", "batch": 1, "gen_len": 16,
+           "cases": [{"model": "llama3-8b", "mode": "arm"},
+                     {"model": "llada-8b", "mode": "dlm_block", "block_size": 8}],
+           "axes": {"prompt_len": [8, 16], "batch": [1, 2]}}
+    rows = run_sweep(grid_from_dict(doc))
+    assert [(row.mode, row.Lp, row.B) for row in rows] == [
+        (mode, lp, b) for mode in ("arm", "dlm_block") for lp in (8, 16) for b in (1, 2)]
+    assert run_grid_command(tmp_path, capsys, ["plot", "--kind", "latency"], doc)[0] == 0
+    texts = [text.text for text in ET.parse(tmp_path / "out").iter(f"{{{SVG_NS}}}text")]
+    assert texts[-4:] == [
+        "model=llama3-8b, mode=arm, prompt_len=8",
+        "model=llama3-8b, mode=arm, prompt_len=16",
+        "model=llada-8b, mode=dlm_block, block_size=8, prompt_len=8",
+        "model=llada-8b, mode=dlm_block, block_size=8, prompt_len=16",
+    ]
 
 
 def test_grid_rejects_unknown_fields():
