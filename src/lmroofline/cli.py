@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 validation error (including bad usage),
 2 I/O error.
 
 A call builds the argument parser of the command it runs, and no other.
-The whole CLI's parser, with every command's, is built only for help, a
-usage error, or an argv that does not start with a command.
+The whole CLI's parser, with every command's, is built only for an argv
+that does not start with a known command.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Callable
 from operator import attrgetter
 
-from .configs import HW_REGISTRY, MODEL_REGISTRY, echo, load_scenario
+from .configs import HW_REGISTRY, MODEL_REGISTRY, HardwareSpec, ModelConfig, echo, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
 from .phases import arithmetic_intensity
 from .roofline import end_to_end, ridge_point
-from .sweep import evaluate_point, load_grid, map_grid, row_to_csv, write_csv
+from .sweep import evaluate_point, field_names, load_grid, map_grid, row_to_csv, write_csv
 from .svgplot import emit_line_svg, emit_roofline_svg
 
 
@@ -129,11 +130,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     # x is read off each point's resolved workload, where a null steps is its gen_len.
     pts = list(map_grid(grid, lambda result: (
         float(getattr(result.scenario.workload, x_axis)), value(result))))
-    # A series is named by its case's fields, then by its series axes' values.
+    # A series is named by its case, then its series axes' values, else by its mode.
+    series_names = [name for name, _ in series_axes]
     names = [
-        ", ".join(filter(None, [case, *(f"{n}={v}" for (n, _), v in zip(series_axes, combo))]))
-        or grid.base.mode
-        for case in [case for case, _, _ in grid.cases] or [""]
+        ", ".join(filter(None, [case, field_names(zip(series_names, combo))])) or base.mode
+        for case, _, base in grid.cases
         for combo in itertools.product(*(values for _, values in series_axes))
     ]
     size = len(x_values)  # points per series
@@ -144,39 +145,35 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hw(args: argparse.Namespace) -> int:
+def _cmd_registry(args: argparse.Namespace, registry: dict, kind: str,
+                  show: Callable[..., None]) -> int:
+    """`list` prints the registry's names; `show NAME` prints the named entry
+    through `show`, and rejects a name the registry lacks."""
     if args.action == "list":
-        for name in sorted(HW_REGISTRY):
+        for name in sorted(registry):
             print(name)
         return 0
-    if args.name not in HW_REGISTRY:
+    if args.name not in registry:
         raise ValidationError(
-            f"unknown hardware {echo(args.name)} (registry: {', '.join(sorted(HW_REGISTRY))})"
+            f"unknown {kind} {echo(args.name)} (registry: {', '.join(sorted(registry))})"
         )
-    hw = HW_REGISTRY[args.name]
+    show(registry[args.name])
+    return 0
+
+
+def _show_hw(hw: HardwareSpec) -> None:
     print(hw.name)
     print(f"  peak compute      {hw.peak_flops / 1e12:.4g} TFLOP/s")
     print(f"  memory bandwidth  {hw.mem_bandwidth / 1e9:.4g} GB/s")
     print(f"  memory capacity   {hw.mem_capacity / 1e9:.4g} GB")
     print(f"  ridge point       {ridge_point(hw):.4g} FLOP/byte")
-    return 0
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        for name in sorted(MODEL_REGISTRY):
-            print(name)
-        return 0
-    if args.name not in MODEL_REGISTRY:
-        raise ValidationError(
-            f"unknown model {echo(args.name)} (registry: {', '.join(sorted(MODEL_REGISTRY))})"
-        )
-    m = MODEL_REGISTRY[args.name]
+def _show_model(m: ModelConfig) -> None:
     for name, value in zip(m._fields, m):
         print(f"  {name:<16} {value}")
     print(f"  {'parameters':<16} {parameter_count(m)}")
     print(f"  {'fp16 weights':<16} {weight_bytes(m, 2)} bytes")
-    return 0
 
 
 # command -> (its function, its line in the whole CLI's help), in the help's order.
@@ -185,8 +182,10 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, "evaluate a grid file to CSV"),
     "roofline": (_cmd_roofline, "render a grid's phases on the roofline"),
     "plot": (_cmd_plot, "render a metric against the last grid axis"),
-    "hw": (_cmd_hw, "inspect the hardware registry"),
-    "model": (_cmd_model, "inspect the model registry"),
+    "hw": (functools.partial(_cmd_registry, registry=HW_REGISTRY, kind="hardware",
+                             show=_show_hw), "inspect the hardware registry"),
+    "model": (functools.partial(_cmd_registry, registry=MODEL_REGISTRY, kind="model",
+                                show=_show_model), "inspect the model registry"),
 }
 
 
@@ -200,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser(command).parse_args(argv if command is None else argv[1:])
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        _build_parser(None).print_usage(sys.stderr)
+        _build_parser(command).print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -344,10 +344,11 @@ def _load_json(path: str) -> object:
             raise ValidationError(f"invalid JSON in {echo(path, quote='')}: {exc}") from exc
 
 
-def _write_text(path: str, chunks: Iterable[str], newline: str | None = None) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
     """Write `chunks` to path as UTF-8 over what it held, then cut it where they end.
 
-    Every report goes through here. The file is opened without O_TRUNC, so
+    Every report goes through here, with "\\n" untranslated, so its bytes are
+    the same on every platform. The file is opened without O_TRUNC, so
     an existing one keeps its inode, mode and links, and is written in
     place: on ext4 (`auto_da_alloc`), writing into a file just truncated to
     zero and closing it costs about ten times as much. Writing stops at the
@@ -357,7 +358,7 @@ def _write_text(path: str, chunks: Iterable[str], newline: str | None = None) ->
     killed mid-write leaves the new text followed by the old file's tail.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
-              newline=newline) as handle:
+              newline="") as handle:
         try:
             handle.writelines(chunks)
         finally:

@@ -1,40 +1,16 @@
 """Parameter sweeps and the CSV report format.
 
-Grid points are enumerated in lexicographic order of the axes as listed:
-the first axis varies slowest. Evaluation is pure, so re-running a sweep
-reproduces the output byte for byte.
-
-A grid document is a scenario document plus `axes`, and `read_scenario`
-reads both kinds; a field an axis supplies may be left out of a grid. Its
-`cases`, if any, are the slowest axis. `map_grid` is the one loop over a
-grid's points, used by `run_sweep` and by the CLI's `sweep`, `roofline`
-and `plot`. It maps each axis to its WorkloadSpec slot once per grid,
-resolves each point's workload from its (slot, value) pairs with
-`resolve_workload`, as `scenario_from_dict` does for a scenario file with
-none, builds its Scenario, which validates the workload once, and
-evaluates it with `end_to_end`. An arm point whose workload equals that of
-the case's last arm point with a prompt in every field but gen_len takes
-that point's prefill and its seconds, so a gen_len axis builds one prefill
-per row; nothing outlives the case, which may change the model. Any
-error, from building the point or from evaluating it, names the case and
-the point: its {axis: value} dict is built only then. It yields the
-caller's function of each point's ScenarioResult and keeps none, so each
-caller keeps only what it needs: `run_sweep` a row per point, `roofline`
-the flattened RooflinePoints, with no tuple per point. `evaluate_point`
-builds its SweepRow positionally.
-
-`write_csv` writes the header and then each line as it comes, so no
-document string is built. The CLI's `sweep` turns each point straight into
-its line (`row_to_csv(evaluate_point(result))`), keeping no row or
-footprint per point, and opens the file only after every point is
-evaluated: a rejected point leaves an existing output file as it was. The
-file is written by `configs._write_text`: over an existing file in place,
-then cut where the CSV ends.
+A grid's points are its cases in turn, each over the cartesian product of
+the axes as listed, the first axis varying slowest. Evaluation is pure, so
+re-running a sweep reproduces the output byte for byte. `map_grid` is the
+one loop over a grid's points, used by `run_sweep` and by the CLI's
+`sweep`, `roofline` and `plot`; `write_csv` writes every CSV report.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
@@ -59,26 +35,23 @@ from .roofline import ScenarioResult, classify, end_to_end
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
 
 
-class SweepGrid(namedtuple("SweepGrid", ("model", "hardware", "base", "axes", "cases"),
-                           defaults=((),))):
-    """A base workload plus the cartesian axes to sweep over it.
+class SweepGrid(namedtuple("SweepGrid", ("hardware", "axes", "cases"))):
+    """A hardware spec, the cartesian axes, and the cases swept over them.
 
-    `axes` is a tuple of (field name, tuple of values) pairs. Each point is
-    `base` with the point's axis values set, resolved by `resolve_workload`.
-    So a field of `base` (`batch`, `prompt_len`, `gen_len`, `steps`,
-    `block_size`, `dtype_bytes`) may be None where an axis supplies it, and
-    `steps` is None where it is unset: a diffusion point then takes its own
-    `gen_len` as its step count.
-
-    `cases` holds (name, model, base) triples, swept in turn. A grid without
-    them is its one case ("", model, base); with them, model and base are
-    the first case's.
+    `axes` is a tuple of (field name, tuple of values) pairs. `cases` is a
+    nonempty tuple of (name, model, base) triples; an error names its case
+    unless the name is "". Each point is a case's base workload with the
+    point's axis values set, resolved by `resolve_workload`: a field of
+    `base` may be None where an axis supplies it, and a None `steps` is the
+    point's `gen_len`.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args: object, **kwargs: object) -> SweepGrid:
         self = super().__new__(cls, *args, **kwargs)
+        if not self.cases:
+            raise ValidationError("a grid has at least one case")
         seen = set()
         for name, values in self.axes:
             if name not in AXIS_FIELDS:
@@ -116,14 +89,25 @@ class SweepRow:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
+def field_names(pairs: Iterable[tuple[str, object]]) -> str:
+    """`name=value` of each pair, comma-joined through `echo`: the name of a
+    case or a plot's series. A value is spelt as JSON spells it (`null`,
+    `true`, `{"include_lm_head": true}`), but a string as it is."""
+    # str spells an int (not a bool) as json.dumps does, at a fraction of the cost.
+    return echo(*(f"{name}={value}" if isinstance(value, str) or type(value) is int
+                  else f"{name}={json.dumps(value, ensure_ascii=False)}"
+                  for name, value in pairs), quote="")
+
+
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     """Parse a grid document: a scenario document plus an `axes` object, and
     optionally `cases`, partial scenario documents each set over the grid's.
 
     Every scenario field is required unless it has a default or an axis
     supplies it. A case is named by its fields, and may not set `hardware`,
-    `axes`, `cases` or a swept field. The base workload is not validated
-    here: each point is, when `map_grid` builds it.
+    `axes`, `cases` or a swept field; a document without cases is its one
+    case, named "". The base workload is not validated here: each point is,
+    when `map_grid` builds it.
     """
     if not isinstance(doc, dict):
         raise ValidationError("grid must be a JSON object")
@@ -141,7 +125,8 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     scenario_doc = {**dict.fromkeys(set(AXIS_FIELDS) & axes_doc.keys()), **doc}
     del scenario_doc["axes"]
     if "cases" not in doc:
-        return SweepGrid(*read_scenario(scenario_doc, "grid", base_dir), tuple(axes))
+        model, hardware, base = read_scenario(scenario_doc, "grid", base_dir)
+        return SweepGrid(hardware, tuple(axes), (("", model, base),))
     cases_doc = scenario_doc.pop("cases")
     if not isinstance(cases_doc, list) or not cases_doc:
         raise ValidationError("cases must be a nonempty list of JSON objects")
@@ -149,7 +134,7 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     for case in cases_doc:
         if not isinstance(case, dict):
             raise ValidationError(f"each case must be a JSON object (got {echo(case)})")
-        name = echo(*(f"{key}={value}" for key, value in case.items()), quote="") or "{}"
+        name = field_names(case.items()) or "{}"
         reserved = case.keys() & {"hardware", "axes", "cases", *axes_doc}
         try:
             if reserved:
@@ -159,7 +144,7 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
         except ValidationError as exc:
             raise ValidationError(f"case {name}: {exc}") from exc
         cases.append((name, model, base))
-    return SweepGrid(cases[0][1], hardware, cases[0][2], tuple(axes), tuple(cases))
+    return SweepGrid(hardware, tuple(axes), tuple(cases))
 
 
 def load_grid(path: str) -> SweepGrid:
@@ -168,16 +153,18 @@ def load_grid(path: str) -> SweepGrid:
 
 def map_grid(grid: SweepGrid, per_point: Callable[[ScenarioResult], object]
              ) -> Iterator[object]:
-    """Yield per_point(result) of every grid point, first listed axis varying
-    slowest, reusing arm prefills as the module docstring says.
+    """Yield per_point(result) of every grid point in the grid's order, keeping no result.
 
-    A ValidationError from building the point's Scenario, or from
-    evaluating it, names the point.
+    An arm point whose workload equals, in every field but gen_len, that of
+    its case's last arm point with a prompt takes that point's prefill and
+    its seconds, so a gen_len axis builds one prefill per row. A
+    ValidationError from building or evaluating a point names its case and
+    the point.
     """
     # Each axis's WorkloadSpec slot, found once: a point is its values by slot.
     slots = [WorkloadSpec._fields.index(name) for name, _ in grid.axes]
     hardware = grid.hardware
-    for case, model, base in grid.cases or (("", grid.model, grid.base),):
+    for case, model, base in grid.cases:
         # The last prefilled arm point's workload but gen_len, and its prefill and seconds.
         key = prefill = None
         for combo in itertools.product(*(values for _, values in grid.axes)):
@@ -240,7 +227,7 @@ def _csv_text(lines: Iterable[str]) -> Iterator[str]:
 
 def write_csv(lines: Iterable[str], path: str) -> None:
     """Write the CSV header, then each line as it comes; a line has no newline."""
-    _write_text(path, _csv_text(lines), newline="")
+    _write_text(path, _csv_text(lines))
 
 
 def emit_csv(rows: list[SweepRow], path: str) -> None:

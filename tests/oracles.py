@@ -11,10 +11,11 @@ closed-form run assembly in phases.py.  These oracles are only meant for the
 small shapes used in the tests; they make no attempt to be fast.
 
 `scenario` builds the validated Scenario the phase functions and loops take,
-`patch_everywhere` replaces a function under every name the package binds
-it to, `parse_csv` reads a sweep CSV back for the tests of the CSV
-contract, `csv_text` renders rows to the text `emit_csv` writes, and
-`loglog_slope` fits the scaling exponents the acceptance checks read.
+`one_case_grid` the grid of one model and base workload, `patch_everywhere`
+replaces a function under every name the package binds it to, `parse_csv`
+reads a sweep CSV back for the tests of the CSV contract, `csv_text`
+renders rows to the text `emit_csv` writes, and `loglog_slope` fits the
+scaling exponents the acceptance checks read.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import sys
 from lmroofline import (
     HW_REGISTRY,
     CountingOptions,
+    HardwareSpec,
     ModelConfig,
     Scenario,
+    SweepGrid,
     SweepRow,
     ValidationError,
     WorkloadSpec,
@@ -68,6 +71,12 @@ def scenario(
         opts or CountingOptions(),
     )
     return Scenario(model, HW_REGISTRY["rtx-a6000"], workload)
+
+
+def one_case_grid(model: ModelConfig, hardware: HardwareSpec, base: WorkloadSpec,
+                  axes: tuple) -> SweepGrid:
+    """The grid of one case, named "" as a grid document without cases names it."""
+    return SweepGrid(hardware, axes, (("", model, base),))
 
 
 def patch_everywhere(monkeypatch, original, replacement):

@@ -10,7 +10,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import oracles
-from oracles import TINY, csv_text, scenario
+from oracles import TINY, csv_text, one_case_grid, scenario
 from lmroofline import (
     HW_REGISTRY,
     MODEL_REGISTRY,
@@ -35,7 +35,7 @@ from lmroofline.phases import (
     blockwise_dlm_cost,
     naive_dlm_cost,
 )
-from lmroofline.sweep import SweepGrid, run_sweep
+from lmroofline.sweep import run_sweep
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -367,7 +367,7 @@ def test_c8_derived_values_against_oracles():
 def test_c9_determinism_and_formats(tmp_path, capsys):
     """Byte-identical CSV, well-formed SVG, and the documented exit codes."""
     base = WorkloadSpec(mode="arm", batch=1, prompt_len=64, gen_len=32)
-    grid = SweepGrid(
+    grid = one_case_grid(
         model=LLAMA, hardware=A6000, base=base, axes=(("batch", (1, 2, 4, 8)),)
     )
     deterministic = csv_text(run_sweep(grid)) == csv_text(run_sweep(grid))

@@ -491,9 +491,10 @@ WHOLE_CLI = [
 
 def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypatch):
     """A command builds its own parser once per process, and the whole CLI's
-    is built only for help, an unknown command or a usage error, whose usage
-    line it prints. Parsers reused from call to call give what parsers built
-    fresh for each call give."""
+    is built only for an argv that does not start with a known command, such
+    as help or an unknown command. A usage error prints the usage line of
+    the parser that raised it. Parsers reused from call to call give what
+    parsers built fresh for each call give."""
     config = write_json(tmp_path, "scenario.json", arm_scenario_doc())
     calls = [
         ["analyze", "-c", config],
@@ -531,13 +532,13 @@ def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypa
         cli._build_parser.cache_clear()
     assert [call[:3] for call in shared] == [call[:3] for call in fresh]
     assert [call[3] for call in shared] == [
-        ["lmroofline analyze"], [], WHOLE_CLI, [], [],
+        ["lmroofline analyze"], [], [], WHOLE_CLI, [],
         ["lmroofline hw", "lmroofline hw list", "lmroofline hw show"], [],
     ]
-    assert [call[3] for call in fresh[2:5]] == [["lmroofline analyze", *WHOLE_CLI], WHOLE_CLI,
-                                                 WHOLE_CLI]
+    assert [call[3] for call in fresh[2:5]] == [["lmroofline analyze"], WHOLE_CLI, WHOLE_CLI]
     assert [code for code, *_ in shared] == [0, 0, 1, 0, 1, 1, 0]
-    assert shared[2][2].startswith("usage error:") and "usage: lmroofline [-h]" in shared[2][2]
+    assert shared[2][2].startswith("usage error:")
+    assert shared[2][2].endswith("\nusage: lmroofline analyze [-h] -c CONFIG\n")
     assert shared[3][1].startswith("usage: lmroofline [-h]")
     assert "usage: lmroofline [-h]" in shared[4][2]  # a usage error once the parser exists
 
@@ -573,7 +574,7 @@ def test_plot_legend_keeps_a_null_steps_of_a_series_axis(tmp_path, capsys):
     out_svg = tmp_path / "plot.svg"
     assert main(["plot", "--kind", "latency", "-c", config, "-o", str(out_svg)]) == 0
     legend = [t.text for t in ET.parse(str(out_svg)).iter() if t.tag.endswith("text")]
-    assert "steps=None" in legend
+    assert "steps=null" in legend
     assert "steps=8" in legend
 
 

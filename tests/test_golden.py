@@ -284,10 +284,10 @@ ARGV_RECORD = json.loads((GOLDEN_CLI / "argv.json").read_text(encoding="utf-8"))
 @pytest.mark.skipif(PYTHON_VERSION != ARGV_RECORD["python"],
                     reason="argparse's help and error texts change between Python versions")
 def test_every_argv_form_gives_its_recorded_exit_code_stdout_and_stderr(tmp_path):
-    """argv.json was recorded when every call parsed with the whole CLI's
-    parser: parsing with the running command's parser alone must change no
-    byte. The parsers a call builds serve the calls after it, as they do in
-    one process."""
+    """Every argv form gives its recorded exit code, stdout and stderr, byte
+    for byte; a usage error prints the usage line of the command it names.
+    The parsers a call builds serve the calls after it, as they do in one
+    process."""
     want = ARGV_RECORD["runs"]
     assert [argv for argv, *_ in want] == ARGV_FORMS
     for got, recorded in zip(run_argv_forms(tmp_path), want):

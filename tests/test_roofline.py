@@ -35,8 +35,8 @@ from lmroofline.phases import (
 )
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import scenario_phases
-from lmroofline.sweep import SweepGrid, evaluate_point, load_grid, map_grid
-from oracles import patch_everywhere, scenario
+from lmroofline.sweep import evaluate_point, load_grid, map_grid
+from oracles import one_case_grid, patch_everywhere, scenario
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -755,7 +755,7 @@ def test_a_reused_prefill_gives_the_result_of_a_fresh_evaluation(data):
         ("dtype_bytes", values(st.sampled_from([1, 2, 4]))),
     ]))
     options = data.draw(st.builds(CountingOptions, *[st.booleans()] * 5))
-    grid = SweepGrid(
+    grid = one_case_grid(
         data.draw(st.sampled_from([LLAMA, ODD])),
         HardwareSpec("gpu", kind(peak), kind(bandwidth), 48e9),
         WorkloadSpec("arm", None, None, None, options=options),
@@ -780,7 +780,7 @@ def count_prefills(monkeypatch):
 def test_an_arm_grid_builds_one_prefill_per_row(monkeypatch):
     calls = count_prefills(monkeypatch)
     base = WorkloadSpec("arm", None, 64, None)
-    grid = SweepGrid(LLAMA, A6000, base, (("batch", (1, 2, 3)), ("gen_len", (1, 2, 3, 4))))
+    grid = one_case_grid(LLAMA, A6000, base, (("batch", (1, 2, 3)), ("gen_len", (1, 2, 3, 4))))
     assert len(evaluated(grid)) == 12
     assert [s.workload.batch for s in calls] == [1, 2, 3]
 
@@ -805,14 +805,14 @@ def test_a_new_model_or_hardware_object_or_workload_field_rebuilds_the_prefill(
     base = WorkloadSpec("arm", 1, 64, None)
     if name in ("batch", "prompt_len", "dtype_bytes"):
         axes = ((name, (getattr(base, name), value)), ("gen_len", (16, 32)))
-        evaluated(SweepGrid(LLAMA, A6000, base, axes))
+        evaluated(one_case_grid(LLAMA, A6000, base, axes))
     else:
-        evaluated(SweepGrid(LLAMA, A6000, base, (("gen_len", (16, 32)),)))
+        evaluated(one_case_grid(LLAMA, A6000, base, (("gen_len", (16, 32)),)))
         assert len(calls) == 1
         parts = {"model": LLAMA, "hardware": A6000, "base": base, name: value}
         if name == "options":
             parts["base"] = base._replace(options=parts.pop("options"))
-        evaluated(SweepGrid(**parts, axes=(("gen_len", (32,)),)))
+        evaluated(one_case_grid(**parts, axes=(("gen_len", (32,)),)))
     assert len(calls) == 2
 
 

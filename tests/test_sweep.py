@@ -31,7 +31,7 @@ from lmroofline.configs import Scenario, echo, require_int, scenario_from_dict, 
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import end_to_end
 from lmroofline.sweep import AXIS_FIELDS, CSV_HEADER, evaluate_point, grid_from_dict, map_grid
-from oracles import csv_text, loglog_slope, parse_csv, patch_everywhere
+from oracles import csv_text, loglog_slope, one_case_grid, parse_csv, patch_everywhere
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -40,7 +40,7 @@ A6000 = HW_REGISTRY["rtx-a6000"]
 
 def arm_grid(axes):
     base = WorkloadSpec(mode="arm", batch=1, prompt_len=64, gen_len=32)
-    return SweepGrid(model=LLAMA, hardware=A6000, base=base, axes=axes)
+    return one_case_grid(model=LLAMA, hardware=A6000, base=base, axes=axes)
 
 
 def test_rows_enumerate_first_axis_slowest():
@@ -64,9 +64,15 @@ def test_empty_axis_rejected():
         arm_grid((("batch", ()),))
 
 
+def test_a_grid_is_its_cases_and_has_at_least_one():
+    assert SweepGrid._fields == ("hardware", "axes", "cases")
+    with pytest.raises(ValidationError, match="a grid has at least one case"):
+        SweepGrid(A6000, (("batch", (1, 2)),), ())
+
+
 def test_invalid_point_error_names_the_point():
     base = WorkloadSpec(mode="dlm_block", batch=1, prompt_len=64, gen_len=128, steps=128)
-    grid = SweepGrid(
+    grid = one_case_grid(
         model=LLADA, hardware=A6000, base=base, axes=(("block_size", (32, 256)),)
     )
     with pytest.raises(ValidationError, match=r"grid point \{'block_size': 256\}"):
@@ -80,7 +86,7 @@ def free_list_grid(gen_lens, mode="dlm_naive"):
     model, prompts = (LLAMA, range(1, 11)) if mode == "arm" else (LLADA, range(10))
     axes = (("batch", tuple(range(1, 21))), ("prompt_len", tuple(prompts)),
             ("gen_len", gen_lens))
-    return SweepGrid(model, A6000, WorkloadSpec(mode, None, None, None), axes)
+    return one_case_grid(model, A6000, WorkloadSpec(mode, None, None, None), axes)
 
 
 def traced_growth_over_grid(per_point, mode="dlm_naive"):
@@ -157,7 +163,7 @@ def traced_peak_over_grid(points):
     cost term on, each result dropped as it comes, after one warm-up run."""
     options = CountingOptions(True, True, True, True, False)
     base = WorkloadSpec("dlm_block", None, 1024, 4096, None, 64, options=options)
-    grid = SweepGrid(LLADA, A6000, base, (("batch", tuple(range(1, points + 1))),))
+    grid = one_case_grid(LLADA, A6000, base, (("batch", tuple(range(1, points + 1))),))
     for _ in map_grid(grid, lambda result: None):
         pass
     tracemalloc.start()
@@ -478,6 +484,28 @@ def test_a_case_grid_sweeps_each_case_in_turn_and_plot_names_each_cases_series(
     ]
 
 
+def test_case_and_series_names_spell_each_value_as_json_does(tmp_path, capsys):
+    """A case's name and a series axis's value read as the document wrote
+    them: an object, `true` and `null` in JSON, not as Python prints them."""
+    lm_head = {"include_lm_head": True}
+    doc = {"model": "llada-8b", "hardware": "rtx-a6000", "mode": "dlm_naive", "batch": 1,
+           "prompt_len": 8, "cases": [{"options": lm_head}, {"options": {}}],
+           "axes": {"steps": [None, 8], "gen_len": [16, 32]}}
+    assert run_grid_command(tmp_path, capsys, ["plot", "--kind", "latency"], doc)[0] == 0
+    texts = [text.text for text in ET.parse(tmp_path / "out").iter(f"{{{SVG_NS}}}text")]
+    assert texts[-4:] == [
+        'options={"include_lm_head": true}, steps=null',
+        'options={"include_lm_head": true}, steps=8',
+        "options={}, steps=null",
+        "options={}, steps=8",
+    ]
+    doc["cases"][1] = {"options": {**lm_head, "bogus": None}}
+    (tmp_path / "rejected").mkdir()
+    assert run_grid_command(tmp_path / "rejected", capsys, ["sweep"], doc) == (
+        1, "", 'error: case options={"include_lm_head": true, "bogus": null}: unknown field(s) '
+        "in options: bogus\n", False)
+
+
 def test_grid_rejects_unknown_fields():
     doc = {
         "model": "llama3-8b",
@@ -722,7 +750,7 @@ def test_grid_checks_each_count_once_per_point(monkeypatch, tmp_path, command, m
 
 def test_steps_axis_of_none_resolves_to_gen_len():
     base = WorkloadSpec(mode="dlm_naive", batch=1, prompt_len=8, gen_len=32, steps=4)
-    grid = SweepGrid(
+    grid = one_case_grid(
         model=LLADA, hardware=A6000, base=base, axes=(("steps", (None, 8)),)
     )
     assert [r.K for r in run_sweep(grid)] == [32, 8]
