@@ -15,10 +15,9 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Callable
 from operator import attrgetter
 
-from .configs import HW_REGISTRY, MODEL_REGISTRY, HardwareSpec, ModelConfig, echo, load_scenario
+from .configs import HW_REGISTRY, MODEL_REGISTRY, echo, load_scenario
 from .errors import ValidationError
 from .memory import parameter_count, weight_bytes
 from .phases import arithmetic_intensity
@@ -133,7 +132,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     # A series is named by its case, then its series axes' values, else by its mode.
     series_names = [name for name, _ in series_axes]
     names = [
-        ", ".join(filter(None, [case, field_names(zip(series_names, combo))])) or base.mode
+        ", ".join(filter(None, [case, *field_names(zip(series_names, combo))])) or base.mode
         for case, _, base in grid.cases
         for combo in itertools.product(*(values for _, values in series_axes))
     ]
@@ -145,8 +144,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_registry(args: argparse.Namespace, registry: dict, kind: str,
-                  show: Callable[..., None]) -> int:
+def _cmd_registry(args: argparse.Namespace, registry: dict, kind: str, show) -> int:
     """`list` prints the registry's names; `show NAME` prints the named entry
     through `show`, and rejects a name the registry lacks."""
     if args.action == "list":
@@ -161,7 +159,7 @@ def _cmd_registry(args: argparse.Namespace, registry: dict, kind: str,
     return 0
 
 
-def _show_hw(hw: HardwareSpec) -> None:
+def _show_hw(hw) -> None:
     print(hw.name)
     print(f"  peak compute      {hw.peak_flops / 1e12:.4g} TFLOP/s")
     print(f"  memory bandwidth  {hw.mem_bandwidth / 1e9:.4g} GB/s")
@@ -169,11 +167,19 @@ def _show_hw(hw: HardwareSpec) -> None:
     print(f"  ridge point       {ridge_point(hw):.4g} FLOP/byte")
 
 
-def _show_model(m: ModelConfig) -> None:
+def _show_model(m) -> None:
     for name, value in zip(m._fields, m):
         print(f"  {name:<16} {value}")
     print(f"  {'parameters':<16} {parameter_count(m)}")
     print(f"  {'fp16 weights':<16} {weight_bytes(m, 2)} bytes")
+
+
+def _cmd_hw(args: argparse.Namespace) -> int:
+    return _cmd_registry(args, HW_REGISTRY, "hardware", _show_hw)
+
+
+def _cmd_model(args: argparse.Namespace) -> int:
+    return _cmd_registry(args, MODEL_REGISTRY, "model", _show_model)
 
 
 # command -> (its function, its line in the whole CLI's help), in the help's order.
@@ -182,10 +188,8 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, "evaluate a grid file to CSV"),
     "roofline": (_cmd_roofline, "render a grid's phases on the roofline"),
     "plot": (_cmd_plot, "render a metric against the last grid axis"),
-    "hw": (functools.partial(_cmd_registry, registry=HW_REGISTRY, kind="hardware",
-                             show=_show_hw), "inspect the hardware registry"),
-    "model": (functools.partial(_cmd_registry, registry=MODEL_REGISTRY, kind="model",
-                                show=_show_model), "inspect the model registry"),
+    "hw": (_cmd_hw, "inspect the hardware registry"),
+    "model": (_cmd_model, "inspect the model registry"),
 }
 
 

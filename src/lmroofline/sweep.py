@@ -89,14 +89,12 @@ class SweepRow:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
-def field_names(pairs: Iterable[tuple[str, object]]) -> str:
-    """`name=value` of each pair, comma-joined through `echo`: the name of a
-    case or a plot's series. A value is spelt as JSON spells it (`null`,
-    `true`, `{"include_lm_head": true}`), but a string as it is."""
-    # str spells an int (not a bool) as json.dumps does, at a fraction of the cost.
-    return echo(*(f"{name}={value}" if isinstance(value, str) or type(value) is int
-                  else f"{name}={json.dumps(value, ensure_ascii=False)}"
-                  for name, value in pairs), quote="")
+def field_names(pairs: Iterable[tuple[str, object]]) -> list[str]:
+    """`name=value` of each pair, for the name of a case or a plot's series:
+    the value spelt as JSON spells it (`null`, `true`,
+    `{"include_lm_head": true}`), but a string as it is."""
+    return [f"{name}={value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)}"
+            for name, value in pairs]
 
 
 def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
@@ -134,7 +132,7 @@ def grid_from_dict(doc: dict, base_dir: str | None = None) -> SweepGrid:
     for case in cases_doc:
         if not isinstance(case, dict):
             raise ValidationError(f"each case must be a JSON object (got {echo(case)})")
-        name = field_names(case.items()) or "{}"
+        name = echo(*field_names(case.items()), quote="") or "{}"
         reserved = case.keys() & {"hardware", "axes", "cases", *axes_doc}
         try:
             if reserved:

@@ -30,7 +30,14 @@ from lmroofline.cli import main as cli_main
 from lmroofline.configs import Scenario, echo, require_int, scenario_from_dict, validate_workload
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import end_to_end
-from lmroofline.sweep import AXIS_FIELDS, CSV_HEADER, evaluate_point, grid_from_dict, map_grid
+from lmroofline.sweep import (
+    AXIS_FIELDS,
+    CSV_HEADER,
+    evaluate_point,
+    field_names,
+    grid_from_dict,
+    map_grid,
+)
 from oracles import csv_text, loglog_slope, one_case_grid, parse_csv, patch_everywhere
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
@@ -486,7 +493,12 @@ def test_a_case_grid_sweeps_each_case_in_turn_and_plot_names_each_cases_series(
 
 def test_case_and_series_names_spell_each_value_as_json_does(tmp_path, capsys):
     """A case's name and a series axis's value read as the document wrote
-    them: an object, `true` and `null` in JSON, not as Python prints them."""
+    them: an object, `true` and `null` in JSON, not as Python prints them.
+    An int is spelt as json.dumps spells it, and a name is not cut: two
+    legends that differ only past ECHO_LIMIT stay two."""
+    long = 10**400
+    assert field_names([("batch", 2), ("prompt_len", long), ("gen_len", long + 1)]) == [
+        "batch=2", f"prompt_len={long}", f"gen_len={long + 1}"]
     lm_head = {"include_lm_head": True}
     doc = {"model": "llada-8b", "hardware": "rtx-a6000", "mode": "dlm_naive", "batch": 1,
            "prompt_len": 8, "cases": [{"options": lm_head}, {"options": {}}],
