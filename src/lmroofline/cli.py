@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 validation error (including bad usage),
 2 I/O error.
 
 A call builds the argument parser of the command it runs, and no other.
-The whole CLI's parser, with every command's, is built only for an argv
-that does not start with a known command.
+The whole CLI's parser lists the commands only: it is built for an argv
+that does not start with a known command, and gives help or a usage error.
 """
 
 from __future__ import annotations
@@ -32,17 +32,31 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        """Raise the complaint and the usage line of this parser, the one that raised it."""
+        raise _UsageError(f"usage error: {message}\n{self.format_usage()}")
 
 
-def _add_arguments(parser: _Parser, command: str) -> None:
-    """Declare `command`'s arguments on `parser`: the command's own parser,
-    or its subparser in the whole CLI's."""
+@functools.cache
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of one command, which takes the arguments after its name;
+    or with None the whole CLI's, which lists the commands only, for help and
+    for an argv that does not start with a command. Built on first use rather
+    than at import, then shared: parsing leaves no state in a parser, and it
+    writes to the sys.stdout and sys.stderr current at each call."""
+    if command is None:
+        # --help prints the module docstring but its last paragraph (none under -OO).
+        description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+        parser = _Parser(prog="lmroofline", description=description)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_, text) in _COMMANDS.items():
+            sub.add_parser(name, help=text)
+        return parser
+    parser = _Parser(prog=f"lmroofline {command}")
     if command in ("hw", "model"):
         actions = parser.add_subparsers(dest="action", required=True)
         actions.add_parser("list")
         actions.add_parser("show").add_argument("name")
-        return
+        return parser
     if command == "plot":
         parser.add_argument("--kind", required=True, choices=tuple(_PLOT_COLUMNS))
     source = "scenario" if command == "analyze" else "grid"
@@ -50,27 +64,6 @@ def _add_arguments(parser: _Parser, command: str) -> None:
     if command != "analyze":
         kind = "CSV" if command == "sweep" else "SVG"
         parser.add_argument("-o", "--output", required=True, help=f"output {kind} path")
-
-
-@functools.cache
-def _build_parser(command: str | None) -> _Parser:
-    """The parser of one command, or with None the whole CLI's: built on first
-    use rather than at import, then shared.
-
-    A command's parser takes the arguments after the command's name, under
-    the prog its subparser has in the whole CLI's, so help and errors read
-    the same from both. Parsing leaves no state in a parser, and it writes
-    to the sys.stdout and sys.stderr current at each call."""
-    if command is not None:
-        parser = _Parser(prog=f"lmroofline {command}")
-        _add_arguments(parser, command)
-        return parser
-    # --help prints the module docstring but its last paragraph (none under -OO).
-    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
-    parser = _Parser(prog="lmroofline", description=description)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -197,17 +190,16 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # A known command's own parser takes the arguments after it; the whole
-    # CLI's takes anything else.
+    # CLI's takes anything else, and ends in help or a usage error.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = _build_parser(command).parse_args(argv if command is None else argv[1:])
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        _build_parser(command).print_usage(sys.stderr)
+        print(exc, end="", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    run, _ = _COMMANDS[command or args.command]
+    run, _ = _COMMANDS[command]
     try:
         return run(args)
     except ValidationError as exc:

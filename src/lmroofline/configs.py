@@ -48,6 +48,15 @@ MAX_FLOAT = sys.float_info.max
 ECHO_LIMIT = 320
 
 
+def _spelt(spell, value: object) -> str:
+    """`spell(value)`, or the value's type where `spell` recurses past the
+    recursion limit, as it can on a list just under the JSON parser's depth."""
+    try:
+        return spell(value)
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deep to quote>"
+
+
 def echo(*values: object, quote: str = "'") -> str:
     """Input values, names or keys for an error message, joined by commas and
     cut after ECHO_LIMIT characters: a printable string in `quote`s, anything
@@ -57,7 +66,7 @@ def echo(*values: object, quote: str = "'") -> str:
     name of any length or characters, still gives one short printable line.
     """
     text = ", ".join(f"{quote}{value}{quote}" if isinstance(value, str) and value.isprintable()
-                     else repr(value) for value in values)
+                     else _spelt(repr, value) for value in values)
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"

@@ -1,20 +1,10 @@
 """Static SVG emitters with a fixed layout and tick policy.
 
-Plots are written directly as SVG text so that identical inputs produce
-byte-identical files; no plotting library is involved. Axes are
-logarithmic: decades everywhere, except that the x axis of a line plot,
-a token count, uses powers of two. Every plotted value must be positive and
-finite.
-
-An emitter checks its points and takes the axis extents in one pass over
-them, and computes its scales, before it opens the file, so a rejected plot
-creates no file and leaves an existing one as it was. It then writes as it
-renders: the head and axes frame in one write, then one write per mark (a
-roofline point with its label, a polyline, a circle, a legend entry). A
-polyline of more than POLYLINE_CHUNK points is written in pieces of that
-many coordinates. No document string is built, so memory stays flat in the
-number of points. The text goes through `configs._write_text`, which writes
-over an existing file in place and cuts it where the document ends.
+Identical inputs give byte-identical files; no plotting library is used.
+Axes are logarithmic: decades, but powers of two on a line plot's x axis, a
+token count. Every plotted value must be positive and finite. An emitter
+checks every point before it opens the file, so a rejected plot leaves an
+existing file as it was, and writes the document as it renders it.
 """
 
 from __future__ import annotations
@@ -116,27 +106,37 @@ def _decade_ticks(lo_exp: int, hi_exp: int) -> list[tuple[float, str]]:
     return [(float(e), f"1e{e}") for e in range(lo_exp, hi_exp + 1, step)]
 
 
+def _extents(triples, rejection) -> tuple[float, float, float, float]:
+    """(x min, x max, y min, y max) over (x, y, what) triples, in one pass that
+    checks each x and y positive and finite, else raises `rejection(x, y, what)`.
+    With no triples, the minima are inf."""
+    x_lo = y_lo = inf
+    x_hi = y_hi = 0.0
+    for x, y, what in triples:
+        if not (0 < x < inf and 0 < y < inf):  # also false for NaN
+            raise ValidationError(rejection(x, y, what))
+        if x < x_lo:
+            x_lo = x
+        if x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        if y > y_hi:
+            y_hi = y
+    return x_lo, x_hi, y_lo, y_hi
+
+
 def emit_roofline_svg(points: list[RooflinePoint], hw: HardwareSpec, path: str) -> None:
     """Log-log roofline: bandwidth slope and compute ceiling meeting at the ridge."""
     if not points:
         raise ValidationError("at least one roofline point is required")
     ridge = ridge_point(hw)
     peak, bw = hw.peak_flops, hw.mem_bandwidth
-    # One pass checks every point and takes the extents; x spans the ridge too.
-    ai_lo = ai_hi = ridge
-    perf_lo = inf
-    for p in points:
-        ai, perf = p.ai, p.perf_attained
-        if not (0 < ai < inf and 0 < perf < inf):
-            raise ValidationError(
-                f"roofline point '{p.label}' must be positive and finite to plot"
-            )
-        if ai < ai_lo:
-            ai_lo = ai
-        elif ai > ai_hi:
-            ai_hi = ai
-        if perf < perf_lo:
-            perf_lo = perf
+    ai_lo, ai_hi, perf_lo, _ = _extents(
+        ((p.ai, p.perf_attained, p.label) for p in points),
+        lambda ai, perf, label: f"roofline point '{label}' must be positive and finite to plot",
+    )
+    ai_lo, ai_hi = min(ai_lo, ridge), max(ai_hi, ridge)  # x spans the ridge too
 
     x_lo = floor(log10(ai_lo)) - 1
     x_hi = ceil(log10(ai_hi)) + 1
@@ -197,24 +197,11 @@ def emit_line_svg(
     A point that is not positive and finite is rejected by series name and
     (x, y) pair, with x under `xlabel`.
     """
-    # One pass checks every point and takes the extents.
-    x_min = y_min = inf
-    x_max = y_max = 0.0
-    for name, pts in series:
-        for px, py in pts:
-            if not (0 < px < inf and 0 < py < inf):  # also false for NaN
-                raise ValidationError(
-                    f"line plots are log-log; values must be positive and finite "
-                    f"(series '{name}': {xlabel}={px:g}, y={py:g})"
-                )
-            if px < x_min:
-                x_min = px
-            if px > x_max:
-                x_max = px
-            if py < y_min:
-                y_min = py
-            if py > y_max:
-                y_max = py
+    x_min, x_max, y_min, y_max = _extents(
+        ((px, py, name) for name, pts in series for px, py in pts),
+        lambda px, py, name: f"line plots are log-log; values must be positive and finite "
+                             f"(series '{name}': {xlabel}={px:g}, y={py:g})",
+    )
     if x_min == inf:
         raise ValidationError("at least one nonempty series is required")
 

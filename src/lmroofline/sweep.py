@@ -22,6 +22,7 @@ from .configs import (
     Scenario,
     WorkloadSpec,
     _load_json,
+    _spelt,
     _write_text,
     echo,
     read_scenario,
@@ -33,6 +34,7 @@ from .phases import arithmetic_intensity
 from .roofline import ScenarioResult, classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
+_JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps uses with ensure_ascii=False
 
 
 class SweepGrid(namedtuple("SweepGrid", ("hardware", "axes", "cases"))):
@@ -93,7 +95,7 @@ def field_names(pairs: Iterable[tuple[str, object]]) -> list[str]:
     """`name=value` of each pair, for the name of a case or a plot's series:
     the value spelt as JSON spells it (`null`, `true`,
     `{"include_lm_head": true}`), but a string as it is."""
-    return [f"{name}={value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)}"
+    return [f"{name}={value if isinstance(value, str) else _spelt(_JSON.encode, value)}"
             for name, value in pairs]
 
 

@@ -12,6 +12,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmroofline
 from lmroofline import HW_REGISTRY, MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
@@ -481,12 +483,63 @@ def test_help_exits_0(capsys):
     assert "lmroofline" in capsys.readouterr().out
 
 
-# Every parser the whole CLI's is built from, in the order it builds them.
+# Every parser the whole CLI's is built from, in the order it builds them:
+# one per command, which holds only -h.
 WHOLE_CLI = [
     "lmroofline", "lmroofline analyze", "lmroofline sweep", "lmroofline roofline",
-    "lmroofline plot", "lmroofline hw", "lmroofline hw list", "lmroofline hw show",
-    "lmroofline model", "lmroofline model list", "lmroofline model show",
+    "lmroofline plot", "lmroofline hw", "lmroofline model",
 ]
+
+
+def test_the_whole_clis_parser_lists_the_commands_only():
+    [commands] = [action for action in cli._build_parser(None)._actions
+                  if action.dest == "command"]
+    assert {name: [action.dest for action in parser._actions]
+            for name, parser in commands.choices.items()} == {
+        name: ["help"] for name in cli._COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["hw", "show"], "usage error: the following arguments are required: name\n"
+                         "usage: lmroofline hw show [-h] name\n"),
+        (["model", "show"], "usage error: the following arguments are required: name\n"
+                            "usage: lmroofline model show [-h] name\n"),
+        (["--bogus", "analyze"],
+         "usage error: unrecognized arguments: --bogus\n"
+         "usage: lmroofline [-h] {analyze,sweep,roofline,plot,hw,model} ...\n"),
+    ],
+)
+def test_a_usage_error_prints_the_usage_line_of_the_parser_that_raised_it(capsys, argv, err):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+# Tokens an argv is drawn from: options and values of some command, and the
+# commands' and subcommands' names.
+ARGV_TOKENS = ["-h", "--he", "--bogus", "--", "-", "-c", "s.json", "x", "list", "show",
+               *cli._COMMANDS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=4).filter(
+    lambda argv: not argv or argv[0] not in cli._COMMANDS))
+def test_an_argv_not_starting_with_a_command_gives_help_or_one_usage_error(argv):
+    # The whole CLI's parser declares no command's arguments, so it never
+    # hands a command a namespace: it prints help or raises a usage error.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("usage: lmroofline")
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        complaint, usage, rest = err.getvalue().split("\n", 2)
+        assert complaint.startswith("usage error: ")
+        assert usage.startswith("usage: lmroofline")
+        assert rest == ""
 
 
 def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypatch):
@@ -503,6 +556,7 @@ def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypa
         ["--help"],
         ["vibes"],
         ["hw", "show", "no-such-gpu"],
+        ["hw", "show"],  # usage error: a name is required
         ["analyze", "-c", config],
     ]
     built = []
@@ -533,12 +587,13 @@ def test_a_call_builds_only_its_commands_parser_and_shares_it(tmp_path, monkeypa
     assert [call[:3] for call in shared] == [call[:3] for call in fresh]
     assert [call[3] for call in shared] == [
         ["lmroofline analyze"], [], [], WHOLE_CLI, [],
-        ["lmroofline hw", "lmroofline hw list", "lmroofline hw show"], [],
+        ["lmroofline hw", "lmroofline hw list", "lmroofline hw show"], [], [],
     ]
     assert [call[3] for call in fresh[2:5]] == [["lmroofline analyze"], WHOLE_CLI, WHOLE_CLI]
-    assert [code for code, *_ in shared] == [0, 0, 1, 0, 1, 1, 0]
+    assert [code for code, *_ in shared] == [0, 0, 1, 0, 1, 1, 1, 0]
     assert shared[2][2].startswith("usage error:")
     assert shared[2][2].endswith("\nusage: lmroofline analyze [-h] -c CONFIG\n")
+    assert shared[6][2].endswith("\nusage: lmroofline hw show [-h] name\n")
     assert shared[3][1].startswith("usage: lmroofline [-h]")
     assert "usage: lmroofline [-h]" in shared[4][2]  # a usage error once the parser exists
 
@@ -765,6 +820,45 @@ def test_a_rejected_value_is_echoed_in_one_short_line(tmp_path, capsys, monkeypa
     field = "gen_len" if command[0] == "sweep" else "batch"
     assert f"{field} must be an integer >= 1 (got " in captured.err
     assert " characters)" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def nested_dtype_bytes_doc(where, depth):
+    """The text of an input whose dtype_bytes is a list nested `depth` deep:
+    a scenario's field, a grid's axis value or a grid case's field."""
+    deep = "[" * depth + "]" * depth
+    if where == "analyze":
+        doc = arm_scenario_doc(dtype_bytes=0)
+    elif where == "axis":
+        doc = arm_grid_doc({"dtype_bytes": [0]})
+    else:
+        doc = arm_grid_doc({"batch": [1]}, cases=[{}, {"dtype_bytes": 0}])
+    return json.dumps(doc).replace('"dtype_bytes": 0', f'"dtype_bytes": {deep}').replace(
+        '"dtype_bytes": [0]', f'"dtype_bytes": [{deep}]')
+
+
+@pytest.mark.parametrize("where", ["analyze", "axis", "case"])
+def test_a_value_nested_up_to_the_parser_depth_exits_1_in_one_short_line(
+        tmp_path, capsys, monkeypatch, where):
+    # A value the JSON parser accepts can still be nested too deep for echo's
+    # repr or a case name's json.dumps; then it is quoted by its type. Where
+    # that starts moves with the caller's stack, so every depth is run, from
+    # 900 up to the first one the parser rejects.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "input.json"
+    command = ["analyze"] if where == "analyze" else ["sweep", "-o", "out.csv"]
+    for depth in range(900, 5_000):
+        config.write_text(nested_dtype_bytes_doc(where, depth))
+        assert main([*command, "-c", str(config)]) == 1, depth
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_short_line(captured.err)
+        if captured.err.startswith(f"error: invalid JSON in {config}: maximum recursion depth"):
+            break
+        assert "dtype_bytes must be an integer >= 1 (got " in captured.err, depth
+    else:
+        pytest.fail("the JSON parser accepted every depth")
+    assert depth > 900
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -1,6 +1,7 @@
 """Model/hardware registries, workload validation, and scenario (de)serialization."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from lmroofline import (
     validate_workload,
 )
 from lmroofline.configs import (
+    echo,
     options_from_dict,
     require_blocks,
     scenario_from_dict,
@@ -520,3 +522,13 @@ def test_workload_rejects_ints_beyond_the_float_range(field):
     doc[field] = 10**320
     with pytest.raises(ValidationError, match=f"{field} is beyond the float range"):
         validate_workload(WorkloadSpec(**doc), LLAMA)
+
+
+def test_echo_quotes_a_value_nested_past_the_recursion_limit_by_its_type():
+    deep = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        deep = [deep]
+    with pytest.raises(RecursionError):
+        repr(deep)
+    assert echo(deep) == "<list nested too deep to quote>"
+    assert echo(1, {"k": deep}) == "1, <dict nested too deep to quote>"

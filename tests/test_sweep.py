@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from operator import attrgetter
@@ -516,6 +517,14 @@ def test_case_and_series_names_spell_each_value_as_json_does(tmp_path, capsys):
     assert run_grid_command(tmp_path / "rejected", capsys, ["sweep"], doc) == (
         1, "", 'error: case options={"include_lm_head": true, "bogus": null}: unknown field(s) '
         "in options: bogus\n", False)
+
+
+def test_a_case_value_nested_past_the_recursion_limit_is_named_by_its_type():
+    deep = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        deep = [deep]
+    assert field_names([("batch", 2), ("dtype_bytes", deep)]) == [
+        "batch=2", "dtype_bytes=<list nested too deep to quote>"]
 
 
 def test_grid_rejects_unknown_fields():
