@@ -49,7 +49,7 @@ def _build_parser(command: str | None) -> _Parser:
         parser = _Parser(prog="lmroofline", description=description)
         sub = parser.add_subparsers(dest="command", required=True)
         for name, (_, text) in _COMMANDS.items():
-            sub.add_parser(name, help=text)
+            sub.add_parser(name, help=text, add_help=False)
         return parser
     parser = _Parser(prog=f"lmroofline {command}")
     if command in ("hw", "model"):
@@ -193,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     # CLI's takes anything else, and ends in help or a usage error.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv if command is None else argv[1:])
+        parser = _build_parser(command)
+        args = parser.parse_args(argv if command is None else argv[1:])
+        if command is None:  # `-- analyze` on Python 3.12.10, which drops the '--'
+            parser.error("the command must be the first argument")
     except _UsageError as exc:
         print(exc, end="", file=sys.stderr)
         return 1

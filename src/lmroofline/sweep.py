@@ -34,7 +34,6 @@ from .phases import arithmetic_intensity
 from .roofline import ScenarioResult, classify, end_to_end
 
 AXIS_FIELDS = ("batch", "prompt_len", "gen_len", "steps", "block_size", "dtype_bytes")
-_JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps uses with ensure_ascii=False
 
 
 class SweepGrid(namedtuple("SweepGrid", ("hardware", "axes", "cases"))):
@@ -95,7 +94,8 @@ def field_names(pairs: Iterable[tuple[str, object]]) -> list[str]:
     """`name=value` of each pair, for the name of a case or a plot's series:
     the value spelt as JSON spells it (`null`, `true`,
     `{"include_lm_head": true}`), but a string as it is."""
-    return [f"{name}={value if isinstance(value, str) else _spelt(_JSON.encode, value)}"
+    return [f"{name}={value}" if isinstance(value, str) else
+            f"{name}={_spelt(lambda v: json.dumps(v, ensure_ascii=False), value)}"
             for name, value in pairs]
 
 

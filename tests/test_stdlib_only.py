@@ -67,7 +67,7 @@ def test_cli_import_does_not_load_typing():
 
 def test_cli_import_builds_no_parser():
     """Importing the CLI builds no argument parser: a call builds the one it
-    runs. The whole CLI's parser takes about 0.4 ms to build (median, one
+    runs. The whole CLI's parser takes about 0.3 ms to build (median, one
     core of a 2-core Xeon), which every import would add to a fresh process
     and to the benchmark's setup_s."""
     assert after_cli_import("lmroofline.cli._build_parser.cache_info().currsize") == "0\n"
