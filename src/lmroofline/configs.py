@@ -79,6 +79,8 @@ def require_int(name: str, value: object, minimum: int) -> int:
     int beyond the float range is rejected too: every count ends up in a
     float result, which could not hold it.
     """
+    if type(value) is int and minimum <= value <= MAX_FLOAT:
+        return value
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum} (got {echo(value)})")
     if value > MAX_FLOAT:
@@ -275,7 +277,7 @@ class Scenario(namedtuple("Scenario", ("model", "hardware", "workload"))):
         cls, model: ModelConfig, hardware: HardwareSpec, workload: WorkloadSpec
     ) -> Scenario:
         validate_workload(workload, model)
-        return super().__new__(cls, model, hardware, workload)
+        return tuple.__new__(cls, (model, hardware, workload))
 
 
 # Shape constants from the published model configs:

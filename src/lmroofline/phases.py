@@ -120,8 +120,8 @@ def layer_forward_cost(
     KernelRun in a run, and shared by the entries it costs: q_proj and
     out_proj; k_proj and v_proj, which are q_proj's kernel under multi-head
     attention (kv_width == d_model); and mlp_gate, mlp_up and mlp_down, as
-    linear_cost is symmetric in (d_in, d_out). roofline.phase_latency times
-    an entry equal to the one before it once.
+    linear_cost is symmetric in (d_in, d_out). roofline.phase_latency does
+    not time again the same kernel object as the one before it.
     """
     # Loops rather than comprehensions: a comprehension would turn every local
     # it reads into a cell, which every call pays for, on the constant path too.
@@ -267,24 +267,24 @@ def blockwise_dlm_cost(scenario: Scenario) -> PhaseCost:
         width = min(block_size, gen_len - first * block_size)
         kv_len = prompt_len + (gen_len if full_kv else first * block_size + width)
         tag = f"block{_span(first, end - 1)}:"
-        entries.extend(
+        entries += [
             (tag + label, kernel)
             for label, kernel in layer_forward_cost(
                 scenario, width, kv_len, causal=False, write_new_kv=False,
                 count=steps_per_block + (1 if first < extra else 0),
                 run=end - first, kv_step=0 if full_kv else block_size,
             )
-        )
+        ]
     if opts.include_cache_refresh:
         cuts = sorted({0, full_width, num_blocks})
         for first, end in zip(cuts, cuts[1:]):
             covered = prompt_len + min((first + 1) * block_size, gen_len)
             tag = f"refresh{_span(first, end - 1)}:"
-            entries.extend(
+            entries += [
                 (tag + label, kernel)
                 for label, kernel in layer_forward_cost(
                     scenario, covered, covered, causal=False, write_new_kv=True,
                     run=end - first, q_step=block_size, kv_step=block_size,
                 )
-            )
+            ]
     return PhaseCost("dlm_block", tuple(entries))

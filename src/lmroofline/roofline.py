@@ -105,16 +105,16 @@ def kernel_time(cost: KernelCost | KernelRun | PhaseCost, hw: HardwareSpec) -> f
 def phase_latency(cost: PhaseCost, hw: HardwareSpec) -> float:
     """Seconds for a phase: kernels run back to back.
 
-    An entry whose kernel equals the one before it (v_proj; k_proj too under
-    multi-head attention; mlp_up, mlp_down) is not timed again: equal kernels
-    take equal time. The times are added with math.fsum, the correctly
+    An entry whose kernel is the same kernel object as the one before it
+    (v_proj; k_proj too under multi-head attention; mlp_up, mlp_down) is not
+    timed again. The times are added with math.fsum, the correctly
     rounded sum, so the result does not depend on their order; a sum past
     the float range is inf, as with built-in sum.
     """
     times = []
     last = seconds = None
     for _, kernel in cost.breakdown:
-        if kernel != last:
+        if kernel is not last:
             seconds = kernel_time(kernel, hw)
             last = kernel
         times.append(seconds)

@@ -210,13 +210,10 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
 
 def row_to_csv(row: SweepRow) -> str:
     """One CSV line: floats and the int totals to 6 significant digits, None as empty."""
-    k = "" if row.K is None else row.K
-    g = "" if row.G is None else row.G
-    return (
-        f"{row.mode},{row.B},{row.Lp},{row.Lg},{k},{g},{float(row.flops):.6g},"
-        f"{float(row.bytes):.6g},{row.ai:.6g},{row.latency_s:.6g},{row.throughput_tok_s:.6g},"
-        f"{row.bound},{float(row.peak_mem_bytes):.6g},{'true' if row.fits else 'false'}"
-    )
+    return "%s,%s,%s,%s,%s,%s,%.6g,%.6g,%.6g,%.6g,%.6g,%s,%.6g,%s" % (
+        row.mode, row.B, row.Lp, row.Lg, "" if row.K is None else row.K,
+        "" if row.G is None else row.G, row.flops, row.bytes, row.ai, row.latency_s,
+        row.throughput_tok_s, row.bound, row.peak_mem_bytes, "true" if row.fits else "false")
 
 
 def _csv_text(lines: Iterable[str]) -> Iterator[str]:

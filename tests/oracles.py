@@ -14,8 +14,10 @@ small shapes used in the tests; they make no attempt to be fast.
 `one_case_grid` the grid of one model and base workload, `patch_everywhere`
 replaces a function under every name the package binds it to, `parse_csv`
 reads a sweep CSV back for the tests of the CSV contract, `csv_text`
-renders rows to the text `emit_csv` writes, and `loglog_slope` fits the
-scaling exponents the acceptance checks read.
+renders rows to the text `emit_csv` writes, `loglog_slope` fits the
+scaling exponents the acceptance checks read, and `nested_list` and
+`recursion_depth` find where the running interpreter stops recursing into a
+nested value.
 """
 
 from __future__ import annotations
@@ -86,6 +88,47 @@ def patch_everywhere(monkeypatch, original, replacement):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)
+
+
+def nested_list(depth: int) -> list:
+    """An empty list nested `depth` lists deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def recursion_depth(spell) -> int | None:
+    """The least depth at which spell(depth) raises RecursionError, or None
+    where no depth it probes up to 100,000 raises.
+
+    The depth is probed from the caller's stack: doubled from 1,000, then
+    bisected, as a depth past one that raises raises too. From Python 3.12
+    the recursion limit governs Python code only, and C code such as list
+    repr and the C JSON scanner and encoder stops at a separate, deeper
+    limit of its own, so no depth can be assumed from
+    sys.getrecursionlimit().
+    """
+
+    def raises(depth: int) -> bool:
+        try:
+            spell(depth)
+        except RecursionError:
+            return True
+        return False
+
+    accepted, depth = 0, 1_000
+    while not raises(depth):
+        accepted, depth = depth, depth * 2
+        if depth > 100_000:
+            return None
+    while accepted + 1 < depth:
+        middle = (accepted + depth) // 2
+        if raises(middle):
+            depth = middle
+        else:
+            accepted = middle
+    return depth
 
 
 def csv_text(rows: list[SweepRow]) -> str:

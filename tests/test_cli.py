@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lmroofline
 from lmroofline import HW_REGISTRY, MODEL_REGISTRY, SweepRow, cli, kernel_time, scenario_phases
-from oracles import parse_csv
+from oracles import nested_list, parse_csv, recursion_depth
 from lmroofline.cli import main
 from lmroofline.configs import echo, scenario_from_dict
 
@@ -860,11 +860,19 @@ def test_a_value_nested_up_to_the_parser_depth_exits_1_in_one_short_line(
     # A value the JSON parser accepts can still be nested too deep for echo's
     # repr or a case name's json.dumps; then it is quoted by its type. Where
     # that starts moves with the caller's stack, so every depth is run, from
-    # 900 up to the first one the parser rejects.
+    # 100 below the first at which the running interpreter's repr,
+    # json.dumps or JSON parser stops, up to the first one the parser
+    # rejects. They are probed from this frame, which the CLI's calls run
+    # below, so the CLI's parser rejects a depth no deeper than the probe's.
+    parser_depth = recursion_depth(lambda depth: json.loads("[" * depth + "]" * depth))
+    assert parser_depth is not None, "the JSON parser accepted every depth probed"
+    spell_depths = [recursion_depth(lambda depth: spell(nested_list(depth)))
+                    for spell in (repr, json.dumps)]
+    first = min(depth for depth in (parser_depth, *spell_depths) if depth is not None) - 100
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "input.json"
     command = ["analyze"] if where == "analyze" else ["sweep", "-o", "out.csv"]
-    for depth in range(900, 5_000):
+    for depth in range(first, parser_depth + 1):
         config.write_text(nested_dtype_bytes_doc(where, depth))
         assert main([*command, "-c", str(config)]) == 1, depth
         captured = capsys.readouterr()
@@ -875,7 +883,7 @@ def test_a_value_nested_up_to_the_parser_depth_exits_1_in_one_short_line(
         assert "dtype_bytes must be an integer >= 1 (got " in captured.err, depth
     else:
         pytest.fail("the JSON parser accepted every depth")
-    assert depth > 900
+    assert depth > first
     assert not (tmp_path / "out.csv").exists()
 
 

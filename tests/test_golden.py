@@ -27,6 +27,15 @@ rounded sum does not depend on the order of the terms, so no float may move.
 Re-record (only when an output is meant to change) with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+and replay the corpus without pytest, on any Python the package supports,
+with
+
+    PYTHONPATH=src python3 tests/test_golden.py --check
+
+which writes every golden file into a temporary directory, compares each
+with its recorded copy byte for byte (argv.json only on the minor version
+it was recorded on), names each file that differs, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -42,8 +51,6 @@ import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
-
-import pytest
 
 from lmroofline.cli import main as cli_main
 
@@ -208,6 +215,46 @@ def produce(out_dir: Path) -> None:
         json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
 
 
+ARGV_RECORD = json.loads((GOLDEN_CLI / "argv.json").read_text(encoding="utf-8"))
+
+
+def check() -> int:
+    """Replay the corpus: `produce` into a temporary directory, then compare
+    every file it writes or the corpus records (but the commands' inputs)
+    with its recorded copy, byte for byte. Print each that differs or is
+    missing on one side; 1 if any does, else 0."""
+    inputs = {GOLDEN / f"analyze_{mode}.json" for mode in MODES}
+    inputs.update(GOLDEN_CLI / f"grid_{mode}.json" for mode in MODES)
+    argv = Path("cli", "argv.json")
+    with tempfile.TemporaryDirectory() as work_dir:
+        out_dir = Path(work_dir)
+        produce(out_dir)
+        names = {path.relative_to(out_dir) for path in out_dir.rglob("*") if path.is_file()}
+        names.update(path.relative_to(GOLDEN) for path in GOLDEN.rglob("*")
+                     if path.is_file() and path not in inputs)
+        if PYTHON_VERSION != ARGV_RECORD["python"]:
+            print(f"skipped {argv}: recorded on Python {ARGV_RECORD['python']}")
+            names.discard(argv)
+        differ = [name for name in sorted(names)
+                  if not ((out_dir / name).is_file() and (GOLDEN / name).is_file()
+                          and (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes())]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(names) - len(differ)} of {len(names)} golden files match "
+          f"on Python {sys.version.split()[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    sys.exit(check() if sys.argv[1:] else produce(GOLDEN))
+
+# Imported after the script's entry point, which runs without pytest: the
+# floor that requires-python names, 3.10, has none.
+import pytest  # noqa: E402
+
+
 def artifact_names() -> list[str]:
     return sorted(p.name for p in GOLDEN.iterdir() if p.suffix in (".csv", ".svg"))
 
@@ -278,9 +325,6 @@ def test_grid_command_output_is_byte_identical(produced_grid, name):
     assert (produced_grid / name).read_bytes() == (GOLDEN_CLI / name).read_bytes()
 
 
-ARGV_RECORD = json.loads((GOLDEN_CLI / "argv.json").read_text(encoding="utf-8"))
-
-
 @pytest.mark.skipif(PYTHON_VERSION != ARGV_RECORD["python"],
                     reason="argparse's help and error texts change between Python versions")
 def test_every_argv_form_gives_its_recorded_exit_code_stdout_and_stderr(tmp_path):
@@ -312,6 +356,3 @@ def test_analyze_output_matches_golden(mode):
     for key, value in want.items():
         assert_close(got[key], value, f"{mode}.{key}")
 
-
-if __name__ == "__main__":
-    produce(GOLDEN)

@@ -302,9 +302,10 @@ def test_blockwise_runs_match_per_step_loop(
 def test_phase_latency_is_the_sum_of_its_kernel_times_bit_for_bit(
     model, mode, batch, prompt_len, gen_len, block_size, steps_extra, opts, data
 ):
-    # phase_latency does not time again an entry whose kernel equals the
-    # one before it, and adds the times with math.fsum; neither
-    # may change the correctly rounded sum of every entry's time by one bit.
+    # phase_latency does not time again an entry whose kernel is the same
+    # kernel object as the one before it, and adds the times with math.fsum;
+    # neither may change the correctly rounded sum of every entry's time by
+    # one bit.
     block_size = min(block_size, gen_len)
     steps = -(-gen_len // block_size) + steps_extra
     s = scenario(
@@ -421,8 +422,8 @@ def test_run_time_is_the_prefix_formula_at_the_first_compute_bound_invocation(
 
 def test_refresh_runs_of_shared_kernels_are_timed_once(monkeypatch):
     # Every refresh forward shares k_proj's kernel with v_proj and mlp_gate's
-    # with mlp_up; the runs built from them are equal, and phase_latency
-    # times each run of equal adjacent kernels once.
+    # with mlp_up, and phase_latency does not time again an entry whose
+    # kernel is the same kernel object as the one before it.
     refresh = CountingOptions(include_cache_refresh=True, count_elementwise_bytes=True)
     phase = blockwise_dlm_cost(scenario(LLADA, "dlm_block", 1, 16, 36, 36, 8, opts=refresh))
     kernels = dict(phase.breakdown)
@@ -430,8 +431,8 @@ def test_refresh_runs_of_shared_kernels_are_timed_once(monkeypatch):
     assert tags == ["refresh0..3", "refresh4"]
     assert isinstance(kernels["refresh0..3:k_proj"], KernelRun)
     for tag in tags:
-        assert kernels[f"{tag}:k_proj"] == kernels[f"{tag}:v_proj"]
-        assert kernels[f"{tag}:mlp_gate"] == kernels[f"{tag}:mlp_up"]
+        assert kernels[f"{tag}:k_proj"] is kernels[f"{tag}:v_proj"]
+        assert kernels[f"{tag}:mlp_gate"] is kernels[f"{tag}:mlp_up"]
     timed = []
 
     def counting(kernel, hw):
@@ -441,7 +442,7 @@ def test_refresh_runs_of_shared_kernels_are_timed_once(monkeypatch):
     oracles.patch_everywhere(monkeypatch, kernel_time, counting)
     phase_latency(phase, A6000)
     entries = [kernel for _, kernel in phase.breakdown]
-    distinct = [k for k, before in zip(entries, [None, *entries]) if k != before]
+    distinct = [k for k, before in zip(entries, [None, *entries]) if k is not before]
     assert len(timed) == len(distinct) < len(entries)
     assert timed == distinct
 

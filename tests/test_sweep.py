@@ -20,6 +20,7 @@ from lmroofline import (
     MODEL_REGISTRY,
     RooflinePoint,
     SweepGrid,
+    SweepRow,
     ValidationError,
     WorkloadSpec,
     cli,
@@ -28,7 +29,15 @@ from lmroofline import (
     run_sweep,
 )
 from lmroofline.cli import main as cli_main
-from lmroofline.configs import Scenario, echo, require_int, scenario_from_dict, validate_workload
+from lmroofline.configs import (
+    MAX_FLOAT,
+    MODES,
+    Scenario,
+    echo,
+    require_int,
+    scenario_from_dict,
+    validate_workload,
+)
 from lmroofline.memory import peak_footprint
 from lmroofline.roofline import end_to_end
 from lmroofline.sweep import (
@@ -38,8 +47,17 @@ from lmroofline.sweep import (
     field_names,
     grid_from_dict,
     map_grid,
+    row_to_csv,
 )
-from oracles import csv_text, loglog_slope, one_case_grid, parse_csv, patch_everywhere
+from oracles import (
+    csv_text,
+    loglog_slope,
+    nested_list,
+    one_case_grid,
+    parse_csv,
+    patch_everywhere,
+    recursion_depth,
+)
 
 LLAMA = MODEL_REGISTRY["llama3-8b"]
 LLADA = MODEL_REGISTRY["llada-8b"]
@@ -325,6 +343,43 @@ def test_arm_rows_leave_dlm_columns_empty(tmp_path):
     assert cells[header.index("mode")] == "arm"
 
 
+# README's "CSV schema", one field at a time: the floats and the int totals
+# by `%.6g`, an unset K or G as an empty field, and fits as true or false.
+CSV_FLOAT_FIELDS = ("flops", "bytes", "ai", "latency_s", "throughput_tok_s", "peak_mem_bytes")
+
+
+def csv_line_field_by_field(row):
+    cells = []
+    for field in dataclasses.fields(row):
+        value = getattr(row, field.name)
+        if field.name in CSV_FLOAT_FIELDS:
+            cells.append(format(float(value), ".6g"))
+        elif field.name == "fits":
+            cells.append("true" if value else "false")
+        else:
+            cells.append("" if value is None else str(value))
+    return ",".join(cells)
+
+
+# Totals on both sides of 2**53, where an int stops converting to a float
+# exactly, up to the float range; floats from the subnormals to the largest.
+csv_totals = st.integers(0, 2**53) | st.integers(2**53 + 1, int(MAX_FLOAT))
+csv_floats = (st.floats(0.0, sys.float_info.min, exclude_max=True)
+              | st.floats(1e300, MAX_FLOAT) | st.floats(min_value=0.0, allow_infinity=False))
+csv_counts = st.integers(0, 2**64)
+
+
+@given(st.builds(
+    SweepRow, mode=st.sampled_from(MODES), B=csv_counts, Lp=csv_counts, Lg=csv_counts,
+    K=st.none() | csv_counts, G=st.none() | csv_counts, flops=csv_totals, bytes=csv_totals,
+    ai=csv_floats, latency_s=csv_floats, throughput_tok_s=csv_floats,
+    bound=st.sampled_from(("compute_bound", "memory_bound")), peak_mem_bytes=csv_totals,
+    fits=st.booleans(),
+))
+def test_a_csv_line_is_the_schema_applied_field_by_field(row):
+    assert row_to_csv(row) == csv_line_field_by_field(row)
+
+
 def test_repeated_sweep_is_byte_identical(tmp_path):
     grid = arm_grid((("gen_len", (32, 64)), ("batch", (1, 2, 4)),))
     first = csv_text(run_sweep(grid))
@@ -520,10 +575,10 @@ def test_case_and_series_names_spell_each_value_as_json_does(tmp_path, capsys):
 
 
 def test_a_case_value_nested_past_the_recursion_limit_is_named_by_its_type():
-    deep = []
-    for _ in range(sys.getrecursionlimit() + 10):
-        deep = [deep]
-    assert field_names([("batch", 2), ("dtype_bytes", deep)]) == [
+    depth = recursion_depth(lambda depth: json.dumps(nested_list(depth), ensure_ascii=False))
+    if depth is None:
+        pytest.skip("json.dumps spells a list nested as deep as probed")
+    assert field_names([("batch", 2), ("dtype_bytes", nested_list(depth))]) == [
         "batch=2", "dtype_bytes=<list nested too deep to quote>"]
 
 
@@ -767,6 +822,37 @@ def test_grid_checks_each_count_once_per_point(monkeypatch, tmp_path, command, m
     patch_everywhere(monkeypatch, require_int, counting)
     run_grid(command, tmp_path, GRID_DOCS[mode])
     assert len(calls) == COUNT_CHECKS_PER_POINT[mode] * GRID_POINTS
+
+
+# The Python and built-in calls (sys.setprofile's "call" and "c_call" events)
+# that `sweep`'s per-point function makes over each grid of GRID_DOCS, counted
+# on CALLS_PYTHON: 143.3, 91.3 and 228.5 per point. Python 3.12 inlines list
+# comprehensions, so another minor version counts differently.
+CALLS_PYTHON = "3.11"
+SWEEP_CALLS = {"arm": 860, "dlm_naive": 548, "dlm_block": 1371}
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != CALLS_PYTHON,
+                    reason="the calls a point makes change between Python versions")
+@pytest.mark.parametrize("mode", sorted(GRID_DOCS))
+def test_a_sweep_point_makes_no_more_calls_than_recorded(mode):
+    points = map_grid(grid_from_dict(GRID_DOCS[mode]),
+                      lambda result: row_to_csv(evaluate_point(result)))
+    calls = 0
+
+    def counting(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(counting)
+    try:
+        for _ in points:
+            pass
+    finally:
+        sys.setprofile(previous)
+    assert calls <= SWEEP_CALLS[mode], f"{calls / GRID_POINTS:.2f} calls per point"
 
 
 def test_steps_axis_of_none_resolves_to_gen_len():
