@@ -79,12 +79,11 @@ def require_int(name: str, value: object, minimum: int) -> int:
     int beyond the float range is rejected too: every count ends up in a
     float result, which could not hold it.
     """
-    if type(value) is int and minimum <= value <= MAX_FLOAT:
-        return value
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum} (got {echo(value)})")
-    if value > MAX_FLOAT:
-        raise ValidationError(f"{name} is beyond the float range (> {MAX_FLOAT:.4g})")
+    if type(value) is not int or not minimum <= value <= MAX_FLOAT:
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise ValidationError(f"{name} must be an integer >= {minimum} (got {echo(value)})")
+        if value > MAX_FLOAT:
+            raise ValidationError(f"{name} is beyond the float range (> {MAX_FLOAT:.4g})")
     return value
 
 

@@ -50,14 +50,13 @@ class KernelCost(namedtuple("KernelCost", ("flops", "bytes"))):
     __slots__ = ()
 
     def __new__(cls, flops: int, bytes: int) -> "KernelCost":
-        if bytes > 0 and flops >= 0:
-            return tuple.__new__(cls, (flops, bytes))
-        if flops < 0 or bytes < 0:
-            raise ValidationError(
-                f"kernel cost must be nonnegative (flops={flops}, bytes={bytes})"
-            )
-        if flops > 0 and bytes == 0:
-            raise ValidationError(f"kernel computes but moves no data (flops={flops})")
+        if flops < 0 or bytes <= 0:
+            if flops < 0 or bytes < 0:
+                raise ValidationError(
+                    f"kernel cost must be nonnegative (flops={flops}, bytes={bytes})"
+                )
+            if flops > 0:
+                raise ValidationError(f"kernel computes but moves no data (flops={flops})")
         return tuple.__new__(cls, (flops, bytes))
 
 

@@ -90,6 +90,19 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
+class Unspellable(dict):
+    """A value that repr and the JSON encoder both give up on with
+    RecursionError, as they do on a list nested past their depth limit, on
+    every interpreter. Give it an item: the encoder spells an empty dict
+    without asking for its items."""
+
+    def __repr__(self):
+        raise RecursionError
+
+    def items(self):
+        raise RecursionError
+
+
 def nested_list(depth: int) -> list:
     """An empty list nested `depth` lists deep."""
     value = []
