@@ -167,22 +167,16 @@ def _show_model(m) -> None:
     print(f"  {'fp16 weights':<16} {weight_bytes(m, 2)} bytes")
 
 
-def _cmd_hw(args: argparse.Namespace) -> int:
-    return _cmd_registry(args, HW_REGISTRY, "hardware", _show_hw)
-
-
-def _cmd_model(args: argparse.Namespace) -> int:
-    return _cmd_registry(args, MODEL_REGISTRY, "model", _show_model)
-
-
 # command -> (its function, its line in the whole CLI's help), in the help's order.
 _COMMANDS = {
     "analyze": (_cmd_analyze, "evaluate one scenario file"),
     "sweep": (_cmd_sweep, "evaluate a grid file to CSV"),
     "roofline": (_cmd_roofline, "render a grid's phases on the roofline"),
     "plot": (_cmd_plot, "render a metric against the last grid axis"),
-    "hw": (_cmd_hw, "inspect the hardware registry"),
-    "model": (_cmd_model, "inspect the model registry"),
+    "hw": (functools.partial(_cmd_registry, registry=HW_REGISTRY, kind="hardware",
+                             show=_show_hw), "inspect the hardware registry"),
+    "model": (functools.partial(_cmd_registry, registry=MODEL_REGISTRY, kind="model",
+                                show=_show_model), "inspect the model registry"),
 }
 
 

@@ -1,8 +1,13 @@
 """Model, hardware, and workload definitions plus the built-in registries.
 
-Inputs are checked here. The records are namedtuple subclasses: as
-immutable as frozen dataclasses, and far cheaper to define and to build. A
-record with checks runs them in its `__new__`. `_replace` and `_make` build
+Inputs are checked here. Every record the package builds subclasses a
+collections.namedtuple and sets `__slots__ = ()`: immutable, with no
+per-instance dict. A frozen dataclass is several times dearer to build, as
+its __init__ sets each field through object.__setattr__, and a dataclass or
+a typing.NamedTuple is dearer to define at import. The one dataclass is
+sweep.SweepRow, the public report row, because its callers read it with
+dataclasses.asdict (the benchmark's checker among them). A record with
+checks runs them in its `__new__`. `_replace` and `_make` build
 around `__new__` and check nothing, so the package never calls them: a
 changed record is built by calling its class. `validate_workload` holds
 every workload invariant, each written once; the integer and block-count
@@ -243,23 +248,19 @@ def validate_workload(workload: WorkloadSpec, model: ModelConfig) -> WorkloadSpe
                                   "bidirectional_only and cannot run mode 'arm'")
         if w.steps is not None:
             raise ValidationError("steps is only meaningful for dlm modes (mode 'arm')")
-        if w.block_size is not None:
-            raise ValidationError("block_size is only meaningful for dlm_block (mode 'arm')")
-        return w
-
-    if w.steps is None:
+    elif w.steps is None:
         raise ValidationError(f"steps is required for mode '{w.mode}'")
-    require_int("steps", w.steps, 1)
+    else:
+        require_int("steps", w.steps, 1)
 
-    if w.mode == "dlm_naive":
+    if w.mode != "dlm_block":
         if w.block_size is not None:
-            raise ValidationError("block_size is only meaningful for dlm_block (mode 'dlm_naive')")
-        return w
-
-    if w.block_size is None:
+            raise ValidationError(f"block_size is only meaningful for dlm_block (mode '{w.mode}')")
+    elif w.block_size is None:
         raise ValidationError("block_size is required for mode 'dlm_block'")
-    require_int("block_size", w.block_size, 1)
-    require_blocks(w.gen_len, w.steps, w.block_size)
+    else:
+        require_int("block_size", w.block_size, 1)
+        require_blocks(w.gen_len, w.steps, w.block_size)
     return w
 
 
@@ -394,17 +395,16 @@ def _check_keys(doc: object, keys: dict[str, bool], context: str) -> None:
 
 def _load(name: object, base_dir: str | None, registry: dict, cls: type, context: str) -> object:
     """Resolve the string `name` by registry name, or load a JSON document of
-    `cls`'s fields from the file it names (first relative to `base_dir`)."""
+    `cls`'s fields from the file it names (relative to `base_dir`, if given)."""
     if not isinstance(name, str):
         raise ValidationError(
             f"{context.split()[0]} must be a registry name or a file path (got {echo(name)})")
     if name in registry:
         return registry[name]
-    candidate = os.path.join(base_dir or "", name)  # an absolute name stays as it is
+    path = os.path.join(base_dir or "", name)  # an absolute name stays as it is
     # Anything but a directory names a document (os.path.isfile would reject
     # the pipe a shell's <(...) names).
-    path = next((p for p in (candidate, name) if os.path.exists(p) and not os.path.isdir(p)), None)
-    if path is None:
+    if not os.path.exists(path) or os.path.isdir(path):
         raise ValidationError(
             f"unknown {context.split()[0]} {echo(name)} (registry: {', '.join(sorted(registry))}) "
             "and no such file"
@@ -475,11 +475,7 @@ def resolve_workload(base: WorkloadSpec, slots: Iterable[tuple[int, object]] = (
     index in WorkloadSpec. An unset diffusion `steps` becomes the resolved
     `gen_len`: every generated token refined once per step on average.
 
-    The workload is built from a list display, not by `_replace` or
-    `list(base)`. In CPython, a tuple built from an iterator (as `_replace`
-    builds one) and a list made by calling `list` are not drawn from the free
-    list they are freed onto, so each grid point would leave one more spare
-    object on it: up to 2,000 tuples, or 80 lists (tests/test_sweep.py)."""
+    A list display, not `_replace`: test_grid_points_leave_no_spare_objects_on_the_free_lists."""
     values = [*base]
     for slot, value in slots:
         values[slot] = value

@@ -18,14 +18,8 @@ assembly calls them only with the shapes of a Scenario, which was validated
 when it was built (`configs`). Each takes a `count`, the one way to
 aggregate that many identical invocations in one step.
 
-Every record the package builds, KernelCost and KernelRun here included,
-subclasses a collections.namedtuple and sets `__slots__ = ()`: immutable,
-with no per-instance dict. A frozen dataclass is several times dearer to
-build, as its __init__ sets each field through object.__setattr__, and a
-dataclass or a typing.NamedTuple is dearer to define at import. A record
-with checks or derived fields runs them in its __new__. The one dataclass
-is sweep.SweepRow, the public report row, because its callers read it with
-dataclasses.asdict (the benchmark's checker among them).
+KernelCost and KernelRun are namedtuple records, for the reason the
+`configs` docstring gives, and run their checks and derived fields in __new__.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .configs import ModelConfig, Scenario, WorkloadSpec
+from .configs import ModelConfig, Scenario
 
 ACTIVATION_BUFFER_FACTOR = 2
 
@@ -78,14 +78,6 @@ def activation_bytes(model: ModelConfig, batch: int, q_extent: int, dtype_bytes:
     return ACTIVATION_BUFFER_FACTOR * batch * q_extent * width * dtype_bytes
 
 
-def _activation_extent(workload: WorkloadSpec) -> int:
-    if workload.mode == "dlm_naive":
-        return workload.total_len
-    if workload.mode == "dlm_block":
-        return max(workload.prompt_len, workload.block_size)
-    return max(workload.prompt_len, 1)  # an empty prompt still decodes one token
-
-
 def peak_footprint(scenario: Scenario) -> MemoryFootprint:
     """Predicted peak memory of a scenario and whether it fits the device.
 
@@ -95,9 +87,11 @@ def peak_footprint(scenario: Scenario) -> MemoryFootprint:
     m, hw, w = scenario.model, scenario.hardware, scenario.workload
     weights = weight_bytes(m, w.dtype_bytes)
     if w.mode == "dlm_naive":
-        kv = 0
+        kv, extent = 0, w.total_len
     else:
         kv = kv_cache_bytes(m, w.batch, w.total_len, w.dtype_bytes)
-    act = activation_bytes(m, w.batch, _activation_extent(w), w.dtype_bytes)
+        # Only dlm_block has a block_size. An empty arm prompt still decodes one token.
+        extent = max(w.prompt_len, w.block_size or 1)
+    act = activation_bytes(m, w.batch, extent, w.dtype_bytes)
     total = weights + kv + act
     return MemoryFootprint(weights, kv, act, total, total <= hw.mem_capacity)

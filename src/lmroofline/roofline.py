@@ -168,7 +168,7 @@ class ScenarioResult(namedtuple("ScenarioResult", (
     def points(self) -> tuple[RooflinePoint, ...]:
         m, w, hw = self.scenario.model, self.scenario.workload, self.scenario.hardware
         prefix = f"{m.name} B={w.batch} Lp={w.prompt_len} Lg={w.gen_len}"
-        # A list display, for the reason given at end_to_end's latencies.
+        # A list display: test_grid_points_leave_no_spare_objects_on_the_free_lists.
         return tuple([
             RooflinePoint(ai, p.flops / t, classify(ai, hw), f"{p.phase} {prefix}")
             for p, t, ai in zip(
@@ -195,10 +195,7 @@ def end_to_end(scenario: Scenario, prefill: tuple | None = None) -> ScenarioResu
         raise ValidationError("result has a non-finite number: a total beyond the float range")
     # Every kernel's and phase's counts, and batch * gen_len (at most the
     # FLOPs), now convert to a float; only the float arithmetic can overflow.
-    # Built from displays, not a generator: in CPython a tuple built from an
-    # iterator is not drawn from the free list it is freed onto, so each
-    # point would leave one more spare tuple on it, up to 2,000
-    # (tests/test_sweep.py).
+    # Displays, not a generator: test_grid_points_leave_no_spare_objects_on_the_free_lists.
     if prefill is None:
         latencies = tuple([phase_latency(p, hw) for p in phases])
     else:

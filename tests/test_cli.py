@@ -722,6 +722,29 @@ def test_model_and_hardware_file_keys_are_checked(tmp_path, capsys, field, doc, 
 
 
 @pytest.mark.parametrize("field", ["model", "hardware"])
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_a_relative_file_name_resolves_against_the_config_directory_only(
+        tmp_path, capsys, monkeypatch, field, command):
+    # The file exists in the working directory, not beside the config file.
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, f"{field}.json", MODEL_FILE_DOC if field == "model" else hardware_doc())
+    (tmp_path / "sub").mkdir()
+    doc = {"analyze": arm_scenario_doc, "sweep": lambda **kw: arm_grid_doc({"batch": [1]}, **kw)}
+    config = write_json(tmp_path / "sub", "config.json", doc[command](**{field: f"{field}.json"}))
+    output = ["-o", str(tmp_path / "out.csv")] if command == "sweep" else []
+    argv = [command, "-c", config, *output]
+    assert main(argv) == 1
+    registry = MODEL_REGISTRY if field == "model" else HW_REGISTRY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown {field} '{field}.json' "
+                            f"(registry: {', '.join(sorted(registry))}) and no such file\n")
+    assert not (tmp_path / "out.csv").exists()
+    os.replace(tmp_path / f"{field}.json", tmp_path / "sub" / f"{field}.json")
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("field", ["model", "hardware"])
 @pytest.mark.parametrize("name", ["x\u0001y", "x\ud800y"], ids=["control", "surrogate"])
 def test_roofline_rejects_an_unprintable_name_leaving_the_output_as_it_was(
         tmp_path, capsys, field, name):

@@ -292,6 +292,30 @@ def test_dlm_modes_require_steps():
         )
 
 
+@pytest.mark.parametrize("model, fields, message", [
+    (LLAMA, dict(mode="arm", steps=4), "steps is only meaningful for dlm modes (mode 'arm')"),
+    (LLAMA, dict(mode="arm", block_size=2),
+     "block_size is only meaningful for dlm_block (mode 'arm')"),
+    (LLAMA, dict(mode="arm", steps=4, block_size=2),
+     "steps is only meaningful for dlm modes (mode 'arm')"),
+    (LLADA, dict(mode="arm", steps=4, block_size=2),
+     "model 'llada-8b' has attention_kind bidirectional_only and cannot run mode 'arm'"),
+    (LLADA, dict(mode="dlm_naive", steps=4, block_size=2),
+     "block_size is only meaningful for dlm_block (mode 'dlm_naive')"),
+    (LLADA, dict(mode="dlm_naive"), "steps is required for mode 'dlm_naive'"),
+    (LLADA, dict(mode="dlm_naive", block_size=2), "steps is required for mode 'dlm_naive'"),
+    (LLADA, dict(mode="dlm_block", block_size=2), "steps is required for mode 'dlm_block'"),
+    (LLADA, dict(mode="dlm_block"), "steps is required for mode 'dlm_block'"),
+    (LLADA, dict(mode="dlm_block", steps=4), "block_size is required for mode 'dlm_block'"),
+])
+def test_each_mode_rule_has_its_exact_message(model, fields, message):
+    # A workload that breaks two rules gets the message of the one checked first.
+    w = WorkloadSpec(batch=1, prompt_len=4, gen_len=4, **fields)
+    with pytest.raises(ValidationError) as excinfo:
+        validate_workload(w, model)
+    assert str(excinfo.value) == message
+
+
 def test_zero_gen_len_rejected():
     with pytest.raises(ValidationError, match="gen_len"):
         validate_workload(WorkloadSpec(mode="arm", batch=1, prompt_len=4, gen_len=0), LLAMA)

@@ -111,6 +111,26 @@ def test_blockwise_and_arm_footprints_match_when_prompt_dominates():
     assert fp_arm.total == fp_blk.total
 
 
+# (model, workload, activation extent E of the module docstring)
+EXTENT_CASES = [
+    (LLAMA, WorkloadSpec(mode="arm", batch=3, prompt_len=512, gen_len=128), 512),
+    (LLAMA, WorkloadSpec(mode="arm", batch=3, prompt_len=0, gen_len=128), 1),
+    (LLADA, WorkloadSpec(mode="dlm_naive", batch=3, prompt_len=128, gen_len=64, steps=64), 192),
+    (LLADA, WorkloadSpec(mode="dlm_block", batch=3, prompt_len=512, gen_len=128, steps=128,
+                         block_size=32), 512),
+    (LLADA, WorkloadSpec(mode="dlm_block", batch=3, prompt_len=16, gen_len=256, steps=256,
+                         block_size=64), 64),
+]
+
+
+@pytest.mark.parametrize("model, w, extent", EXTENT_CASES)
+def test_each_mode_has_its_activation_extent_and_cache(model, w, extent):
+    fp = peak_footprint(Scenario(model=model, hardware=A100, workload=w))
+    assert fp.activation_bytes == activation_bytes(model, w.batch, extent, w.dtype_bytes)
+    kv = 0 if w.mode == "dlm_naive" else kv_cache_bytes(model, w.batch, w.total_len, 2)
+    assert fp.kv_cache_bytes == kv
+
+
 def test_zero_capacity_never_fits():
     empty = HardwareSpec(name="paperweight", peak_flops=1e12, mem_bandwidth=1e9, mem_capacity=0)
     fp = peak_footprint(arm_scenario(1, 8, 8, hw=empty))

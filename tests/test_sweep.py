@@ -159,8 +159,11 @@ def test_grid_points_leave_no_spare_objects_on_the_free_lists():
     counted by tracemalloc and so by the benchmark's peak_alloc_mb; and
     end_to_end's phase latencies, when they were a tuple built from a
     generator, left one spare 2-slot tuple per point: 86 KB. The bounded
-    lists and dicts hold at most about 5 KB each. The caller's function must
-    run once per point, so that a lazy map_grid cannot pass unevaluated.
+    lists and dicts hold at most about 5 KB each. So the package builds
+    these from list and tuple displays, which are drawn from the free lists:
+    `configs.resolve_workload`, `roofline.end_to_end` and
+    `ScenarioResult.points` name this test. The caller's function must run
+    once per point, so that a lazy map_grid cannot pass unevaluated.
     """
     left, calls, results = traced_growth_over_grid(lambda result: None)
     assert calls == results == 2_000
@@ -828,10 +831,10 @@ def test_grid_checks_each_count_once_per_point(monkeypatch, tmp_path, command, m
 
 # The Python and built-in calls (sys.setprofile's "call" and "c_call" events)
 # that `sweep`'s per-point function makes over each grid of GRID_DOCS, counted
-# on CALLS_PYTHON: 143.3, 91.3 and 228.5 per point. Python 3.12 inlines list
+# on CALLS_PYTHON: 142.3, 90.3 and 227.5 per point. Python 3.12 inlines list
 # comprehensions, so another minor version counts differently.
 CALLS_PYTHON = "3.11"
-SWEEP_CALLS = {"arm": 860, "dlm_naive": 548, "dlm_block": 1371}
+SWEEP_CALLS = {"arm": 854, "dlm_naive": 542, "dlm_block": 1365}
 
 
 @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != CALLS_PYTHON,
